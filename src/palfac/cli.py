@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -133,6 +134,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite(x: float | None) -> float | None:
+    """x, or None when it is infinite or NaN (strict JSON has neither)."""
+    return x if x is None or math.isfinite(x) else None
+
+
 def _word_arg(text: str, k: int) -> Word:
     return Word.from_digits(text, k) if text else Word((), k)
 
@@ -182,7 +188,7 @@ def cmd_analyze(args, parser) -> int:
     if report.birecurrent is not None:
         q, x0, x1 = report.birecurrent
         payload["birecurrent_witness"] = {"state": q, "x0": str(x0), "x1": str(x1)}
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
 
     _say(f"states: {d.state_count} ({d.live_state_count()} live), "
          f"{len(report.recurrent_states)} recurrent")
@@ -213,7 +219,7 @@ def cmd_annihilate(args, parser) -> int:
     a = sequence(cs, args.terms)
     results = {}
     if args.method in ("lda", "both"):
-        results["lda"] = lda(matrix_min_poly(cs.M, seed=args.seed), a)
+        results["lda"] = lda(matrix_min_poly(cs, seed=args.seed), a)
     if args.method in ("hankel", "both"):
         results["hankel"] = minimal_recurrence(a)
     if len(results) == 2 and results["lda"] != results["hankel"]:
@@ -229,19 +235,22 @@ def cmd_asymptotics(args, parser) -> int:
     d = _dfa_from_args(args, parser)
     cs = transfer_matrix(d)
     a = sequence(cs, args.terms)
-    q, _ = lda(matrix_min_poly(cs.M, seed=args.seed), a)
+    q, n0 = lda(matrix_min_poly(cs, seed=args.seed), a)
+    if q.degree == 0:
+        _say(f"finite language: no words of length {n0} or more")
+        return 1
     root = dominant_root(q)
     fit = asymptotic_fit(a, root, annihilator=q, split_parity=args.split_parity)
     payload = {
         "annihilator": list(q.coeffs),
         "alpha": {"low": str(root.lo), "high": str(root.hi), "value": float(root)},
-        "c": fit.c,
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "drift": fit.drift,
+        "c": _finite(fit.c),
+        "c1": _finite(fit.c1),
+        "c2": _finite(fit.c2),
+        "drift": _finite(fit.drift),
         "converged": fit.converged,
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     if not fit.converged:
         _say("constant estimate did not settle at the requested length")
         return 1
@@ -260,7 +269,7 @@ def cmd_verify(args, parser) -> int:
         "stabilized_at": report.stabilized_at,
         "reversal_equal": list(report.reversal_equal),
         "accepted": list(report.accepted),
-    }))
+    }, allow_nan=False))
     return 0
 
 
@@ -285,7 +294,7 @@ def cmd_reproduce(args, parser) -> int:
             "passed": row.passed, "status": row.status,
             "known_discrepancy": row.known_discrepancy,
             "expected": row.expected, "actual": row.actual,
-        }))
+        }, allow_nan=False))
         detail = "" if row.status == "PASS" \
             else f"  expected {row.expected}, got {row.actual}"
         _say(f"{row.status} {row.name}{detail}")

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .construct import CapacityError
+
 MAX_FACTOR_DEGREE = 128
 
 
@@ -497,7 +499,7 @@ def _factor_squarefree(p: Polynomial, rng: random.Random) -> list[Polynomial]:
     # a prime keeping the leading coefficient a unit and p squarefree mod q
     q = 2
     while True:
-        q = _next_prime(q)
+        q = next_prime(q)
         if lc % q == 0:
             continue
         fq = [c % q for c in p.coeffs]
@@ -554,17 +556,42 @@ def _factor_squarefree(p: Polynomial, rng: random.Random) -> list[Polynomial]:
     return out
 
 
-def _next_prime(n: int) -> int:
-    n += 1 + (n % 2 if n > 2 else 0)
-    if n <= 2:
-        return 2
-    while True:
-        for d in range(3, math.isqrt(n) + 1, 2):
-            if n % d == 0:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for n < 3.18 * 10**23."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
-            return n
-        n += 2
+            return False
+    return True
+
+
+def next_prime(n: int, below: bool = False) -> int:
+    """The least prime above n, or with below=True the greatest prime below n."""
+    step = -1 if below else 1
+    n += step
+    while not _is_prime(n):
+        if below and n < 2:
+            raise ValueError("no prime below 2")
+        n += step
+    return n
 
 
 def factor_int_poly(p: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
@@ -577,7 +604,7 @@ def factor_int_poly(p: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.degree > MAX_FACTOR_DEGREE:
-        raise ValueError(f"degree {p.degree} exceeds the {MAX_FACTOR_DEGREE} limit")
+        raise CapacityError(f"degree {p.degree} exceeds the {MAX_FACTOR_DEGREE} limit")
     rng = random.Random(seed)
     out: list[tuple[Polynomial, int]] = []
     work = p.primitive()

@@ -3,9 +3,10 @@
 A complete DFA yields a counting system (M, v, w) with a(n) = v M^n w.
 From there this module derives annihilating polynomials two independent
 ways: by computing the matrix minimal polynomial and stripping removable
-irreducible factors (checked against sequence windows), and by exact
-rational elimination on the sequence alone.  Dominant-root asymptotics
-close the loop.
+irreducible factors (checked against sequence windows), and by
+Berlekamp-Massey over primes on the sequence alone, lifted to the
+integers and accepted only after an exact integer window check.
+Dominant-root asymptotics close the loop.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from typing import Sequence as SeqABC
 import numpy as np
 
 from .automaton import Dfa
+from .construct import CapacityError
 from .polys import (
     Polynomial,
     RootInterval,
     dominant_root,
     exact_div,
     factor_int_poly,
+    next_prime,
 )
 
 __all__ = [
@@ -45,6 +48,8 @@ __all__ = [
 ]
 
 _MAX_MINPOLY_STATES = 4000
+_BLOCK_ENTRIES = 1 << 22  # int64 entries per column block of the Horner matrix
+_INT64_LIMIT = 1 << 63
 
 
 class InconclusiveError(Exception):
@@ -223,33 +228,12 @@ def _min_poly_mod(rows, p, rng, n):
     return list(reversed(conn))
 
 
-def _random_prime(rng, lo=1 << 29, hi=1 << 30):
+def _primes_below(top: int):
+    """The primes below top, in descending order: a fixed modulus list."""
+    q = top
     while True:
-        c = rng.randrange(lo, hi) | 1
-        if all(c % q for q in (3, 5, 7, 11, 13)) and _is_prime(c):
-            return c
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % a == 0:
-            return n == a
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        q = next_prime(q, below=True)
+        yield q
 
 
 def _crt_symmetric(residues: list[int], moduli: list[int]) -> int:
@@ -263,76 +247,89 @@ def _crt_symmetric(residues: list[int], moduli: list[int]) -> int:
 
 
 def _verify_annihilates_matrix(p: Polynomial, rows, n: int) -> bool:
-    """Certified check that p(M) = 0, via modular Horner with a CRT bound.
+    """Certified check that p(M) = 0, by a gather Horner modulo primes.
 
     Entries of M^t are bounded by R^t with R the maximum absolute row
     sum, so every entry of p(M) lies in [-B, B] for
     B = sum|p_i| * R^deg.  Vanishing modulo primes whose product exceeds
-    2B therefore proves exact vanishing.
+    2B + 1 therefore proves exact vanishing.  The primes are the fixed
+    list just below 2^31, so a product of two residues fits in int64.
+    Each Horner step H <- M H + c I builds row i of M H as the sum of
+    m * H[j] over the entries (j, m) of row i: O(nnz * n) per step on the
+    sparse rows, with no dense product and no BLAS.  Residues are
+    reduced only when a tracked bound on the entries would reach 2^63.
+    The columns of H are independent and are processed in blocks.
     """
     if p.is_zero():
         return False
     R = max((sum(abs(m) for _, m in r) for r in rows), default=0)
     bound = sum(abs(c) for c in p.coeffs) * max(R, 1) ** p.degree
-    # prime cap keeping float64 matrix products exact: q^2 * n < 2^53
-    q_hi = math.isqrt((1 << 53) // max(n, 1)) - 1
-    q_lo = max(3, q_hi // 2)
-    dense = np.zeros((n, n), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for j, m in row:
-            dense[i, j] = m
-    eye = np.eye(n, dtype=np.float64)
-    primes: list[int] = []
-    q = q_lo
-    need = 2 * bound + 1
+    # slot s holds the s-th entry of every row; short rows point at row n of
+    # H, which stays zero
+    width = max(map(len, rows), default=0)
+    js = [np.array([r[s][0] if s < len(r) else n for r in rows]) for s in range(width)]
+    block = max(1, _BLOCK_ENTRIES // n)
     have = 1
-    while have < need:
-        q = _next_prime_above(q)
-        primes.append(q)
+    for q in _primes_below(1 << 31):
+        slots = []
+        for s, j in enumerate(js):
+            m = np.array([r[s][1] % q if s < len(r) else 1 for r in rows], dtype=np.int64)
+            slots.append((j, None if (m == 1).all() else m[:, None], int(m.max())))
+        for lo in range(0, n, block):
+            cols = np.arange(lo, min(n, lo + block))
+            diag = (cols, np.arange(len(cols)))
+            H = np.zeros((n + 1, len(cols)), dtype=np.int64)
+            H[diag] = p.lead % q
+            hb = q  # every entry of H lies in [0, hb)
+            for c in reversed(p.coeffs[:-1]):
+                acc = np.zeros_like(H)
+                acc[diag] = c % q
+                ab = q
+                for j, m, m_max in slots:
+                    if hb * m_max >= _INT64_LIMIT:
+                        H %= q
+                        hb = q
+                    if ab + hb * m_max >= _INT64_LIMIT:
+                        acc %= q
+                        ab = q
+                    t = H[j]
+                    if m is not None:
+                        t *= m
+                    acc[:n] += t
+                    ab += hb * m_max
+                H, hb = acc, ab
+            if (H % q).any():
+                return False
         have *= q
-    for q in primes:
-        Mq = np.mod(dense, q)
-        H = eye * 1.0  # leading coefficient handled in the first fold
-        coeffs = p.coeffs
-        H = H * (coeffs[-1] % q)
-        for c in reversed(coeffs[:-1]):
-            H = np.mod(H @ Mq + (c % q) * eye, q)
-        if np.any(H):
-            return False
-    return True
-
-
-def _next_prime_above(n: int) -> int:
-    n += 1 + (n % 2)
-    while not _is_prime(n):
-        n += 2
-    return n
+        if have > 2 * bound + 1:
+            return True
 
 
 def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     """Minimal polynomial of a square integer matrix, monic over the integers.
 
     Candidates come from Berlekamp-Massey applied to random projection
-    sequences u M^t x modulo two independent random primes; a candidate
-    is accepted only after an exact divisibility certificate (p(M) = 0
-    checked with a rigorous coefficient bound).  Degree disagreements
+    sequences u M^t x modulo two independent random primes (Wiedemann
+    1986); a candidate is accepted only after an exact certificate that
+    p(M) = 0 (see _verify_annihilates_matrix).  Degree disagreements
     between the primes trigger a retry with fresh primes.
 
-    Accepts a CountingSystem or any square matrix given as rows.
+    Accepts a CountingSystem or any square matrix given as rows.  Raises
+    CapacityError above _MAX_MINPOLY_STATES rows.
     """
     rows = _sparse_rows(M)
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
     if n > _MAX_MINPOLY_STATES:
-        raise ValueError(f"matrix size {n} exceeds the {_MAX_MINPOLY_STATES} limit")
+        raise CapacityError(f"matrix size {n} exceeds the {_MAX_MINPOLY_STATES} limit")
     rng = random.Random(seed)
     used: set[int] = set()
     for attempt in range(8):
         k_primes = 2 + attempt
         primes = []
         while len(primes) < k_primes:
-            q = _random_prime(rng)
+            q = next_prime(rng.randrange(1 << 29, 1 << 30))
             if q not in used:
                 used.add(q)
                 primes.append(q)
@@ -355,15 +352,25 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
 # ---------------------------------------------------------------------------
 # annihilator extraction
 
+def _offset(q: Polynomial, a: SeqABC) -> int:
+    """Smallest n0 from which q annihilates every available window of a."""
+    for i in range(len(a) - q.degree - 1, -1, -1):
+        if window_apply(q, a, i) != 0:
+            return i + 1
+    return 0
+
+
 def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
     """Strip removable irreducible factors from an annihilator.
 
     p must annihilate every available window of a.  Each irreducible
-    factor is dropped when the quotient still annihilates the first
-    deg(quotient) windows (that check extends to all windows); powers of
-    X are not reported in the result but as the window offset n0.
-    Returns (q, n0) with q primitive, positive leading coefficient, and
-    q verified against every available window at i >= n0.
+    factor q is dropped when the quotient r still annihilates the first
+    deg(q) windows past the power of X: r applied to the sequence gives
+    a sequence annihilated by q, which vanishes once deg(q) consecutive
+    terms do.  Stripping may reach degree 0 (an eventually-zero
+    sequence); powers of X are not reported in the result but as the
+    window offset n0.  Returns (q, n0) with q primitive, positive leading
+    coefficient, and q annihilating every available window at i >= n0.
     """
     p = p.primitive()
     if p.degree < 1:
@@ -382,103 +389,85 @@ def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
 
     for q in occurrences:
         r = exact_div(h, q)
-        if r.degree < 1:
-            continue
-        if len(a) - r.degree <= shift:
-            continue  # not enough data to justify the strip
-        if _annihilates(r, a, shift, shift + r.degree):
+        if _annihilates(r, a, shift, shift + q.degree):
             h = r
-
-    # smallest offset from which h annihilates every remaining window
-    n0 = 0
-    for i in range(len(a) - h.degree - 1, -1, -1):
-        if window_apply(h, a, i) != 0:
-            n0 = i + 1
-            break
-    if not _annihilates(h, a, n0):
-        raise AssertionError("stripped annihilator failed final verification")
-    return h.primitive(), n0
+    h = h.primitive()
+    return h, _offset(h, a)
 
 
-def _nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Basis of the right kernel, by exact Gauss-Jordan elimination."""
-    cols = len(rows[0])
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    for free in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for pi, pc in enumerate(pivots):
-            v[pc] = -m[pi][free]
-        basis.append(v)
-    return basis
+def _lift_bound(tail: SeqABC, d: int) -> int:
+    """Bound on the coefficients of an integral connection polynomial of length d.
 
-
-def _primitive_from_fractions(vec: list[Fraction]) -> Polynomial:
-    denom = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    return Polynomial(ints).primitive()
+    With 2d <= len(tail) the minimal LFSR is unique (Massey 1969), so its
+    coefficients solve a nonsingular d x d system drawn from the tail;
+    by Cramer and Hadamard an integral solution has entries at most
+    (sqrt(d) * max|t|)^d.
+    """
+    return ((math.isqrt(d) + 1) * max(map(abs, tail), default=0)) ** d
 
 
 def minimal_recurrence(a: SeqABC, max_degree: int | None = None) -> tuple[Polynomial, int]:
     """Lowest-degree annihilator of a sequence, with its window offset.
 
-    Works from the terms alone: for each degree d the windows drawn from
-    the tail half of the sequence (clear of any transient) are solved
-    exactly over the rationals; the first degree with a kernel wins, and
-    the offset n0 is the smallest index from which every window
-    vanishes.  Raises InconclusiveError when no recurrence is found
-    within the budget.
+    Works from the terms alone.  Berlekamp-Massey (Berlekamp 1968; Massey
+    1969) runs on the tail half t = a[n//2:] modulo fixed 61-bit primes,
+    the primes below 2^61 in descending order; the connection polynomials
+    of the primes with the longest register are lifted to the integers
+    by symmetric CRT, reversed, and accepted only when the lift
+    annihilates every window of t exactly over the integers.  A failed
+    lift adds the next prime; only when the product of the primes
+    exceeds twice the coefficient bound of any integral solution is the
+    search given up as inconclusive.
+
+    Minimality: for terms of an integer linear recurrence (such as word
+    counts of an automaton), Fatou's lemma puts the minimal connection
+    polynomial over Q in Z[x] with constant term 1.  Its reduction mod p
+    annihilates t mod p, hence the linear complexity mod p is at most
+    the one over Q.  A lifted candidate of that length which annihilates
+    the integer windows exactly is thus of minimal degree.
+
+    Powers of X in the result only shift the window and are folded into
+    the offset n0, the smallest index from which every window vanishes.
+    The result is accepted when n0 <= lo + shift (the tail start plus
+    that shift) and n >= 2d + n0; otherwise, or when the degree exceeds
+    max_degree or half the tail, InconclusiveError is raised.
     """
     n = len(a)
     if n < 4:
         raise InconclusiveError("sequence too short")
     if max_degree is None:
         max_degree = (n - 4) // 3
-    for d in range(0, max_degree + 1):
-        i_hi = n - d - 1
-        if i_hi < 0:
+    lo = n // 2
+    tail = a[lo:]
+    primes: list[int] = []
+    conns: list[list[int]] = []
+    for p in _primes_below(1 << 61):
+        conn = _berlekamp_massey([x % p for x in tail], p)
+        d = len(conn) - 1
+        if conns and d != len(conns[0]) - 1:
+            if d < len(conns[0]) - 1:
+                continue  # p divides a minor of the rational solution
+            primes, conns = [], []  # the earlier primes were the unlucky ones
+        if d > max_degree:
+            raise InconclusiveError(f"no annihilator up to degree {max_degree}")
+        if 2 * d > len(tail):
+            raise InconclusiveError(f"tail of {len(tail)} terms too short for degree {d}")
+        primes.append(p)
+        conns.append(conn)
+        if len(primes) < 2:
+            continue
+        q = Polynomial([_crt_symmetric(list(c), primes) for c in zip(*conns)][::-1])
+        if _annihilates(q, a, lo):
             break
-        lo = max(0, min(i_hi // 2, i_hi - (2 * d + 8)))
-        rows = [[a[i + j] for j in range(d + 1)] for i in range(lo, i_hi + 1)]
-        kernel = _nullspace(rows)
-        if not kernel:
-            continue
-        assert len(kernel) == 1, "minimal annihilator must be unique up to scale"
-        q = _primitive_from_fractions(kernel[0])
-        if q.degree != d:
-            continue
-        # powers of X only shift the window; fold them into the offset
-        shift = q.x_multiplicity()
-        q = q.shift_down(shift)
-        n0 = 0
-        for i in range(len(a) - q.degree - 1, -1, -1):
-            if window_apply(q, a, i) != 0:
-                n0 = i + 1
-                break
-        if n0 > lo + shift:
-            continue  # kernel fit the sampled windows but not the tail proper
-        if n < 2 * d + n0:
-            continue
-        return q, n0
-    raise InconclusiveError(f"no annihilator up to degree {max_degree}")
+        if math.prod(primes) > 2 * _lift_bound(tail, d) + 1:
+            raise InconclusiveError(f"no integral recurrence of degree {d} fits the tail")
+    q = q.primitive()
+    shift = q.x_multiplicity()
+    q = q.shift_down(shift)
+    n0 = _offset(q, a)
+    if n0 > lo + shift or n < 2 * d + n0:
+        raise InconclusiveError(f"degree {d} from n0 = {n0} is not determined by {n} terms")
+    return q, n0
 
 
 # ---------------------------------------------------------------------------

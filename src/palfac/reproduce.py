@@ -111,7 +111,7 @@ def _counts(spec: ConstraintSpec) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _min_poly(spec: ConstraintSpec, seed: int = 0) -> Polynomial:
-    return matrix_min_poly(transfer_matrix(_dfa(spec)).M, seed=seed)
+    return matrix_min_poly(transfer_matrix(_dfa(spec)), seed=seed)
 
 
 def _conjugates(text: str, k: int = 2) -> set[Word]:

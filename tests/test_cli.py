@@ -6,6 +6,7 @@ check, usage, capacity).
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from palfac.automaton import import_dfa, minimize
 from palfac.cli import main
 from palfac.construct import MaxDistinct, MaxLen, build_direct
-from palfac.recur import sequence, transfer_matrix
+from palfac.recur import AsymptoticFit, sequence, transfer_matrix
 
 
 def run(capsys, *argv):
@@ -146,6 +147,40 @@ class TestAnnihilateAsymptotics:
         assert abs(payload["c1"] - 15.991809) / 15.991809 < 0.01
         assert abs(payload["c2"] - 0.023895) / 0.023895 < 0.10
 
+    def test_finite_language_routes_agree(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "annihilate", "--family", "D", "--cap", "8", "--method", "both")
+        assert code == 0
+        assert stdout.split() == ["1"]
+        assert "order 0, valid for n >= 9" in stderr
+
+    def test_asymptotics_of_finite_language_fails(self, capsys):
+        code, stdout, stderr = run(capsys, "asymptotics", "--family", "D", "--cap", "8")
+        assert code == 1
+        assert stdout == ""
+        assert "finite language" in stderr
+
+    def test_unsettled_fit_is_strict_json(self, capsys, monkeypatch):
+        import palfac.cli
+
+        def unsettled(*args, **kwargs):
+            return AsymptoticFit(2.0, math.nan, None, None, math.inf, False)
+
+        monkeypatch.setattr(palfac.cli, "asymptotic_fit", unsettled)
+        code, stdout, stderr = run(
+            capsys, "asymptotics", "--family", "R", "--alphabet", "3",
+            "--cap", "0", "--odd-cap", "3")
+        assert code == 1
+        assert "did not settle" in stderr
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(stdout, parse_constant=reject)
+        assert payload["drift"] is None
+        assert payload["c"] is None
+        assert payload["converged"] is False
+
 
 class TestVerifyOracle:
     def test_verify_allowed_set(self, capsys, tmp_path):
@@ -243,6 +278,13 @@ class TestErrors:
                 os.environ.pop("PALFAC_STATE_BUDGET", None)
             else:
                 os.environ["PALFAC_STATE_BUDGET"] = before
+
+    def test_min_poly_size_limit_is_capacity(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "annihilate", "--family", "D", "--cap", "13", "--method", "lda")
+        assert code == 3
+        assert stdout == ""
+        assert "capacity" in stderr
 
     def test_nonpositive_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

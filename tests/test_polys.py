@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from palfac.construct import CapacityError
 from palfac.polys import (
     NoRealRootError,
     Polynomial,
@@ -12,6 +13,7 @@ from palfac.polys import (
     factor_int_poly,
     gcd,
     largest_real_root,
+    next_prime,
     real_root_count,
     squarefree_decomposition,
 )
@@ -156,12 +158,33 @@ class TestFactorization:
             assert back == prod
 
     def test_degree_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             factor_int_poly(X ** 129 - P([1]))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_int_poly(P([]))
+
+
+class TestPrimes:
+    def test_against_trial_division(self):
+        primes = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
+        assert [next_prime(p) for p in primes[:-1]] == primes[1:]
+        assert [next_prime(p, below=True) for p in primes[1:]] == primes[:-1]
+        assert next_prime(0) == 2 and next_prime(2) == 3
+
+    def test_modulus_lists_start_below_powers_of_two(self):
+        assert next_prime(1 << 31, below=True) == 2 ** 31 - 1
+        assert next_prime(1 << 61, below=True) == 2 ** 61 - 1
+        assert next_prime(2 ** 31 - 1, below=True) == 2 ** 31 - 19
+        # a strong pseudoprime to the bases 2..23 is still composite here
+        spsp = 149491 * 747451 * 34233211
+        assert spsp == 3825123056546413051
+        assert next_prime(spsp - 1) != spsp
+
+    def test_nothing_below_two(self):
+        with pytest.raises(ValueError):
+            next_prime(2, below=True)
 
 
 class TestRealRoots:

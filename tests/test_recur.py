@@ -1,17 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palfac.automaton import Dfa, minimize
 from palfac.construct import (
+    CapacityError,
     MaxDistinct,
     MaxLen,
     MaxLenByParity,
     build_direct,
 )
 from palfac.oracle import brute_count
-from palfac.polys import Polynomial
+from palfac.polys import Polynomial, exact_div
 from palfac.recur import (
+    _sparse_rows,
+    _verify_annihilates_matrix,
     CountingSystem,
     InconclusiveError,
     asymptotic_fit,
@@ -163,7 +172,7 @@ class TestMatrixMinPoly:
 
     def test_size_guard(self):
         rows = tuple(((i, 1),) for i in range(4001))
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             matrix_min_poly(CountingSystem(rows, [1] + [0] * 4000, [1] * 4001))
 
 
@@ -171,6 +180,13 @@ class TestLda:
     def test_already_minimal(self):
         a = [2 ** n for n in range(20)]
         assert lda(P([-2, 1]), a) == (P([-2, 1]), 0)
+
+    def test_finite_language_strips_to_degree_zero(self):
+        # D(2,8) has no words of length 9 or more
+        cs = transfer_matrix(build(MaxDistinct(2, 8)))
+        a = sequence(cs, 400)
+        assert lda(matrix_min_poly(cs), a) == (P([1]), 9)
+        assert minimal_recurrence(a) == (P([1]), 9)
 
     def test_ternary_five_palindromes(self):
         cs = transfer_matrix(build(MaxDistinct(3, 5)))
@@ -306,3 +322,135 @@ class TestDominantRootReexport:
         r = dominant_root(P([-1, -1, 0, 0, 1]))
         assert abs(float(r) - 1.2207440846) < 1e-9
         assert r.width <= 10 ** -12 or r.lo == r.hi
+
+
+# ---------------------------------------------------------------------------
+# differential checks against exact pure-Python references
+
+def exact_eval(p, M):
+    """p(M) by Horner over Python integers."""
+    n = len(M)
+    H = [[0] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        H = [[sum(M[i][k] * H[k][j] for k in range(n)) + (c if i == j else 0)
+              for j in range(n)] for i in range(n)]
+    return H
+
+
+def exact_min_poly(M):
+    """Lowest-degree monic divisor of the characteristic polynomial killing M."""
+    n = len(M)
+    # Faddeev-LeVerrier: exact over the integers
+    coeffs = [0] * n + [1]
+    Mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        Mk = [[sum(M[i][t] * Mk[t][j] for t in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        trace = sum(M[i][t] * Mk[t][i] for i in range(n) for t in range(n))
+        coeffs[n - k] = Fraction(-trace, k)
+    charpoly = P([int(c) for c in coeffs])
+    factors = factor_int_poly(charpoly)
+    best = charpoly
+    for exps in _exponent_choices([m for _, m in factors]):
+        cand = P([1])
+        for (f, _), e in zip(factors, exps):
+            cand = cand * f ** e
+        if cand.degree < best.degree and not any(map(any, exact_eval(cand, M))):
+            best = cand
+    return best
+
+
+def _exponent_choices(mults):
+    if not mults:
+        yield ()
+        return
+    for rest in _exponent_choices(mults[1:]):
+        for e in range(mults[0] + 1):
+            yield (e,) + rest
+
+
+def certified(p, M):
+    return _verify_annihilates_matrix(p, _sparse_rows(M), len(M))
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestGatherCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    def test_agrees_with_exact_evaluation(self, M, coeffs):
+        p = P(coeffs)
+        assert certified(p, M) == (not p.is_zero() and not any(map(any, exact_eval(p, M))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices, st.data())
+    def test_minimal_polynomial_accepted_and_perturbations_rejected(self, M, data):
+        mp = exact_min_poly(M)
+        assert certified(mp, M)
+        assert matrix_min_poly(M) == mp
+        i = data.draw(st.integers(0, mp.degree - 1))
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        assert not certified(mp + XP(i, delta), M)
+        for f, _ in factor_int_poly(mp):
+            assert not certified(exact_div(mp, f), M)
+
+    def test_large_entries_stay_exact(self):
+        # multipliers near 2^31 force reductions inside every Horner step
+        M = [[2 ** 31 - 1, 3], [5, -(2 ** 40)]]
+        mp = exact_min_poly(M)
+        assert certified(mp, M)
+        assert not certified(mp + P([1]), M)
+
+    def test_rejection_survives_optimized_mode(self):
+        code = (
+            "from palfac.recur import _verify_annihilates_matrix, transfer_matrix\n"
+            "from palfac.automaton import minimize\n"
+            "from palfac.construct import MaxLen, build_direct\n"
+            "from palfac.polys import Polynomial as P\n"
+            "assert not __debug__\n"
+            "cs = transfer_matrix(minimize(build_direct(MaxLen(3, 2))))\n"
+            "good = (P.x_power(3) * P([-3, 1]) * P([-1, -1, 1]) * P([1, 2, 2, 1, 1]))\n"
+            "bad = good + P([1])\n"
+            "print(_verify_annihilates_matrix(good, cs.rows, cs.size),"
+            " _verify_annihilates_matrix(bad, cs.rows, cs.size))\n"
+        )
+        import palfac
+        src = str(Path(palfac.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["True", "False"]
+
+
+dfas = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(2, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=k, max_size=k), min_size=n, max_size=n)),
+    st.sets(st.integers(0, n - 1))))
+
+
+class TestRoutesDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(dfas)
+    def test_sequence_route_equals_matrix_route(self, dfa):
+        n, delta, accepting = dfa
+        cs = transfer_matrix(Dfa(delta, 0, accepting))
+        a = sequence(cs, 4 * n + 12)
+        assert minimal_recurrence(a) == lda(matrix_min_poly(cs), a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+           st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+           st.lists(st.integers(-50, 50), max_size=6))
+    def test_transients_cost_no_degree(self, low, init, transient):
+        gen = P(low + [1])
+        d = gen.degree
+        a = init[:d]
+        while len(a) < 40:
+            a.append(-sum(c * a[len(a) - d + j] for j, c in enumerate(low)))
+        a[:len(transient)] = transient
+        q, n0 = minimal_recurrence(a)
+        assert q.degree <= gen.degree
+        assert all(window_apply(q, a, i) == 0 for i in range(n0, len(a) - q.degree))
