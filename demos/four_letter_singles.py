@@ -13,7 +13,7 @@ under 0 -> 23, 1 -> 01 never picks up a sixth palindrome.
 
 from palfac.automaton import isomorphic, minimize
 from palfac.construct import AllowedSet, build_avoidance, build_direct, forbidden_set
-from palfac.verify import apply_morphism, check_stabilization, thue_morse
+from palfac.verify import check_stabilization, thue_morse
 from palfac.analyze import Morphism
 from palfac.words import Word, palindromic_factors
 
@@ -38,7 +38,7 @@ print()
 
 # a uniformly recurrent aperiodic inhabitant
 h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
-image = apply_morphism(h, thue_morse(1000))
+image = h.apply(thue_morse(1000))
 pals = sorted(palindromic_factors(image), key=len)
 print(f"h(thue_morse(1000)) starts {str(image)[:24]}...")
 print(f"its palindromic factors: {[str(p) for p in pals]}")

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automaton import Dfa
+from .automaton import Dfa, minimize
 from .construct import ConstraintSpec, build_direct, window_bound
 from .words import Word, palindromic_factors
 
 __all__ = [
     "AnalysisReport",
+    "CertificateError",
     "Morphism",
     "NoInfiniteWords",
     "FinitelyManyPeriodic",
@@ -30,9 +31,14 @@ __all__ = [
     "enumerate_periodic",
     "witness_morphisms",
     "verify_ultimately_periodic",
+    "spec_dfa",
 ]
 
 _ENUMERATION_LIMIT = 100_000
+
+
+class CertificateError(RuntimeError):
+    """An exact check that a reported result rests on did not hold."""
 
 
 @dataclass(frozen=True)
@@ -259,8 +265,10 @@ def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
             cycles.append((a,) + _path_within(adj, members, t, q))
         cycles.sort(key=lambda c: (len(c), c))
         x0, x1 = Word(cycles[0], k), Word(cycles[1], k)
-        assert d.run(q, x0) == q and d.run(q, x1) == q
-        assert x0 + x1 != x1 + x0
+        if d.run(q, x0) != q or d.run(q, x1) != q:
+            raise CertificateError(f"witness cycles {x0}, {x1} do not return to state {q}")
+        if x0 + x1 == x1 + x0:
+            raise CertificateError(f"witness cycles {x0}, {x1} commute")
         return q, x0, x1
     return None
 
@@ -382,8 +390,9 @@ def witness_morphisms(q: int, x0: Word, x1: Word) -> tuple[Morphism, Morphism | 
 
 
 @lru_cache(maxsize=None)
-def _spec_dfa(spec: ConstraintSpec) -> Dfa:
-    return build_direct(spec)
+def spec_dfa(spec: ConstraintSpec) -> Dfa:
+    """The minimized automaton of a spec, built once per process."""
+    return minimize(build_direct(spec))
 
 
 def verify_ultimately_periodic(y: Word, x: Word, spec: ConstraintSpec) -> tuple[bool, int]:
@@ -397,7 +406,7 @@ def verify_ultimately_periodic(y: Word, x: Word, spec: ConstraintSpec) -> tuple[
     """
     if len(x) == 0:
         raise ValueError("period must be nonempty")
-    d = _spec_dfa(spec)
+    d = spec_dfa(spec)
     horizon = window_bound(spec)
     j_min = (len(y) + horizon) // len(x) + 2
     w = tuple(y)

@@ -11,16 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .analyze import (
+    CertificateError,
     FinitelyManyPeriodic,
     NoInfiniteWords,
     analyze,
 )
 from .automaton import Dfa, export_dfa, import_dfa, minimize
 from .construct import (
+    BUDGET_ENV,
     AllowedSet,
     CapacityError,
     MaxCountByParity,
@@ -33,7 +34,7 @@ from .oracle import brute_count
 from .recur import (
     InconclusiveError,
     asymptotic_fit,
-    dominant_root,
+    largest_real_root,
     lda,
     matrix_min_poly,
     minimal_recurrence,
@@ -43,7 +44,8 @@ from .recur import (
 from .verify import check_stabilization
 from .words import Word
 
-_BUDGET_ENV = "PALFAC_STATE_BUDGET"
+FAMILIES = {"D": MaxDistinct, "E": MaxLen, "R": MaxLenByParity,
+            "T": MaxCountByParity, "S": AllowedSet}
 
 
 def _say(msg: str) -> None:
@@ -51,7 +53,7 @@ def _say(msg: str) -> None:
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=list("DERTS"),
+    p.add_argument("--family", choices=list(FAMILIES),
                    help="constraint family: D caps distinct palindromic factors, "
                         "E caps palindrome length, R caps length by parity, "
                         "T caps counts by parity, S fixes the allowed set")
@@ -61,9 +63,9 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    help="cap for D/E; even cap for R/T")
     p.add_argument("--odd-cap", type=int, metavar="M",
                    help="odd cap for R/T")
-    p.add_argument("--exclude-empty", action="store_true",
+    p.add_argument("--exclude-empty", dest="count_empty", action="store_false",
                    help="for T: do not count the empty palindrome toward the even cap")
-    p.add_argument("--allowed", metavar="FILE",
+    p.add_argument("--allowed", metavar="FILE", type=_read_allowed,
                    help="for S: file of allowed palindromes, one digit string "
                         "per line; a line 'e' denotes the empty word")
 
@@ -76,39 +78,33 @@ def _add_automaton_source(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-budget", type=int, metavar="N",
-                   help=f"construction size limit (default via {_BUDGET_ENV})")
+                   help=f"construction size limit (default via {BUDGET_ENV})")
 
 
-def _read_allowed(path: str, k: int) -> list[Word]:
+def _read_allowed(path: str) -> list[Word]:
     words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            words.append(Word((), k) if text == "e" else Word.from_digits(text, k))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                words.append(Word(()) if text == "e" else Word.from_digits(text))
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return words
 
 
 def _spec_from_args(args, parser: argparse.ArgumentParser):
-    fam = args.family
-    if fam is None:
+    if args.family is None:
         parser.error("need --family (or --automaton where accepted)")
-    k = args.alphabet
-    if fam in ("D", "E"):
-        if args.cap is None:
-            parser.error(f"--family {fam} needs --cap")
-        return (MaxDistinct if fam == "D" else MaxLen)(k, args.cap)
-    if fam in ("R", "T"):
-        if args.cap is None or args.odd_cap is None:
-            parser.error(f"--family {fam} needs --cap and --odd-cap")
-        if fam == "R":
-            return MaxLenByParity(k, args.cap, args.odd_cap)
-        return MaxCountByParity(k, args.cap, args.odd_cap,
-                                count_empty=not args.exclude_empty)
-    if args.allowed is None:
-        parser.error("--family S needs --allowed FILE")
-    return AllowedSet(k, _read_allowed(args.allowed, k))
+    family = FAMILIES[args.family]
+    values = [getattr(args, name) for name in family.cli_flags]
+    missing = [name for name, value in zip(family.cli_flags, values) if value is None]
+    if missing:
+        parser.error(f"--family {args.family} needs " +
+                     " and ".join("--" + name.replace("_", "-") for name in missing))
+    return family(args.alphabet, *values)
 
 
 def _load_dfa(path: str) -> Dfa:
@@ -122,7 +118,7 @@ def _dfa_from_args(args, parser: argparse.ArgumentParser, minimized: bool = True
     if getattr(args, "automaton", None):
         d = _load_dfa(args.automaton)
     else:
-        d = build_direct(_spec_from_args(args, parser))
+        d = build_direct(_spec_from_args(args, parser), args.state_budget)
     return minimize(d) if minimized else d
 
 
@@ -144,7 +140,7 @@ def _word_arg(text: str, k: int) -> Word:
 
 
 def cmd_build(args, parser) -> int:
-    d = build_direct(_spec_from_args(args, parser))
+    d = build_direct(_spec_from_args(args, parser), args.state_budget)
     raw = d.state_count
     if args.minimize:
         d = minimize(d)
@@ -239,7 +235,7 @@ def cmd_asymptotics(args, parser) -> int:
     if q.degree == 0:
         _say(f"finite language: no words of length {n0} or more")
         return 1
-    root = dominant_root(q)
+    root = largest_real_root(q)
     fit = asymptotic_fit(a, root, annihilator=q, split_parity=args.split_parity)
     payload = {
         "annihilator": list(q.coeffs),
@@ -325,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--automaton", metavar="FILE", required=True)
     p.add_argument("--format", choices=["grail", "json", "dot"], default="grail")
     p.add_argument("--out", metavar="FILE")
-    _add_common(p)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("export", help="reserialize an automaton (dot for figures)")
@@ -376,14 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force count at one length")
     _add_family_flags(p)
-    _add_common(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--list", dest="list_words", type=int, nargs="?", const=50,
                    default=0, metavar="N", help="also print up to N accepted words")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("reproduce", help="run the published-results checks")
-    _add_common(p)
     p.add_argument("--section", type=int, choices=[5, 6, 7, 8],
                    help="restrict to one results group")
     p.add_argument("--group", metavar="NAME",
@@ -400,7 +393,6 @@ def main(argv=None) -> int:
     if getattr(args, "state_budget", None) is not None:
         if args.state_budget <= 0:
             parser.error("--state-budget must be positive")
-        os.environ[_BUDGET_ENV] = str(args.state_budget)
     try:
         return args.func(args, parser)
     except CapacityError as exc:
@@ -408,6 +400,9 @@ def main(argv=None) -> int:
         return 3
     except InconclusiveError as exc:
         _say(f"inconclusive: {exc}")
+        return 1
+    except CertificateError as exc:
+        _say(f"check failed: {exc}")
         return 1
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")

@@ -17,59 +17,150 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .automaton import Dfa, minimize
-from .words import Word, enumerate_palindromes, minimal_elements
+from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
 DEFAULT_STATE_BUDGET = 10_000_000
-_BUDGET_ENV = "PALFAC_STATE_BUDGET"
+BUDGET_ENV = "PALFAC_STATE_BUDGET"
 
 
 class CapacityError(RuntimeError):
     """Raised when a construction would exceed the state budget."""
 
 
+class ConstraintSpec:
+    """One constraint family, defined once for every layer that reads it.
+
+    Each family states its rule on palindromic factors twice, in two forms
+    that share no code: `admits` judges one palindrome as it first appears
+    (the construction and the oracle prune with it), and `satisfied_by`
+    judges a whole factor set (the unpruned reference).  `window_bound`
+    sizes the construction's window, and `cli_flags` names the command
+    line values that follow the alphabet size in the constructor.
+    """
+
+    alphabet_size: int
+    # whether `admits` reads the counts, so the construction must remember
+    # which palindromes a word has already shown
+    counted = False
+    cli_flags: tuple[str, ...] = ()
+
+    def window_bound(self) -> int:
+        """Length of recent-symbol window that makes the direct construction exact.
+
+        Chosen so that window+letter always covers the first occurrence (as
+        a suffix) of any palindromic factor a live word can acquire,
+        including the arrival that first violates the constraint.
+        """
+        raise NotImplementedError
+
+    def admits(self, pal: Sequence[int], even: int, odd: int) -> bool:
+        """Whether a word may gain the palindrome `pal` as a new factor.
+
+        pal is the palindrome's symbols (a tuple or a list).  even and odd
+        count the distinct palindromic factors by parity once pal is among
+        them, the empty word counting as even; families that are not
+        `counted` ignore them.  The families are monotone in the factor
+        set, so checking each palindrome as it first appears decides the
+        whole word.
+        """
+        raise NotImplementedError
+
+    def satisfied_by(self, pf: PalFacSet) -> bool:
+        """Whole-word evaluation from the full palindromic factor set."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class AllowedSet:
+class AllowedSet(ConstraintSpec):
     """Words whose palindromic factors all lie in a fixed finite set."""
     alphabet_size: int
     allowed: frozenset
 
+    cli_flags = ("allowed",)
+
     def __init__(self, alphabet_size: int, allowed: Iterable[Word]):
-        allowed = frozenset(allowed)
+        allowed = frozenset(Word(w, alphabet_size) for w in allowed)
         for w in allowed:
             if not w.is_palindrome():
                 raise ValueError(f"allowed set contains non-palindrome {w!r}")
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "_symbols", frozenset(w.symbols for w in allowed))
+
+    def window_bound(self) -> int:
+        return max((len(w) for w in self.allowed), default=0) + 2
+
+    def admits(self, pal, even, odd):
+        return tuple(pal) in self._symbols
+
+    def satisfied_by(self, pf):
+        return all(p in self.allowed for p in pf)
 
 
 @dataclass(frozen=True)
-class MaxDistinct:
+class MaxDistinct(ConstraintSpec):
     """Words with at most `cap` distinct palindromic factors, counting the empty word."""
     alphabet_size: int
     cap: int
 
+    counted = True
+    cli_flags = ("cap",)
+
+    def window_bound(self) -> int:
+        return max(2 * self.cap - 1, 1)
+
+    def admits(self, pal, even, odd):
+        return even + odd <= self.cap
+
+    def satisfied_by(self, pf):
+        return len(pf) <= self.cap
+
 
 @dataclass(frozen=True)
-class MaxLen:
+class MaxLen(ConstraintSpec):
     """Words with no palindromic factor longer than `cap`."""
     alphabet_size: int
     cap: int
 
+    cli_flags = ("cap",)
+
+    def window_bound(self) -> int:
+        return self.cap + 1
+
+    def admits(self, pal, even, odd):
+        return len(pal) <= self.cap
+
+    def satisfied_by(self, pf):
+        return pf.max_length() <= self.cap
+
 
 @dataclass(frozen=True)
-class MaxLenByParity:
+class MaxLenByParity(ConstraintSpec):
     """Words with even/odd palindromic factor lengths capped separately."""
     alphabet_size: int
     even_cap: int
     odd_cap: int
 
+    cli_flags = ("cap", "odd_cap")
+
+    def window_bound(self) -> int:
+        return max(self.even_cap, self.odd_cap) + 2
+
+    def admits(self, pal, even, odd):
+        n = len(pal)
+        return n <= (self.odd_cap if n % 2 else self.even_cap)
+
+    def satisfied_by(self, pf):
+        even, odd = pf.max_length_by_parity()
+        return even <= self.even_cap and odd <= self.odd_cap
+
 
 @dataclass(frozen=True)
-class MaxCountByParity:
+class MaxCountByParity(ConstraintSpec):
     """Words with at most even_cap even and odd_cap odd distinct palindromic factors.
 
     With count_empty (the default) the empty word counts toward the even cap.
@@ -79,12 +170,30 @@ class MaxCountByParity:
     odd_cap: int
     count_empty: bool = True
 
+    counted = True
+    cli_flags = ("cap", "odd_cap", "count_empty")
 
-ConstraintSpec = AllowedSet | MaxDistinct | MaxLen | MaxLenByParity | MaxCountByParity
+    def window_bound(self) -> int:
+        # a surviving word's even palindromes have length <= 2e where e is
+        # the nonempty-even allowance, odd ones <= 2*odd_cap - 1; the first
+        # violation arrives as a suffix two longer, which must still fit in
+        # window+letter
+        nonempty_even = self.even_cap - 1 if self.count_empty else self.even_cap
+        return max(2 * nonempty_even + 1, 2 * self.odd_cap, 1)
+
+    def admits(self, pal, even, odd):
+        return (even if self.count_empty else even - 1) <= self.even_cap \
+            and odd <= self.odd_cap
+
+    def satisfied_by(self, pf):
+        even, odd = pf.counts_by_parity()
+        if not self.count_empty:
+            even -= 1
+        return even <= self.even_cap and odd <= self.odd_cap
 
 
 def state_budget() -> int:
-    env = os.environ.get(_BUDGET_ENV)
+    env = os.environ.get(BUDGET_ENV)
     return int(env) if env else DEFAULT_STATE_BUDGET
 
 
@@ -98,226 +207,47 @@ def _check_spec(spec: ConstraintSpec) -> None:
 
 
 def window_bound(spec: ConstraintSpec) -> int:
-    """Length of recent-symbol window that makes the direct construction exact.
-
-    Chosen so that window+letter always covers the first occurrence (as a
-    suffix) of any palindromic factor a live word can acquire, including
-    the arrival that first violates the constraint.
-    """
+    """The spec's construction window, after checking its parameters."""
     _check_spec(spec)
-    if isinstance(spec, AllowedSet):
-        longest = max((len(w) for w in spec.allowed), default=0)
-        return longest + 2
-    if isinstance(spec, MaxDistinct):
-        return max(2 * spec.cap - 1, 1)
-    if isinstance(spec, MaxLen):
-        return spec.cap + 1
-    if isinstance(spec, MaxLenByParity):
-        return max(spec.even_cap, spec.odd_cap) + 2
-    if isinstance(spec, MaxCountByParity):
-        # a surviving word's even palindromes have length <= 2e where e is
-        # the nonempty-even allowance, odd ones <= 2*odd_cap - 1; the first
-        # violation arrives as a suffix two longer, which must still fit in
-        # window+letter
-        nonempty_even = spec.even_cap - 1 if spec.count_empty else spec.even_cap
-        return max(2 * nonempty_even + 1, 2 * spec.odd_cap, 1)
-    raise TypeError(f"not a constraint spec: {spec!r}")
+    return spec.window_bound()
 
 
-def _pal_suffix_lengths(xs: tuple[int, ...]) -> tuple[int, ...]:
-    """Lengths s >= 1 with xs[-s:] a palindrome."""
+def _suffix_palindromes(xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nonempty palindromic suffixes of xs, shortest first."""
     out = []
-    n = len(xs)
-    for s in range(1, n + 1):
-        tail = xs[n - s:]
+    for s in range(len(xs) - 1, -1, -1):
+        tail = xs[s:]
         if tail == tail[::-1]:
-            out.append(s)
+            out.append(tail)
     return tuple(out)
-
-
-class _Family:
-    """One constraint family's bookkeeping for the BFS construction."""
-
-    __slots__ = ("bound", "k")
-
-    def empty_alive(self) -> bool:
-        return True
-
-    def initial(self):
-        raise NotImplementedError
-
-    def step(self, extended, extra):
-        """extra' for window+letter `extended`, or None when the word dies."""
-        raise NotImplementedError
-
-
-class _AllowedFamily(_Family):
-    __slots__ = ("allowed",)
-
-    def __init__(self, spec: AllowedSet):
-        self.k = spec.alphabet_size
-        self.bound = window_bound(spec)
-        self.allowed = frozenset(w.symbols for w in spec.allowed)
-
-    def empty_alive(self) -> bool:
-        # the empty word is a palindromic factor of every word
-        return () in self.allowed
-
-    def initial(self):
-        return ()
-
-    def step(self, extended, extra):
-        n = len(extended)
-        allowed = self.allowed
-        for s in _pal_suffix_lengths(extended):
-            if extended[n - s:] not in allowed:
-                return None
-        return ()
-
-
-class _MaxLenFamily(_Family):
-    __slots__ = ("cap",)
-
-    def __init__(self, spec: MaxLen):
-        self.k = spec.alphabet_size
-        self.bound = window_bound(spec)
-        self.cap = spec.cap
-
-    def initial(self):
-        return ()
-
-    def step(self, extended, extra):
-        lengths = _pal_suffix_lengths(extended)
-        if lengths and lengths[-1] > self.cap:
-            return None
-        return ()
-
-
-class _MaxLenParityFamily(_Family):
-    __slots__ = ("even_cap", "odd_cap")
-
-    def __init__(self, spec: MaxLenByParity):
-        self.k = spec.alphabet_size
-        self.bound = window_bound(spec)
-        self.even_cap = spec.even_cap
-        self.odd_cap = spec.odd_cap
-
-    def initial(self):
-        return ()
-
-    def step(self, extended, extra):
-        for s in _pal_suffix_lengths(extended):
-            cap = self.even_cap if s % 2 == 0 else self.odd_cap
-            if s > cap:
-                return None
-        return ()
-
-
-class _Interner:
-    """Palindrome tuples to small ids, shared across one construction."""
-
-    __slots__ = ("ids",)
-
-    def __init__(self):
-        self.ids: dict[tuple[int, ...], int] = {}
-
-    def intern(self, pal: tuple[int, ...]) -> int:
-        got = self.ids.get(pal)
-        if got is None:
-            got = len(self.ids)
-            self.ids[pal] = got
-        return got
-
-
-class _MaxDistinctFamily(_Family):
-    __slots__ = ("cap", "interner")
-
-    def __init__(self, spec: MaxDistinct):
-        self.k = spec.alphabet_size
-        self.bound = window_bound(spec)
-        self.cap = spec.cap
-        self.interner = _Interner()
-
-    def empty_alive(self) -> bool:
-        return self.cap >= 1
-
-    def initial(self):
-        return frozenset()
-
-    def step(self, extended, seen):
-        n = len(extended)
-        intern = self.interner.intern
-        new = seen | frozenset(intern(extended[n - s:]) for s in _pal_suffix_lengths(extended))
-        if len(new) + 1 > self.cap:  # the empty word always counts
-            return None
-        return new
-
-
-class _MaxCountParityFamily(_Family):
-    __slots__ = ("even_cap", "odd_cap", "interner")
-
-    def __init__(self, spec: MaxCountByParity):
-        self.k = spec.alphabet_size
-        self.bound = window_bound(spec)
-        self.even_cap = spec.even_cap - (1 if spec.count_empty else 0)
-        self.odd_cap = spec.odd_cap
-        self.interner = _Interner()
-
-    def empty_alive(self) -> bool:
-        return self.even_cap >= 0
-
-    def initial(self):
-        return (frozenset(), frozenset())
-
-    def step(self, extended, extra):
-        evens, odds = extra
-        n = len(extended)
-        intern = self.interner.intern
-        for s in _pal_suffix_lengths(extended):
-            pid = intern(extended[n - s:])
-            if s % 2 == 0:
-                evens = evens | {pid}
-            else:
-                odds = odds | {pid}
-        if len(evens) > self.even_cap or len(odds) > self.odd_cap:
-            return None
-        return (evens, odds)
-
-
-def _family_engine(spec: ConstraintSpec) -> _Family:
-    _check_spec(spec)
-    if isinstance(spec, AllowedSet):
-        return _AllowedFamily(spec)
-    if isinstance(spec, MaxDistinct):
-        return _MaxDistinctFamily(spec)
-    if isinstance(spec, MaxLen):
-        return _MaxLenFamily(spec)
-    if isinstance(spec, MaxLenByParity):
-        return _MaxLenParityFamily(spec)
-    if isinstance(spec, MaxCountByParity):
-        return _MaxCountParityFamily(spec)
-    raise TypeError(f"not a constraint spec: {spec!r}")
 
 
 def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
-    Live states are numbered in discovery order starting from 0; the dead
-    state, if the language is proper, gets the final number.
+    A state is (window, seen, even): the recent symbols, and for counted
+    families the nonempty palindromes the word has shown with the even
+    count they give (the empty word included).  Live states are numbered
+    in discovery order starting from 0; the dead state, if the language
+    is proper, gets the final number.
     """
-    engine = _family_engine(spec)
-    k = engine.k
-    bound = engine.bound
+    k = spec.alphabet_size
+    bound = window_bound(spec)
+    admits = spec.admits
+    counted = spec.counted
     if budget is None:
         budget = state_budget()
 
-    if not engine.empty_alive():
+    # the empty word is a palindromic factor of every word
+    if not admits((), 1, 0):
         return Dfa([[0] * k], 0, [], dead=0, alphabet_size=k)
 
-    # window transitions repeat across states sharing a window: memoize them
+    # window+letter repeats across states sharing a window: memoize its
+    # successor window and its suffix palindromes, or None when a rule that
+    # ignores the counts already rejects one of them
     window_step: dict[tuple, tuple] = {}
 
-    init = ((), engine.initial())
+    init = ((), frozenset(), 1)
     index = {init: 0}
     states = [init]
     rows: list[list[int]] = []
@@ -327,22 +257,39 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
 
     while queue:
         qi = queue.popleft()
-        window, extra = states[qi]
+        window, seen, even = states[qi]
         row = [0] * k
         for a in range(k):
             key = (window, a)
             hit = window_step.get(key)
             if hit is None:
                 extended = window + (a,)
-                hit = (extended[-bound:], extended)
-                window_step[key] = hit
-            new_window, extended = hit
-            new_extra = engine.step(extended, extra)
-            if new_extra is None:
+                pals = _suffix_palindromes(extended)
+                if not counted and not all(admits(p, 0, 0) for p in pals):
+                    pals = None
+                hit = window_step[key] = (extended[-bound:], pals)
+            new_window, pals = hit
+            nxt = (new_window, seen, even)
+            if pals is None:
+                nxt = None
+            elif counted:
+                fresh = [p for p in pals if p not in seen]
+                if fresh:
+                    ev, od = even, len(seen) + 1 - even
+                    for p in fresh:
+                        if len(p) % 2:
+                            od += 1
+                        else:
+                            ev += 1
+                        if not admits(p, ev, od):
+                            nxt = None
+                            break
+                    else:
+                        nxt = (new_window, seen.union(fresh), ev)
+            if nxt is None:
                 used_dead = True
                 row[a] = dead
                 continue
-            nxt = (new_window, new_extra)
             ti = index.get(nxt)
             if ti is None:
                 ti = len(states)

@@ -3,7 +3,10 @@
 Counts are produced by a pruned depth-first search over words, evaluating
 palindromic factors with an incremental palindromic tree (push one letter,
 roll back).  None of the automaton machinery is involved, so these results
-are an independent check on the constructions.
+are an independent check on the constructions.  The search prunes with
+the family's own admissibility rule, as the construction does;
+brute_count_unpruned reads only the separate whole-word predicate, so it
+checks that rule too.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .automaton import minimize
-from .construct import (AllowedSet, CapacityError, ConstraintSpec, MaxCountByParity,
-                        MaxDistinct, MaxLen, MaxLenByParity, build_direct)
+from .construct import CapacityError, ConstraintSpec, build_direct
 from .words import Eertree, Word, palindromic_factors
 
 DEFAULT_EVAL_BUDGET = 100_000_000
@@ -28,60 +30,7 @@ class OracleResult:
 
 def satisfies(spec: ConstraintSpec, w: Word) -> bool:
     """Whole-word evaluation of a constraint, from the full factor set."""
-    pf = palindromic_factors(w)
-    if isinstance(spec, AllowedSet):
-        return all(p in spec.allowed for p in pf)
-    if isinstance(spec, MaxDistinct):
-        return len(pf) <= spec.cap
-    if isinstance(spec, MaxLen):
-        return pf.max_length() <= spec.cap
-    if isinstance(spec, MaxLenByParity):
-        even, odd = pf.max_length_by_parity()
-        return even <= spec.even_cap and odd <= spec.odd_cap
-    if isinstance(spec, MaxCountByParity):
-        even, odd = pf.counts_by_parity()
-        if not spec.count_empty:
-            even -= 1
-        return even <= spec.even_cap and odd <= spec.odd_cap
-    raise TypeError(f"not a constraint spec: {spec!r}")
-
-
-def _step_check(spec: ConstraintSpec):
-    """Liveness test applied right after a push that created a palindrome.
-
-    Sound because pushing a letter changes the factor set by at most that
-    one new palindrome, and the families are monotone in the factor set.
-    """
-    if isinstance(spec, AllowedSet):
-        allowed = frozenset(w.symbols for w in spec.allowed)
-
-        def ok(tree: Eertree, node: int) -> bool:
-            return tree.new_palindrome(node) in allowed
-    elif isinstance(spec, MaxDistinct):
-        cap = spec.cap
-
-        def ok(tree: Eertree, node: int) -> bool:
-            return tree.distinct_count + 1 <= cap
-    elif isinstance(spec, MaxLen):
-        cap = spec.cap
-
-        def ok(tree: Eertree, node: int) -> bool:
-            return tree.length[node] <= cap
-    elif isinstance(spec, MaxLenByParity):
-        even_cap, odd_cap = spec.even_cap, spec.odd_cap
-
-        def ok(tree: Eertree, node: int) -> bool:
-            l = tree.length[node]
-            return l <= (even_cap if l % 2 == 0 else odd_cap)
-    elif isinstance(spec, MaxCountByParity):
-        even_cap = spec.even_cap - (1 if spec.count_empty else 0)
-        odd_cap = spec.odd_cap
-
-        def ok(tree: Eertree, node: int) -> bool:
-            return tree.even_count <= even_cap and tree.odd_count <= odd_cap
-    else:
-        raise TypeError(f"not a constraint spec: {spec!r}")
-    return ok
+    return spec.satisfied_by(palindromic_factors(w))
 
 
 def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
@@ -96,31 +45,35 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     if not visit(0, None) or max_depth == 0:
         return
     k = spec.alphabet_size
-    ok = _step_check(spec)
+    admits = spec.admits
     tree = Eertree()
+    word, length, push, pop = tree.word, tree.length, tree.push, tree.pop
     pending = [0]  # pending[-1] = next symbol to try at the current depth
     evaluations = 0
     while pending:
         c = pending[-1]
         if c == k:
             pending.pop()
-            if tree.word:
-                tree.pop()
+            if word:
+                pop()
             continue
         pending[-1] += 1
         evaluations += 1
         if evaluations > budget:
             raise CapacityError(f"oracle evaluation budget {budget} exceeded")
-        node = tree.push(c)
-        if node is not None and not ok(tree, node):
-            tree.pop()
+        node = push(c)
+        # pushing a letter adds at most this one palindrome to the factor set
+        if node is not None and not admits(word[-length[node]:],
+                                           tree.even_count + 1, tree.odd_count):
+            pop()
             continue
-        if not visit(len(tree.word), tree):
+        depth = len(word)
+        if not visit(depth, tree):
             return
-        if len(tree.word) < max_depth:
+        if depth < max_depth:
             pending.append(0)
         else:
-            tree.pop()
+            pop()
 
 
 def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,

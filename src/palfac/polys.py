@@ -743,9 +743,3 @@ def largest_real_root(p: Polynomial,
         else:
             hi = mid
     return RootInterval(lo, hi)
-
-
-def dominant_root(p: Polynomial,
-                  tolerance: Fraction = Fraction(1, 10 ** 12)) -> RootInterval:
-    """Largest real root as a certified interval (alias used by callers)."""
-    return largest_real_root(p, tolerance)

@@ -24,9 +24,9 @@ from .construct import CapacityError
 from .polys import (
     Polynomial,
     RootInterval,
-    dominant_root,
     exact_div,
     factor_int_poly,
+    largest_real_root,
     next_prime,
 )
 
@@ -43,7 +43,7 @@ __all__ = [
     "factor_int_poly",
     "lda",
     "minimal_recurrence",
-    "dominant_root",
+    "largest_real_root",
     "asymptotic_fit",
 ]
 

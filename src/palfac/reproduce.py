@@ -27,6 +27,7 @@ from .analyze import (
     birecurrent_witness,
     classify,
     enumerate_periodic,
+    spec_dfa,
     verify_ultimately_periodic,
 )
 from .automaton import Dfa, export_dfa, import_dfa, isomorphic, minimize
@@ -42,7 +43,7 @@ from .construct import (
     forbidden_set,
 )
 from .oracle import brute_count_profile, longest_word
-from .polys import Polynomial, dominant_root
+from .polys import Polynomial, largest_real_root
 from .recur import (
     asymptotic_fit,
     lda,
@@ -53,7 +54,7 @@ from .recur import (
     window_apply,
 )
 from .verify import check_stabilization, perturbed_symmetry, thue_morse
-from .words import Word, palindromic_factors
+from .words import Word, enumerate_palindromes, palindromic_factors
 
 W = Word.from_digits
 P = Polynomial
@@ -100,18 +101,13 @@ class CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _dfa(spec: ConstraintSpec) -> Dfa:
-    return minimize(build_direct(spec))
-
-
-@lru_cache(maxsize=None)
 def _counts(spec: ConstraintSpec) -> tuple[int, ...]:
-    return tuple(sequence(transfer_matrix(_dfa(spec)), _MAX_TERMS))
+    return tuple(sequence(transfer_matrix(spec_dfa(spec)), _MAX_TERMS))
 
 
 @lru_cache(maxsize=None)
 def _min_poly(spec: ConstraintSpec, seed: int = 0) -> Polynomial:
-    return matrix_min_poly(transfer_matrix(_dfa(spec)), seed=seed)
+    return matrix_min_poly(transfer_matrix(spec_dfa(spec)), seed=seed)
 
 
 def _conjugates(text: str, k: int = 2) -> set[Word]:
@@ -289,14 +285,6 @@ SIGMA4_FORBIDDEN = frozenset(
 )
 
 
-def _palindromes_up_to(k: int, cap: int) -> list[Word]:
-    out = [Word((), k)]
-    for length in range(1, cap + 1):
-        for half in product(range(k), repeat=(length + 1) // 2):
-            out.append(Word(half + tuple(reversed(half[: length // 2])), k))
-    return out
-
-
 def _reach_word(d: Dfa, target: int) -> Word | None:
     """Letters of a shortest start-to-target path, None if unreachable."""
     parent: dict[int, tuple[int, int]] = {}
@@ -354,41 +342,41 @@ def _row(name: str, group: str, section: int | None,
 def _add_state_count_rows() -> None:
     for label, spec, expected, section in STATE_COUNTS:
         def fn(seed, spec=spec, expected=expected):
-            return _dfa(spec).live_state_count() == expected, expected, \
-                _dfa(spec).live_state_count()
+            return spec_dfa(spec).live_state_count() == expected, expected, \
+                spec_dfa(spec).live_state_count()
         _row(f"c1 {label} minimized states", "state-counts", section)(fn)
 
     @_row("c1 D(2,13) minimized states", "state-counts", 5)
     def d13_states(seed):
         # 6521 vs 6522 depends on whether the convention counts the
         # always-rejecting-but-drawn state; both are recorded as valid
-        live = _dfa(MaxDistinct(2, 13)).live_state_count()
+        live = spec_dfa(MaxDistinct(2, 13)).live_state_count()
         return live in (6521, 6522), "6521 or 6522", live
 
 
 def _add_classification_rows() -> None:
     @_row("c2 D(2,8) finite language", "classification", 5)
     def d8(seed):
-        finite = isinstance(classify(_dfa(MaxDistinct(2, 8))), NoInfiniteWords)
+        finite = isinstance(classify(spec_dfa(MaxDistinct(2, 8))), NoInfiniteWords)
         longest = longest_word(MaxDistinct(2, 8))
         return finite and longest == 8, "finite, longest 8", \
             f"{'finite' if finite else 'infinite'}, longest {longest}"
 
     @_row("c2 D(2,9) periodic words", "classification", 5)
     def d9(seed):
-        got = set(enumerate_periodic(_dfa(MaxDistinct(2, 9))))
+        got = set(enumerate_periodic(spec_dfa(MaxDistinct(2, 9))))
         want = {(Word((), 2), x)
                 for x in _conjugates("001011") | _conjugates("001101")}
         return got == want, "12 conjugate words", f"{len(got)} words"
 
     @_row("c2 D(2,10) no birecurrence", "classification", 5)
     def d10_wit(seed):
-        wit = birecurrent_witness(_dfa(MaxDistinct(2, 10)))
+        wit = birecurrent_witness(spec_dfa(MaxDistinct(2, 10)))
         return wit is None, "no witness", "no witness" if wit is None else str(wit)
 
     @_row("c2 D(2,10) word census", "classification", 5)
     def d10_words(seed):
-        words = enumerate_periodic(_dfa(MaxDistinct(2, 10)))
+        words = enumerate_periodic(spec_dfa(MaxDistinct(2, 10)))
         by_count: dict[int, int] = {}
         for y, x in words:
             ok, npal = verify_ultimately_periodic(y, x, MaxDistinct(2, 10))
@@ -410,7 +398,7 @@ def _add_classification_rows() -> None:
 
     @_row("c2 E(2,4) periodic words", "classification", 6)
     def e4(seed):
-        got = set(enumerate_periodic(_dfa(MaxLen(2, 4))))
+        got = set(enumerate_periodic(spec_dfa(MaxLen(2, 4))))
         want = _word_set(
             [("", base[i:] + base[:i])
              for base in ("001011", "001101") for i in range(6)]
@@ -420,7 +408,7 @@ def _add_classification_rows() -> None:
 
     for label, spec in [("E(3,1)", MaxLen(3, 1)), ("D(3,4)", MaxDistinct(3, 4))]:
         def abc(seed, spec=spec):
-            got = set(enumerate_periodic(_dfa(spec)))
+            got = set(enumerate_periodic(spec_dfa(spec)))
             want = {(Word((), 3), Word(p, 3)) for p in product(range(3), repeat=3)
                     if len(set(p)) == 3}
             return got == want, "the 6 words (abc)^w", f"{len(got)} words"
@@ -428,7 +416,7 @@ def _add_classification_rows() -> None:
 
     for label, spec, x0, x1, section in BIRECURRENT:
         def wit(seed, spec=spec, x0=x0, x1=x1):
-            d = _dfa(spec)
+            d = spec_dfa(spec)
             u = W(x0, d.alphabet_size)
             v = W(x1, d.alphabet_size)
             found = birecurrent_witness(d) is not None
@@ -442,7 +430,7 @@ def _add_classification_rows() -> None:
     for e, o, y, x in T_PERIODIC:
         if (e, o) not in T_REFUTED:
             def t_row(seed, e=e, o=o, y=y, x=x):
-                d = _dfa(_t(e, o))
+                d = spec_dfa(_t(e, o))
                 cls = classify(d)
                 if not isinstance(cls, FinitelyManyPeriodic):
                     return False, "periodic with example listed", type(cls).__name__
@@ -454,7 +442,7 @@ def _add_classification_rows() -> None:
             continue
 
         def t_ref(seed, e=e, o=o):
-            cls = classify(_dfa(_t(e, o)))
+            cls = classify(spec_dfa(_t(e, o)))
             got = type(cls).__name__
             return isinstance(cls, FinitelyManyPeriodic), \
                 "FinitelyManyPeriodic per the reference table", \
@@ -464,7 +452,7 @@ def _add_classification_rows() -> None:
 
         def t_cert(seed, e=e, o=o, y=y, x=x):
             spec = _t(e, o)
-            d = _dfa(spec)
+            d = spec_dfa(spec)
             wit = birecurrent_witness(d)
             if wit is None:
                 return False, "two cycles at one live state", "no witness"
@@ -489,7 +477,7 @@ def _add_classification_rows() -> None:
             if not ok_example:
                 return False, "reference example word in the language", \
                     "example word rejected"
-            shifted = classify(_dfa(_t(e - 1, o)))
+            shifted = classify(spec_dfa(_t(e - 1, o)))
             if isinstance(shifted, UncountablyManyAperiodic):
                 return False, f"even cap {e - 1} free of aperiodic words", \
                     "shifted language also aperiodic"
@@ -572,6 +560,18 @@ def _add_annihilator_rows() -> None:
                 "both routes agree, windows hold" if not bad else f"window fails at n={bad[0]}"
         _row(f"c4 {label} annihilator", "annihilators", section)(fn)
 
+    # D(2,8) is finite: both routes must reach the degree-0 annihilator 1,
+    # valid from n0 = 9 (no word of length 9 or more survives)
+    d28 = MaxDistinct(2, 8)
+    routes = {"lda": lambda seed: lda(_min_poly(d28, seed), _counts(d28)),
+              "hankel": lambda seed: minimal_recurrence(_counts(d28))}
+    for route, solve in routes.items():
+        def fn(seed, solve=solve):
+            q, n0 = solve(seed)
+            return (q, n0) == (P([1]), 9), "annihilator [1] from n0 = 9", \
+                f"annihilator {list(q.coeffs)} from n0 = {n0}"
+        _row(f"c4 D(2,8) annihilator via {route}", "annihilators", 5)(fn)
+
 
 def _add_min_poly_rows() -> None:
     for label, spec, factors, section in MIN_POLYS:
@@ -587,7 +587,7 @@ def _add_asymptotic_rows() -> None:
         def fn(seed, spec=spec, alpha=alpha, c_lead=c_lead, c_split=c_split):
             a = _counts(spec)[:401]
             q, _ = lda(_min_poly(spec, seed), _counts(spec))
-            root = dominant_root(q)
+            root = largest_real_root(q)
             fit = asymptotic_fit(a, root, annihilator=q,
                                  split_parity=c_split is not None)
             root_ok = abs(float(root) - alpha) < 1e-9
@@ -619,11 +619,11 @@ def _add_avoidance_rows() -> None:
              ("E(3,1)", MaxLen(3, 1), 6), ("E(3,2)", MaxLen(3, 2), 6)]
     for label, spec, section in cases:
         def fn(seed, spec=spec):
-            allowed = _palindromes_up_to(spec.alphabet_size, spec.cap)
-            via_set = _dfa(AllowedSet(spec.alphabet_size, allowed))
+            allowed = enumerate_palindromes(spec.alphabet_size, spec.cap)
+            via_set = spec_dfa(AllowedSet(spec.alphabet_size, allowed))
             via_avoid = minimize(build_avoidance(
                 forbidden_set(allowed, spec.alphabet_size), spec.alphabet_size))
-            ok = isomorphic(_dfa(spec), via_set) and isomorphic(via_set, via_avoid)
+            ok = isomorphic(spec_dfa(spec), via_set) and isomorphic(via_set, via_avoid)
             return ok, "three constructions isomorphic", \
                 "isomorphic" if ok else "mismatch"
         _row(f"c8 {label} avoidance cross-check", "avoidance-crosscheck", section)(fn)
@@ -631,7 +631,7 @@ def _add_avoidance_rows() -> None:
     @_row("c8 S(4) avoidance cross-check", "avoidance-crosscheck", 6)
     def sigma4_iso(seed):
         via_avoid = minimize(build_avoidance(forbidden_set(SIGMA4.allowed, 4), 4))
-        ok = isomorphic(_dfa(SIGMA4), via_avoid)
+        ok = isomorphic(spec_dfa(SIGMA4), via_avoid)
         return ok, "isomorphic", "isomorphic" if ok else "mismatch"
 
     @_row("c8 S(4) forbidden factors", "avoidance-crosscheck", 6)
@@ -644,7 +644,7 @@ def _add_avoidance_rows() -> None:
 def _add_stabilization_rows() -> None:
     @_row("c9 D(2,13) transformation stabilization", "stabilization", 5)
     def d13(seed):
-        report = check_stabilization(_dfa(MaxDistinct(2, 13)), G0, W("01"), 4)
+        report = check_stabilization(spec_dfa(MaxDistinct(2, 13)), G0, W("01"), 4)
         ok = (report.stabilized_at == 2
               and report.reversal_equal == (True,) * 4
               and report.accepted == (True,) * 5)
@@ -659,7 +659,7 @@ def _add_stabilization_rows() -> None:
 
     @_row("c9 S(4) transformation stabilization", "stabilization", 6)
     def b_n(seed):
-        report = check_stabilization(_dfa(SIGMA4), B0, Word((2, 3), 4), 6)
+        report = check_stabilization(spec_dfa(SIGMA4), B0, Word((2, 3), 4), 6)
         ok = report.stabilized_at == 1 and report.accepted == (True,) * 7
         return ok, "stable from n=1, all accepted", \
             f"stable from n={report.stabilized_at}, accepted {report.accepted}"
@@ -700,7 +700,7 @@ def _add_property_rows() -> None:
                  _t(5, 4), MaxDistinct(3, 4), SIGMA4]
         for spec in specs:
             raw = build_direct(spec)
-            m = _dfa(spec)
+            m = spec_dfa(spec)
             if not isomorphic(m, minimize(m)):
                 return False, "idempotent + same language", f"{spec} not idempotent"
             depth = 8 if spec.alphabet_size == 2 else 6
@@ -721,7 +721,7 @@ def _add_property_rows() -> None:
         specs = [MaxDistinct(2, 9), MaxLen(2, 5), MaxLenByParity(3, 0, 3), _t(5, 4)]
         checked = 0
         for spec in specs:
-            d = _dfa(spec)
+            d = spec_dfa(spec)
             for _ in range(150):
                 q, letters = d.start, []
                 for _ in range(rng.randrange(3, 15)):
@@ -745,8 +745,8 @@ def _add_property_rows() -> None:
 
     @_row("c10 serialization round-trips", "properties", None)
     def round_trip(seed):
-        dfas = [_dfa(MaxDistinct(2, 9)), _dfa(SIGMA4),
-                build_direct(MaxLen(2, 4)), _dfa(MaxLenByParity(3, 0, 3))]
+        dfas = [spec_dfa(MaxDistinct(2, 9)), spec_dfa(SIGMA4),
+                build_direct(MaxLen(2, 4)), spec_dfa(MaxLenByParity(3, 0, 3))]
         for d in dfas:
             for fmt in ("grail", "json"):
                 if import_dfa(export_dfa(d, fmt), fmt) != d:

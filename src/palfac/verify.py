@@ -3,16 +3,16 @@
 A word w acts on an automaton's states by q -> delta(q, w).  Recursive
 constructions like X_{n+1} = X_n s X_n^R induce transformations that
 stabilize after a few steps, and that stabilization proves facts about
-the limit word without ever running it: once tau_{X_n} = tau_{X_{n+1}},
-every later X_m traces the same path, so acceptance of X_n settles
-acceptance of them all.
+the limit word without ever running it: once tau_{X_n} = tau_{X_{n+1}}
+and tau_{X_n^R} = tau_{X_{n+1}^R}, every later X_m traces the same path,
+so acceptance of X_n settles acceptance of them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyze import Morphism
+from .analyze import CertificateError
 from .automaton import Dfa
 from .construct import CapacityError, state_budget
 from .words import Word
@@ -26,7 +26,6 @@ __all__ = [
     "perturbed_symmetry",
     "check_stabilization",
     "thue_morse",
-    "apply_morphism",
 ]
 
 
@@ -104,27 +103,32 @@ class StabilizationReport:
 def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> StabilizationReport:
     """Drive the perturbed-symmetry words X_0..X_{n_max} through d.
 
+    The words are never built: tau_{X_{n+1}} = tau_{X_n} tau_s tau_{X_n^R}
+    and tau_{X_{n+1}^R} = tau_{X_n} tau_{s^R} tau_{X_n^R}, and X_n is
+    accepted when tau_{X_n} sends the start state to an accepting one.
     Transformations are compared as whole state maps, which is portable
-    across renumberings.  Once consecutive transformations agree they
-    must keep agreeing, and that is asserted rather than assumed.
+    across renumberings.  Agreement of tau_{X_n} alone does not force
+    later agreement while tau_{X_n^R} still moves, so every later pair up
+    to n_max is checked and a drift raises CertificateError.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    words = [perturbed_symmetry(seed, infix, n) for n in range(n_max + 1)]
-    taus = [transform(d, w) for w in words]
-    taus_rev = [transform(d, w.reverse()) for w in words]
+    tau_s, tau_s_rev = transform(d, infix), transform(d, infix.reverse())
+    taus, taus_rev = [transform(d, seed)], [transform(d, seed.reverse())]
+    for _ in range(n_max):
+        x, x_rev = taus[-1], taus_rev[-1]
+        taus.append(compose(compose(x, tau_s), x_rev))
+        taus_rev.append(compose(compose(x, tau_s_rev), x_rev))
 
-    stabilized_at = None
-    for n in range(n_max):
-        if taus[n] == taus[n + 1]:
-            stabilized_at = n
-            break
+    stabilized_at = next((n for n in range(n_max) if taus[n] == taus[n + 1]), None)
     if stabilized_at is not None:
         for n in range(stabilized_at, n_max):
-            assert taus[n] == taus[n + 1], "stabilized transformation drifted"
+            if taus[n] != taus[n + 1]:
+                raise CertificateError(
+                    f"transformation stable at n={stabilized_at} drifted at n={n + 1}")
 
     reversal_equal = tuple(taus[n] == taus_rev[n] for n in range(1, n_max + 1))
-    accepted = tuple(d.accepts(w) for w in words)
+    accepted = tuple(tau(d.start) in d.accepting for tau in taus)
     return StabilizationReport(stabilized_at, reversal_equal, accepted)
 
 
@@ -133,7 +137,3 @@ def thue_morse(n: int) -> Word:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Word((bin(i).count("1") & 1 for i in range(n)), 2)
-
-
-def apply_morphism(h: Morphism, w) -> Word:
-    return h.apply(w)

@@ -179,9 +179,18 @@ class Eertree:
 
     def push(self, c: int) -> int | None:
         """Append a symbol; return the new node id if a new palindrome appeared."""
-        self.word.append(c)
-        prev_last = self.last
-        v = self._fit(self.last, c)
+        w = self.word
+        w.append(c)
+        # _fit(self.last, c) inlined: push is the brute-force oracle's
+        # innermost call
+        i = len(w) - 2
+        length, link = self.length, self.link
+        prev_last = v = self.last
+        while True:
+            j = i - length[v]
+            if j >= 0 and w[j] == c:
+                break
+            v = link[v]
         existing = self.trans[v].get(c)
         if existing is not None:
             self.last = existing
@@ -222,11 +231,6 @@ class Eertree:
 
     def last_palindrome_length(self) -> int:
         return self.length[self.last]
-
-    def new_palindrome(self, node: int) -> tuple[int, ...]:
-        """The palindrome of a node created by the latest push."""
-        l = self.length[node]
-        return tuple(self.word[len(self.word) - l:])
 
     def node_palindromes(self) -> list[tuple[int, ...]]:
         """All distinct nonempty palindromic factors (valid while no pops occurred)."""

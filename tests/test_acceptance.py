@@ -5,8 +5,15 @@ certificate rows prove wrong; they are strict xfails so the suite stays
 green while the discrepancy stays visible and any drift trips an XPASS.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import palfac
 from palfac.reproduce import row_descriptors
 
 ROWS = row_descriptors()
@@ -38,3 +45,20 @@ def test_registry_shape():
             "avoidance-crosscheck", "stabilization", "properties"} <= groups
     sections = {section for _, _, section, *_ in ROWS}
     assert {5, 6, 7, 8, None} <= sections
+
+
+def test_rows_hold_under_optimized_python():
+    # certificates raise real exceptions, so `python -O` (which strips
+    # asserts) must give the same verdicts as a normal run
+    src = str(Path(palfac.__file__).resolve().parents[1])
+    statuses = []
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "palfac.cli", "reproduce",
+             "--group", "classification"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        statuses.append({(row["name"], row["status"])
+                         for row in map(json.loads, out.stdout.splitlines())})
+    assert statuses[0] == statuses[1]
+    assert {status for _, status in statuses[0]} == {"PASS", "XFAIL"}

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from palfac.automaton import import_dfa, minimize
+from palfac.automaton import Dfa, export_dfa, import_dfa, minimize
 from palfac.cli import main
 from palfac.construct import MaxDistinct, MaxLen, build_direct
 from palfac.recur import AsymptoticFit, sequence, transfer_matrix
@@ -196,6 +196,27 @@ class TestVerifyOracle:
         assert payload["accepted"] == [True] * 5
         assert payload["reversal_equal"] == [True] * 4
 
+    def test_verify_long_horizon(self, capsys):
+        # X_40 has about 2^42 letters; only state maps are composed
+        code, stdout, _ = run(
+            capsys, "verify", "--family", "D", "--cap", "10",
+            "--seed", "0010", "--infix", "1", "--nmax", "40")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert len(payload["accepted"]) == 41
+        assert len(payload["reversal_equal"]) == 40
+
+    def test_verify_drift_is_a_failed_check(self, capsys, tmp_path):
+        path = tmp_path / "drift.json"
+        path.write_text(export_dfa(Dfa([[0, 1], [2, 3], [3, 0], [3, 2]], 0, [0, 1, 2]),
+                                   "json"))
+        code, stdout, stderr = run(
+            capsys, "verify", "--automaton", str(path),
+            "--seed", "", "--infix", "01", "--nmax", "6")
+        assert code == 1
+        assert stdout == ""
+        assert "drifted" in stderr
+
     def test_verify_rejects_short_horizon(self, capsys, tmp_path):
         allowed = tmp_path / "allowed.txt"
         allowed.write_text("e\n0\n1\n2\n3\n")
@@ -260,24 +281,34 @@ class TestErrors:
             main(["build", "--family", "S", "--alphabet", "4"])
         assert exc.value.code == 2
 
+    def test_allowed_file_problems_are_usage_errors(self, capsys, tmp_path):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("e\n0\n5\n")
+        code, _, stderr = run(capsys, "build", "--family", "S", "--alphabet", "4",
+                              "--allowed", str(outside))
+        assert code == 2
+        assert "outside alphabet" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--family", "S", "--allowed", str(tmp_path / "missing.txt")])
+        assert exc.value.code == 2
+
     def test_missing_automaton_file(self, capsys):
         code, _, stderr = run(capsys, "analyze", "--automaton", "/no/such/file")
         assert code == 2
         assert "error" in stderr
 
     def test_capacity_exit(self, capsys):
-        before = os.environ.get("PALFAC_STATE_BUDGET")
-        try:
-            code, _, stderr = run(
-                capsys, "build", "--family", "D", "--cap", "11",
-                "--state-budget", "100")
-            assert code == 3
-            assert "capacity" in stderr
-        finally:
-            if before is None:
-                os.environ.pop("PALFAC_STATE_BUDGET", None)
-            else:
-                os.environ["PALFAC_STATE_BUDGET"] = before
+        code, _, stderr = run(
+            capsys, "build", "--family", "D", "--cap", "11", "--state-budget", "100")
+        assert code == 3
+        assert "capacity" in stderr
+
+    def test_state_budget_leaves_environment_alone(self, capsys):
+        before = dict(os.environ)
+        for argv in (["build", "--family", "D", "--cap", "11"],
+                     ["count", "--family", "D", "--cap", "8", "--terms", "3"]):
+            run(capsys, *argv, "--state-budget", "100")
+        assert dict(os.environ) == before
 
     def test_min_poly_size_limit_is_capacity(self, capsys):
         code, stdout, stderr = run(

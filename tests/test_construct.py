@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palfac.automaton import isomorphic, minimize
 from palfac.construct import (AllowedSet, CapacityError, MaxCountByParity, MaxDistinct,
                               MaxLen, MaxLenByParity, build_avoidance, build_direct,
                               build_report, forbidden_set, window_bound)
-from palfac.oracle import brute_count_profile
+from palfac.oracle import brute_count_profile, brute_count_unpruned
 from palfac.words import Word, enumerate_palindromes
 
 
@@ -210,3 +211,34 @@ def test_count_monotonicity_in_cap():
         a = dfa_counts(build_direct(MaxLen(2, cap)), 10)
         b = dfa_counts(build_direct(MaxLen(2, cap + 1)), 10)
         assert all(x <= y for x, y in zip(a, b))
+
+
+@st.composite
+def small_specs(draw):
+    k = draw(st.integers(2, 3))
+    caps = st.integers(0, 4)
+    family = draw(st.sampled_from("DERTS"))
+    if family == "D":
+        return MaxDistinct(k, draw(st.integers(0, 7 if k == 2 else 5)))
+    if family == "E":
+        return MaxLen(k, draw(caps))
+    if family == "R":
+        return MaxLenByParity(k, draw(caps), draw(caps))
+    if family == "T":
+        return MaxCountByParity(k, draw(caps), draw(caps), draw(st.booleans()))
+    nonempty = enumerate_palindromes(k, 3)[1:]
+    allowed = draw(st.sets(st.sampled_from(nonempty), max_size=len(nonempty)))
+    if draw(st.booleans()):
+        allowed.add(Word((), k))
+    return AllowedSet(k, allowed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs())
+def test_three_evaluations_of_each_family_agree(spec):
+    # the construction and the pruned oracle share the family's admissibility
+    # rule; the unpruned count reads only its whole-word predicate
+    depth = 8 if spec.alphabet_size == 2 else 6
+    via_automaton = dfa_counts(minimize(build_direct(spec)), depth)
+    assert via_automaton == brute_count_profile(spec, depth)
+    assert via_automaton == [brute_count_unpruned(spec, n) for n in range(depth + 1)]

@@ -24,8 +24,8 @@ from palfac.recur import (
     CountingSystem,
     InconclusiveError,
     asymptotic_fit,
-    dominant_root,
     factor_int_poly,
+    largest_real_root,
     lda,
     matrix_min_poly,
     minimal_recurrence,
@@ -291,7 +291,7 @@ class TestAsymptoticFit:
         cs = transfer_matrix(build(MaxDistinct(3, 5)))
         a = sequence(cs, 120)
         q = P([-1, -1, 0, 0, 1])
-        fit = asymptotic_fit(a, dominant_root(q), annihilator=q)
+        fit = asymptotic_fit(a, largest_real_root(q), annihilator=q)
         assert fit.converged
         assert abs(fit.c - 16.07007) / 16.07007 < 0.01
 
@@ -299,7 +299,7 @@ class TestAsymptoticFit:
         cs = transfer_matrix(build(MaxLenByParity(2, 2, 5)))
         a = sequence(cs, 400)
         q = P([-1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1])
-        fit = asymptotic_fit(a, dominant_root(q), annihilator=q, split_parity=True)
+        fit = asymptotic_fit(a, largest_real_root(q), annihilator=q, split_parity=True)
         assert fit.converged
         assert fit.c is None
         assert abs(fit.c1 - 15.991809) / 15.991809 < 0.01
@@ -319,7 +319,7 @@ class TestAsymptoticFit:
 
 class TestDominantRootReexport:
     def test_certified_interval(self):
-        r = dominant_root(P([-1, -1, 0, 0, 1]))
+        r = largest_real_root(P([-1, -1, 0, 0, 1]))
         assert abs(float(r) - 1.2207440846) < 1e-9
         assert r.width <= 10 ** -12 or r.lo == r.hi
 

@@ -4,12 +4,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from palfac.analyze import Morphism
-from palfac.automaton import minimize
+from palfac.analyze import CertificateError, Morphism
+from palfac.automaton import Dfa, minimize
 from palfac.construct import AllowedSet, CapacityError, MaxDistinct, MaxLen, build_direct
 from palfac.verify import (
     StateTransformation,
-    apply_morphism,
     check_stabilization,
     compose,
     identity,
@@ -166,6 +165,39 @@ class TestCheckStabilization:
         assert report.stabilized_at is None
         assert check_stabilization(d, EMPTY, W("0"), 5).stabilized_at == 4
 
+    def test_acceptance_matches_built_words(self):
+        cases = [(sigma4(), B0, INFIX_23), (build(MaxDistinct(2, 10)), W("0010"), W("1")),
+                 (build(MaxDistinct(2, 9)), EMPTY, W("0"))]
+        for d, seed, infix in cases:
+            report = check_stabilization(d, seed, infix, 16)
+            assert report.accepted == tuple(
+                d.accepts(perturbed_symmetry(seed, infix, n)) for n in range(17))
+
+    def test_matches_transformations_of_built_words(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n, k = rng.randrange(1, 6), rng.randrange(1, 4)
+            d = Dfa([[rng.randrange(n) for _ in range(k)] for _ in range(n)], 0,
+                    [q for q in range(n) if rng.random() < 0.5])
+            seed = random_word(rng, k, rng.randrange(3))
+            infix = random_word(rng, k, rng.randrange(1, 3))
+            words = [perturbed_symmetry(seed, infix, j) for j in range(8)]
+            taus = [transform(d, w) for w in words]
+            report = check_stabilization(d, seed, infix, 7)
+            assert report.stabilized_at == next(
+                (j for j in range(7) if taus[j] == taus[j + 1]), None)
+            assert report.reversal_equal == tuple(
+                taus[j] == transform(d, words[j].reverse()) for j in range(1, 8))
+            assert report.accepted == tuple(d.accepts(w) for w in words)
+
+    def test_drift_after_stabilizing_is_an_error(self):
+        # tau_{X_n} alone settles at n = 4 while tau_{X_n^R} keeps moving,
+        # so the agreement does not last
+        d = Dfa([[0, 1], [2, 3], [3, 0], [3, 2]], 0, [0, 1, 2])
+        assert check_stabilization(d, EMPTY, W("01"), 5).stabilized_at == 4
+        with pytest.raises(CertificateError):
+            check_stabilization(d, EMPTY, W("01"), 6)
+
     def test_short_horizon_rejected(self):
         for bad in (-1, 0, 1):
             with pytest.raises(ValueError):
@@ -187,7 +219,7 @@ class TestThueMorse:
     def test_fixed_point_of_doubling_morphism(self):
         m = Morphism({0: W("01"), 1: W("10")})
         for n in (1, 5, 32, 100):
-            assert apply_morphism(m, thue_morse(n)) == thue_morse(2 * n)
+            assert m.apply(thue_morse(n)) == thue_morse(2 * n)
 
     def test_cube_free_prefix(self):
         # a cube of period p at i means positions i..i+2p-1 all satisfy
@@ -210,11 +242,11 @@ class TestThueMorse:
 class TestApplyMorphism:
     def test_block_images(self):
         h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
-        assert apply_morphism(h, W("01")) == Word((2, 3, 0, 1, 3, 0, 1), 4)
+        assert h.apply(W("01")) == Word((2, 3, 0, 1, 3, 0, 1), 4)
 
     def test_empty_to_empty(self):
         h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
-        assert apply_morphism(h, EMPTY) == EMPTY
+        assert h.apply(EMPTY) == EMPTY
 
     def test_length_homomorphism(self):
         h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
@@ -222,12 +254,12 @@ class TestApplyMorphism:
         for _ in range(20):
             w = random_word(rng, 2, rng.randrange(40))
             zeros = sum(1 for c in w if c == 0)
-            assert len(apply_morphism(h, w)) == 4 * zeros + 3 * (len(w) - zeros)
+            assert len(h.apply(w)) == 4 * zeros + 3 * (len(w) - zeros)
 
     def test_missing_letter(self):
         h = Morphism({0: Word((2, 3, 0, 1), 4)})
         with pytest.raises(ValueError):
-            apply_morphism(h, W("01"))
+            h.apply(W("01"))
 
 
 class TestFourLetterImageInvariant:
@@ -238,8 +270,8 @@ class TestFourLetterImageInvariant:
         # once the four letters all appear in h(t_1), which they do.
         h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
         singles = {Word((), 4)} | {Word((c,), 4) for c in range(4)}
-        assert set(palindromic_factors(apply_morphism(h, thue_morse(1000)))) == singles
+        assert set(palindromic_factors(h.apply(thue_morse(1000)))) == singles
         for n in (1, 2, 3, 8):
-            image = apply_morphism(h, thue_morse(n))
+            image = h.apply(thue_morse(n))
             assert set(palindromic_factors(image)) == singles
             assert sigma4().accepts(image)
