@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .words import Word
 
@@ -90,81 +93,27 @@ def _symbols(w) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _reachable(d: Dfa) -> list[int]:
-    seen = [False] * d.state_count
-    seen[d.start] = True
-    order = [d.start]
-    queue = deque((d.start,))
-    while queue:
-        q = queue.popleft()
-        for t in d.delta[q]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
-                queue.append(t)
-    return order
+def _moore(delta: np.ndarray, accepting: np.ndarray) -> np.ndarray:
+    """Moore partition refinement; returns the block id of each state.
 
-
-def _hopcroft(delta, k: int, n: int, accepting) -> list[int]:
-    """Hopcroft partition refinement; returns the block id of each state."""
-    inv = [[[] for _ in range(n)] for _ in range(k)]
-    for p in range(n):
-        row = delta[p]
+    A round splits every block by the blocks of its successors, one letter
+    at a time: the pair (block, block of the a-successor) is packed into
+    one int64 and re-ranked with np.unique, so the key never exceeds n**2.
+    Rounds refine, so the first round that adds no block ends the loop.
+    Each round costs O(n k log n), and there is one round more than the
+    longest of the shortest words separating two inequivalent states.
+    """
+    n, k = delta.shape
+    _, block = np.unique(accepting, return_inverse=True)
+    count = int(block.max()) + 1
+    while True:
+        key = block
         for a in range(k):
-            inv[a][row[a]].append(p)
-
-    final = set(q for q in accepting)
-    nonfinal = set(range(n)) - final
-    blocks: list[set[int]] = []
-    block_of = [0] * n
-    for s in (final, nonfinal):
-        if s:
-            idx = len(blocks)
-            blocks.append(s)
-            for q in s:
-                block_of[q] = idx
-
-    work: deque[tuple[int, int]] = deque()
-    in_work: set[tuple[int, int]] = set()
-    seed = min(range(len(blocks)), key=lambda i: len(blocks[i]))
-    for a in range(k):
-        work.append((seed, a))
-        in_work.add((seed, a))
-
-    while work:
-        i, c = work.popleft()
-        in_work.discard((i, c))
-        splitter = blocks[i]
-        # states whose c-successor lands in the splitter
-        hits: dict[int, list[int]] = {}
-        invc = inv[c]
-        for q in splitter:
-            for p in invc[q]:
-                j = block_of[p]
-                bucket = hits.get(j)
-                if bucket is None:
-                    hits[j] = [p]
-                else:
-                    bucket.append(p)
-        for j, part in hits.items():
-            blk = blocks[j]
-            moved = set(part)
-            if len(moved) == len(blk):
-                continue
-            blk -= moved
-            new_idx = len(blocks)
-            blocks.append(moved)
-            for q in moved:
-                block_of[q] = new_idx
-            small = j if len(blk) <= len(moved) else new_idx
-            for a in range(k):
-                if (j, a) in in_work:
-                    work.append((new_idx, a))
-                    in_work.add((new_idx, a))
-                else:
-                    work.append((small, a))
-                    in_work.add((small, a))
-    return block_of
+            _, key = np.unique(key * n + block[delta[:, a]], return_inverse=True)
+        refined = int(key.max()) + 1
+        if refined == count:
+            return block
+        block, count = key, refined
 
 
 def _canonical_renumber(delta, k: int, start: int, accepting) -> tuple:
@@ -192,26 +141,24 @@ def _find_dead(delta, accepting) -> int | None:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """The unique minimal complete DFA for L(d), canonically numbered."""
-    order = _reachable(d)
-    remap = {q: i for i, q in enumerate(order)}
-    n = len(order)
+    """The unique minimal complete DFA for L(d), canonically numbered.
+
+    Equivalence does not depend on reachability, so the whole automaton is
+    refined and the canonical renumbering from the start block drops the
+    blocks no word reaches.
+    """
     k = d.alphabet_size
-    delta = [tuple(remap[d.delta[q][a]] for a in range(k)) for q in order]
-    accepting = set(remap[q] for q in d.accepting if q in remap)
+    n = d.state_count
+    delta = np.fromiter(chain.from_iterable(d.delta), dtype=np.int64,
+                        count=n * k).reshape(n, k)
+    accepting = np.zeros(n, dtype=bool)
+    accepting[list(d.accepting)] = True
 
-    block_of = _hopcroft(delta, k, n, accepting)
-    blocks = sorted(set(block_of))
-    bmap = {b: i for i, b in enumerate(blocks)}
-    rep: dict[int, int] = {}
-    for q in range(n):
-        rep.setdefault(bmap[block_of[q]], q)
-    m = len(blocks)
-    mdelta = [tuple(bmap[block_of[delta[rep[b]][a]]] for a in range(k)) for b in range(m)]
-    maccept = set(bmap[block_of[q]] for q in accepting)
-    mstart = bmap[block_of[remap[d.start]]]
-
-    cdelta, cstart, caccept = _canonical_renumber(mdelta, k, mstart, maccept)
+    block = _moore(delta, accepting)
+    _, rep = np.unique(block, return_index=True)
+    mdelta = block[delta[rep]].tolist()
+    maccept = set(block[accepting].tolist())
+    cdelta, cstart, caccept = _canonical_renumber(mdelta, k, int(block[d.start]), maccept)
     dead = _find_dead(cdelta, caccept)
     return Dfa(cdelta, cstart, caccept, dead, k)
 

@@ -7,9 +7,13 @@ absorbing rejecting state and every other state is accepting.
 build_direct runs a breadth-first closure over (window, bookkeeping)
 states, where the window keeps just enough recent symbols that every
 first occurrence of a palindromic factor in a not-yet-rejected word is
-visible as a suffix of window+letter.  build_avoidance reaches the same
-languages for the AllowedSet family through a forbidden-factor keyword
-automaton, giving an independent construction to cross-check against.
+visible as a suffix of window+letter.  Each state is a single int: the
+window in base k+1 and, for counted families, a bitmask of the
+palindromes seen so far.  The suffix palindromes of window+letter come
+from those of the window (a bitmask of lengths) without a rescan.
+build_avoidance reaches the same languages for the AllowedSet family
+through a forbidden-factor keyword automaton, giving an independent
+construction to cross-check against.
 """
 
 from __future__ import annotations
@@ -23,7 +27,10 @@ from .automaton import Dfa, minimize
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
-DEFAULT_STATE_BUDGET = 10_000_000
+# D(2,14) peaks at about 420 bytes per raw state through build_direct and
+# minimize, and about 650 through `palfac build --format json` on the raw
+# automaton, so 4e6 states stay near 2.6 GB: under half of a 7 GB machine
+DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
 
 
@@ -212,24 +219,18 @@ def window_bound(spec: ConstraintSpec) -> int:
     return spec.window_bound()
 
 
-def _suffix_palindromes(xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The nonempty palindromic suffixes of xs, shortest first."""
-    out = []
-    for s in range(len(xs) - 1, -1, -1):
-        tail = xs[s:]
-        if tail == tail[::-1]:
-            out.append(tail)
-    return tuple(out)
-
-
 def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
-    A state is (window, seen, even): the recent symbols, and for counted
-    families the nonempty palindromes the word has shown with the even
-    count they give (the empty word included).  Live states are numbered
-    in discovery order starting from 0; the dead state, if the language
-    is proper, gets the final number.
+    A state is one int, seen * span + window.  The window holds the last
+    `bound` symbols in base k+1, one digit s+1 per symbol s, so appending
+    a is window*(k+1) + a+1 and truncating is a reduction mod span =
+    (k+1)**bound.  For counted families `seen` is a bitmask over the
+    nonempty palindromes the word has shown, each palindrome getting its
+    bit the first time any word shows it; the even count (empty word
+    included) is 1 + popcount(seen & even_bits).  Live states are numbered
+    in discovery order starting from 0; the dead state, if the language is
+    proper, gets the final number.
     """
     k = spec.alphabet_size
     bound = window_bound(spec)
@@ -242,53 +243,81 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     if not admits((), 1, 0):
         return Dfa([[0] * k], 0, [], dead=0, alphabet_size=k)
 
-    # window+letter repeats across states sharing a window: memoize its
-    # successor window and its suffix palindromes, or None when a rule that
-    # ignores the counts already rejects one of them
-    window_step: dict[tuple, tuple] = {}
+    base = k + 1
+    powers = [base ** i for i in range(bound + 2)]
+    span = powers[bound]
+    window_lengths = (2 << bound) - 1  # the suffix lengths a window holds
+    # bit L of suffix_lengths[w] is set when w's suffix of length L is a
+    # palindrome (L = 0 included): the suffix of length L+2 of w.a is one
+    # exactly when w's suffix of length L is and the symbol before it is a
+    suffix_lengths = {0: 1}
+    pal_bit: dict[int, int] = {}     # palindrome code -> its bit
+    pal_symbols: list[tuple[int, ...]] = []
+    even_bits = 0
+    rejected = 0   # palindromes a rule that ignores the counts forbids
 
-    init = ((), frozenset(), 1)
-    index = {init: 0}
-    states = [init]
-    rows: list[list[int]] = []
-    queue = deque((0,))
-    dead = -1  # patched to the real index afterwards
+    index = {0: 0}
+    states = [0]
+    flat: list[int] = []  # row-major transitions, -1 for the dead state
     used_dead = False
 
-    while queue:
-        qi = queue.popleft()
-        window, seen, even = states[qi]
-        row = [0] * k
-        for a in range(k):
-            key = (window, a)
-            hit = window_step.get(key)
-            if hit is None:
-                extended = window + (a,)
-                pals = _suffix_palindromes(extended)
-                if not counted and not all(admits(p, 0, 0) for p in pals):
-                    pals = None
-                hit = window_step[key] = (extended[-bound:], pals)
-            new_window, pals = hit
-            nxt = (new_window, seen, even)
-            if pals is None:
-                nxt = None
-            elif counted:
-                fresh = [p for p in pals if p not in seen]
-                if fresh:
-                    ev, od = even, len(seen) + 1 - even
-                    for p in fresh:
-                        if len(p) % 2:
-                            od += 1
-                        else:
-                            ev += 1
-                        if not admits(p, ev, od):
-                            nxt = None
-                            break
+    qi = 0
+    while qi < len(states):
+        key = states[qi]
+        qi += 1
+        seen, window = divmod(key, span)
+        shifted = window * base
+        for a in range(1, base):
+            ext = shifted + a
+            lengths = 3
+            m = suffix_lengths[window]
+            while m:
+                low = m & -m
+                if window // powers[low.bit_length() - 1] % base == a:
+                    lengths |= low << 2
+                m ^= low
+            pals = 0
+            m = lengths ^ 1
+            while m:
+                low = m & -m
+                length = low.bit_length() - 1
+                code = ext % powers[length]
+                bit = pal_bit.get(code)
+                if bit is None:
+                    bit = pal_bit[code] = len(pal_symbols)
+                    pal = _digits(code, base, length)
+                    pal_symbols.append(pal)
+                    if length % 2 == 0:
+                        even_bits |= 1 << bit
+                    if not counted and not admits(pal, 0, 0):
+                        rejected |= 1 << bit
+                pals |= 1 << bit
+                m ^= low
+            new_window = ext % span
+            nxt = key - window + new_window
+            if not counted:
+                live = not pals & rejected
+            elif fresh := pals & ~seen:
+                # a suffix palindrome's shorter palindromic suffixes got
+                # their bits first, so ascending bits go shortest first
+                ev = 1 + (seen & even_bits).bit_count()
+                od = seen.bit_count() + 1 - ev
+                while fresh:
+                    low = fresh & -fresh
+                    if low & even_bits:
+                        ev += 1
                     else:
-                        nxt = (new_window, seen.union(fresh), ev)
-            if nxt is None:
+                        od += 1
+                    if not admits(pal_symbols[low.bit_length() - 1], ev, od):
+                        break
+                    fresh ^= low
+                live = not fresh
+                nxt = (seen | pals) * span + new_window
+            else:
+                live = True
+            if not live:
                 used_dead = True
-                row[a] = dead
+                flat.append(-1)
                 continue
             ti = index.get(nxt)
             if ti is None:
@@ -298,19 +327,24 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
                         f"state budget {budget} exceeded while building {spec!r}")
                 index[nxt] = ti
                 states.append(nxt)
-                queue.append(ti)
-            row[a] = ti
-        rows.append(row)
+                suffix_lengths[new_window] = lengths & window_lengths
+            flat.append(ti)
 
-    n = len(rows)
+    n = len(states)
     if used_dead:
-        rows.append([n] * k)
-        for row in rows:
-            for a in range(k):
-                if row[a] == -1:
-                    row[a] = n
-        return Dfa(rows, 0, range(n), dead=n, alphabet_size=k)
-    return Dfa(rows, 0, range(n), dead=None, alphabet_size=k)
+        flat = [n if t < 0 else t for t in flat]
+        flat.extend([n] * k)
+    rows = zip(*[iter(flat)] * k)
+    return Dfa(rows, 0, range(n), dead=n if used_dead else None, alphabet_size=k)
+
+
+def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
+    """The symbols of a window code of the given length, oldest first."""
+    out = []
+    for _ in range(length):
+        code, d = divmod(code, base)
+        out.append(d - 1)
+    return tuple(reversed(out))
 
 
 def forbidden_set(allowed: Iterable[Word], alphabet_size: int) -> frozenset:

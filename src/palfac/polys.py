@@ -258,49 +258,68 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 # ---------------------------------------------------------------------------
-# factorization modulo a prime (Cantor–Zassenhaus)
+# integer coefficient lists, lowest degree first, reduced mod m on request
 
-def _pmod_trim(a: list[int]) -> list[int]:
+def _trim_int(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
-def _pmod_mul(a, b, p):
+
+def _poly_mul_int(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pmod_trim(out)
+                out[i + j] += x * y
+    return out
 
-def _pmod_divmod(a, b, p):
-    a = a[:]
-    inv = pow(b[-1], p - 2, p)
+
+def _poly_add_int(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _mod_list(a, m):
+    return _trim_int([x % m for x in a])
+
+
+def _poly_divmod_mod(a, b, m):
+    """Division mod m by b with lead(b) invertible mod m."""
+    a = [x % m for x in a]
+    inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        f = (a[i + len(b) - 1] * inv) % p
+        f = (a[i + len(b) - 1] * inv) % m
         q[i] = f
         if f:
             for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - f * bc) % p
-    return _pmod_trim(q), _pmod_trim(a[:len(b) - 1])
+                a[i + j] = (a[i + j] - f * bc) % m
+    return _trim_int(q), _trim_int(a[:len(b) - 1])
+
+
+# ---------------------------------------------------------------------------
+# factorization modulo a prime (Cantor–Zassenhaus)
 
 def _pmod_gcd(a, b, p):
     a, b = a[:], b[:]
     while b:
-        a, b = b, _pmod_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [(x * inv) % p for x in a]
+        a, b = b, _poly_divmod_mod(a, b, p)[1]
+    return _pmod_monic(a, p)
 
 def _pmod_powmod(base, e, mod, p):
     result = [1]
-    base = _pmod_divmod(base, mod, p)[1]
+    base = _poly_divmod_mod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pmod_divmod(_pmod_mul(result, base, p), mod, p)[1]
-        base = _pmod_divmod(_pmod_mul(base, base, p), mod, p)[1]
+            result = _poly_divmod_mod(_poly_mul_int(result, base), mod, p)[1]
+        base = _poly_divmod_mod(_poly_mul_int(base, base), mod, p)[1]
         e >>= 1
     return result
 
@@ -320,13 +339,13 @@ def _distinct_degree(f, p):
         h = _pmod_powmod(h, p, f, p)
         diff = h[:] + [0] * max(0, 2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        diff = _pmod_trim(diff)
+        diff = _trim_int(diff)
         g = f[:] if not diff else _pmod_gcd(f, diff, p)
         if len(g) > 1:
             out.append((g, d))
-            f = _pmod_divmod(f, g, p)[0]
+            f = _poly_divmod_mod(f, g, p)[0]
             if len(f) > 1:
-                h = _pmod_divmod(h, f, p)[1]
+                h = _poly_divmod_mod(h, f, p)[1]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -339,7 +358,7 @@ def _equal_degree_split(f, d, p, rng):
         return [f]
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        a = _pmod_trim(a)
+        a = _trim_int(a)
         if len(a) < 2:
             continue
         g = _pmod_gcd(f, a, p)
@@ -351,14 +370,14 @@ def _equal_degree_split(f, d, p, rng):
         if not b:
             b = [0]
         b[0] = (b[0] - 1) % p
-        b = _pmod_trim(b)
+        b = _trim_int(b)
         if not b:
             continue
         g = _pmod_gcd(f, b, p)
         if 1 < len(g) < len(f):
             break
     left = _equal_degree_split(g, d, p, rng)
-    right = _equal_degree_split(_pmod_divmod(f, g, p)[0], d, p, rng)
+    right = _equal_degree_split(_poly_divmod_mod(f, g, p)[0], d, p, rng)
     return left + right
 
 
@@ -373,27 +392,17 @@ def _factor_mod_p(f, p, rng):
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
-def _pmod_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    for i in range(len(out)):
-        out[i] %= p
-    return _pmod_trim(out)
-
-
 def _ext_euclid(a, b, p):
     """(s, t) with s*a + t*b = gcd = 1 (mod p) for coprime monic-ish a, b."""
     r0, r1 = a[:], b[:]
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pmod_divmod(r0, r1, p)
+        q, r = _poly_divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _pmod_sub(s0, _pmod_mul(q, s1, p), p)
-        t0, t1 = t1, _pmod_sub(t0, _pmod_mul(q, t1, p), p)
+        neg_q = [-x for x in q]
+        s0, s1 = s1, _mod_list(_poly_add_int(s0, _poly_mul_int(neg_q, s1)), p)
+        t0, t1 = t1, _mod_list(_poly_add_int(t0, _poly_mul_int(neg_q, t1)), p)
     inv = pow(r0[-1], p - 2, p)
     s0 = [(x * inv) % p for x in s0]
     t0 = [(x * inv) % p for x in t0]
@@ -403,10 +412,6 @@ def _ext_euclid(a, b, p):
 def _centered(x: int, m: int) -> int:
     x %= m
     return x - m if 2 * x > m else x
-
-
-def _mod_list(a, m):
-    return _trim_int([x % m for x in a])
 
 
 def _hensel_pair(f: list[int], g: list[int], h: list[int], p: int, k: int):
@@ -430,43 +435,6 @@ def _hensel_pair(f: list[int], g: list[int], h: list[int], p: int, k: int):
         t = _mod_list(_poly_add_int(t, [-x for x in tb_cg]), m2)
         m = m2
     return g, h
-
-
-def _trim_int(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _poly_mul_int(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-def _poly_add_int(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-def _poly_divmod_mod(a, b, m):
-    """Division mod m by b with lead(b) invertible mod m (b monic here)."""
-    a = [x % m for x in a]
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        f = (a[i + len(b) - 1] * inv) % m
-        q[i] = f
-        if f:
-            for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - f * bc) % m
-    return _trim_int(q), _trim_int(a[:len(b) - 1])
 
 
 def _hensel_multi(f: list[int], factors: list[list[int]], p: int, k: int):
@@ -503,7 +471,7 @@ def _factor_squarefree(p: Polynomial, rng: random.Random) -> list[Polynomial]:
         if lc % q == 0:
             continue
         fq = [c % q for c in p.coeffs]
-        d = _pmod_trim([(i * c) % q for i, c in enumerate(fq)][1:])
+        d = _trim_int([(i * c) % q for i, c in enumerate(fq)][1:])
         if not d:
             continue
         if len(_pmod_gcd(fq[:], d, q)) == 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyze import CertificateError
 from .automaton import Dfa
 from .construct import CapacityError, state_budget
 from .words import Word
@@ -86,10 +85,11 @@ def perturbed_symmetry(seed: Word, infix: Word, n: int) -> Word:
 class StabilizationReport:
     """Outcome of driving X_0..X_{n_max} through an automaton.
 
-    stabilized_at is the least n with tau_{X_n} = tau_{X_{n+1}}, or None
-    if that never happens up to n_max.  reversal_equal[i] records
-    tau_{X_n} = tau_{X_n^R} for n = i + 1, and accepted[n] records
-    whether X_n is accepted, from n = 0.
+    stabilized_at is the least n < n_max with tau_{X_n} = tau_{X_{n+1}}
+    and tau_{X_n^R} = tau_{X_{n+1}^R}, or None if there is none; from
+    there on every X_m has the same transformation.  reversal_equal[i]
+    records tau_{X_n} = tau_{X_n^R} for n = i + 1, and accepted[n]
+    records whether X_n is accepted, from n = 0.
     """
 
     stabilized_at: int | None
@@ -107,9 +107,9 @@ def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> Stabiliz
     and tau_{X_{n+1}^R} = tau_{X_n} tau_{s^R} tau_{X_n^R}, and X_n is
     accepted when tau_{X_n} sends the start state to an accepting one.
     Transformations are compared as whole state maps, which is portable
-    across renumberings.  Agreement of tau_{X_n} alone does not force
-    later agreement while tau_{X_n^R} still moves, so every later pair up
-    to n_max is checked and a drift raises CertificateError.
+    across renumberings.  Once the pair (tau_{X_n}, tau_{X_n^R}) repeats,
+    the recurrences above repeat it at every later n; tau_{X_n} repeating
+    alone proves nothing while tau_{X_n^R} still moves.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -120,13 +120,8 @@ def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> Stabiliz
         taus.append(compose(compose(x, tau_s), x_rev))
         taus_rev.append(compose(compose(x, tau_s_rev), x_rev))
 
-    stabilized_at = next((n for n in range(n_max) if taus[n] == taus[n + 1]), None)
-    if stabilized_at is not None:
-        for n in range(stabilized_at, n_max):
-            if taus[n] != taus[n + 1]:
-                raise CertificateError(
-                    f"transformation stable at n={stabilized_at} drifted at n={n + 1}")
-
+    stabilized_at = next((n for n in range(n_max) if taus[n] == taus[n + 1]
+                          and taus_rev[n] == taus_rev[n + 1]), None)
     reversal_equal = tuple(taus[n] == taus_rev[n] for n in range(1, n_max + 1))
     accepted = tuple(tau(d.start) in d.accepting for tau in taus)
     return StabilizationReport(stabilized_at, reversal_equal, accepted)

@@ -1,6 +1,8 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palfac.automaton import (
     Dfa,
@@ -95,6 +97,65 @@ def test_minimize_canonical_numbering_is_bfs():
                         nxt.append(t)
             frontier = nxt
         assert order == sorted(order)  # discovery order equals numbering
+
+
+def _table_filling_minimum(delta, start, accepting):
+    """Minimal DFA by pairwise table filling (Myhill-Nerode), BFS-numbered.
+
+    Shares nothing with `minimize`: reachable states come from a plain
+    search, pairs are marked distinguishable until nothing changes, and
+    the classes are renumbered in breadth-first order from the start.
+    """
+    k = len(delta[0])
+    reach = {start}
+    stack = [start]
+    while stack:
+        for t in delta[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    states = sorted(reach)
+    apart = {(p, q) for p in states for q in states
+             if (p in accepting) != (q in accepting)}
+    changed = True
+    while changed:
+        changed = False
+        for p in states:
+            for q in states:
+                if (p, q) not in apart and any(
+                        (delta[p][a], delta[q][a]) in apart for a in range(k)):
+                    apart.add((p, q))
+                    changed = True
+    cls = {q: min(p for p in states if (p, q) not in apart) for q in states}
+    number = {cls[start]: 0}
+    order = [cls[start]]
+    queue = deque(order)
+    while queue:
+        c = queue.popleft()
+        for a in range(k):
+            t = cls[delta[c][a]]
+            if t not in number:
+                number[t] = len(number)
+                order.append(t)
+                queue.append(t)
+    table = tuple(tuple(number[cls[delta[c][a]]] for a in range(k)) for c in order)
+    return table, frozenset(number[c] for c in order if c in accepting)
+
+
+complete_dfas = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=k, max_size=k), min_size=n, max_size=n)),
+    st.integers(0, n - 1),
+    st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complete_dfas)
+def test_minimize_matches_table_filling(dfa):
+    delta, start, accepting = dfa
+    m = minimize(Dfa(delta, start, accepting))
+    assert m.start == 0
+    assert (m.delta, m.accepting) == _table_filling_minimum(delta, start, accepting)
 
 
 def test_isomorphic_on_renumbered_copy():

@@ -206,16 +206,16 @@ class TestVerifyOracle:
         assert len(payload["accepted"]) == 41
         assert len(payload["reversal_equal"]) == 40
 
-    def test_verify_drift_is_a_failed_check(self, capsys, tmp_path):
+    def test_verify_waits_for_the_reversal(self, capsys, tmp_path):
         path = tmp_path / "drift.json"
         path.write_text(export_dfa(Dfa([[0, 1], [2, 3], [3, 0], [3, 2]], 0, [0, 1, 2]),
                                    "json"))
-        code, stdout, stderr = run(
-            capsys, "verify", "--automaton", str(path),
-            "--seed", "", "--infix", "01", "--nmax", "6")
-        assert code == 1
-        assert stdout == ""
-        assert "drifted" in stderr
+        for nmax, expected in (("6", None), ("7", 6)):
+            code, stdout, _ = run(
+                capsys, "verify", "--automaton", str(path),
+                "--seed", "", "--infix", "01", "--nmax", nmax)
+            assert code == 0
+            assert json.loads(stdout)["stabilized_at"] == expected
 
     def test_verify_rejects_short_horizon(self, capsys, tmp_path):
         allowed = tmp_path / "allowed.txt"

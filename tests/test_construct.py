@@ -1,10 +1,18 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import palfac
 from palfac.automaton import isomorphic, minimize
-from palfac.construct import (AllowedSet, CapacityError, MaxCountByParity, MaxDistinct,
-                              MaxLen, MaxLenByParity, build_avoidance, build_direct,
-                              build_report, forbidden_set, window_bound)
+from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
+                              MaxCountByParity, MaxDistinct, MaxLen, MaxLenByParity,
+                              build_avoidance, build_direct, build_report, forbidden_set,
+                              window_bound)
 from palfac.oracle import brute_count_profile, brute_count_unpruned
 from palfac.words import Word, enumerate_palindromes
 
@@ -146,6 +154,54 @@ def test_exclusive_count_convention_shifts_cap():
 def test_capacity_budget():
     with pytest.raises(CapacityError):
         build_direct(MaxDistinct(2, 12), budget=50)
+
+
+def test_default_budget_fits_in_half_the_memory():
+    # the peak-RSS growth per raw state of a fresh interpreter building
+    # D(2,12), scaled to the default budget, must leave half of the
+    # machine's physical memory free
+    code = (
+        "import resource\n"
+        "from palfac.construct import MaxDistinct, build_direct\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "d = build_direct(MaxDistinct(2, 12))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(d.state_count, after - before)\n"
+    )
+    src = str(Path(palfac.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    states, growth = map(int, out.stdout.split())
+    assert states == 25464
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    bytes_per_state = growth * (1 if sys.platform == "darwin" else 1024) / states
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert DEFAULT_STATE_BUDGET * bytes_per_state < physical / 2
+
+
+# sha256 of each transition table, row by row, pins the discovery-order
+# numbering and not just the state count
+DELTA_DIGESTS = [
+    ("D(2,11)", MaxDistinct(2, 11), 6046,
+     "325e9e77c4456b1a86ca2f9af5c473f288a578a006dde32ec59c451ac055c315"),
+    ("E(3,2)", MaxLen(3, 2), 32,
+     "0d509b6f3140c318dfc6870d91250f6f290389e95e4d7bee874ba94a6088904f"),
+    ("R(2,6,3)", MaxLenByParity(2, 6, 3), 210,
+     "240de0633c85489d812dc9083727c56e90718d56ec5a2305aafa2f93da80e7f4"),
+    ("T(2,3,10)", MaxCountByParity(2, 3, 10, count_empty=False), 22556,
+     "af7460841dbf2c32c259cfbac4cae9bb0158f8283d7cba454a7ed254448df73b"),
+    ("S(4)", AllowedSet(4, [Word((), 4)] + [Word((c,), 4) for c in range(4)]), 42,
+     "fc8b0d94a087a8652a8f6562c7b17409de3c4f145b43357856474007f29c3907"),
+]
+
+
+@pytest.mark.parametrize("spec,states,digest", [row[1:] for row in DELTA_DIGESTS],
+                         ids=[row[0] for row in DELTA_DIGESTS])
+def test_construction_numbering_is_pinned(spec, states, digest):
+    dfa = build_direct(spec)
+    assert dfa.state_count == states
+    table = " ".join(str(t) for row in dfa.delta for t in row)
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
 def test_forbidden_set_published_examples():

@@ -1,7 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 from palfac.construct import CapacityError
 from palfac.polys import (
@@ -20,6 +25,17 @@ from palfac.polys import (
 
 P = Polynomial
 X = P([0, 1])
+
+
+@st.composite
+def products(draw):
+    """A product of random integer factors, some repeated, with a constant."""
+    f = P([draw(st.sampled_from([1, -1, 2, -3, 6]))])
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+        coeffs.append(draw(st.sampled_from([-2, -1, 1, 2])))
+        f = f * P(coeffs) ** draw(st.integers(1, 2))
+    return f
 
 
 class TestArithmetic:
@@ -139,27 +155,29 @@ class TestFactorization:
             back = back * q ** m
         assert back == p
 
-    def test_random_products_round_trip(self):
-        rng = random.Random(20210)
-        for _ in range(25):
-            prod = P([rng.choice([1, -1, 2, 3])])
-            for _ in range(rng.randrange(1, 4)):
-                deg = rng.randrange(1, 5)
-                coeffs = [rng.randrange(-5, 6) for _ in range(deg)]
-                coeffs.append(rng.choice([-2, -1, 1, 1, 2]))
-                prod = prod * P(coeffs)
-            if prod.degree < 1:
-                continue
-            back = P([prod.content()])
-            for q, m in factor_int_poly(prod):
-                assert q.lead > 0
-                assert q.content() == 1
-                back = back * q ** m
-            assert back == prod
+    @settings(max_examples=60, deadline=None)
+    @given(products())
+    def test_random_products_round_trip(self, f):
+        back = P([f.content()])
+        for q, m in factor_int_poly(f):
+            assert q.lead > 0
+            assert q.content() == 1
+            back = back * q ** m
+        assert back == f
 
     def test_degree_limit(self):
         with pytest.raises(CapacityError):
             factor_int_poly(X ** 129 - P([1]))
+
+    @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+    @settings(max_examples=60, deadline=None)
+    @given(products())
+    def test_agrees_with_sympy(self, f):
+        x = sympy.Symbol("x")
+        _, theirs = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+        want = sorted((tuple(reversed([int(c) for c in q.all_coeffs()])), m)
+                      for q, m in theirs)
+        assert sorted((q.coeffs, m) for q, m in factor_int_poly(f)) == want
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from palfac.analyze import CertificateError, Morphism
+from palfac.analyze import Morphism
 from palfac.automaton import Dfa, minimize
 from palfac.construct import AllowedSet, CapacityError, MaxDistinct, MaxLen, build_direct
 from palfac.verify import (
@@ -183,20 +183,22 @@ class TestCheckStabilization:
             infix = random_word(rng, k, rng.randrange(1, 3))
             words = [perturbed_symmetry(seed, infix, j) for j in range(8)]
             taus = [transform(d, w) for w in words]
+            taus_rev = [transform(d, w.reverse()) for w in words]
             report = check_stabilization(d, seed, infix, 7)
             assert report.stabilized_at == next(
-                (j for j in range(7) if taus[j] == taus[j + 1]), None)
+                (j for j in range(7)
+                 if taus[j] == taus[j + 1] and taus_rev[j] == taus_rev[j + 1]), None)
             assert report.reversal_equal == tuple(
-                taus[j] == transform(d, words[j].reverse()) for j in range(1, 8))
+                taus[j] == taus_rev[j] for j in range(1, 8))
             assert report.accepted == tuple(d.accepts(w) for w in words)
 
-    def test_drift_after_stabilizing_is_an_error(self):
-        # tau_{X_n} alone settles at n = 4 while tau_{X_n^R} keeps moving,
-        # so the agreement does not last
+    def test_stabilization_waits_for_the_reversal(self):
+        # tau_{X_n} alone repeats at n = 4 while tau_{X_n^R} keeps moving,
+        # and tau_{X_n} moves again at n = 6; only the pair settles, at 6
         d = Dfa([[0, 1], [2, 3], [3, 0], [3, 2]], 0, [0, 1, 2])
-        assert check_stabilization(d, EMPTY, W("01"), 5).stabilized_at == 4
-        with pytest.raises(CertificateError):
-            check_stabilization(d, EMPTY, W("01"), 6)
+        assert check_stabilization(d, EMPTY, W("01"), 5).stabilized_at is None
+        for n_max in (7, 8, 12):
+            assert check_stabilization(d, EMPTY, W("01"), n_max).stabilized_at == 6
 
     def test_short_horizon_rejected(self):
         for bad in (-1, 0, 1):
