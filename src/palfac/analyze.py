@@ -216,7 +216,7 @@ def _is_simple_cycle(adj, comp) -> bool:
 
 
 def _path_within(adj, members, src, dst) -> tuple[int, ...]:
-    """Letters of a shortest path src -> dst using only in-component edges."""
+    """Letters of a shortest path src -> dst using only edges into members."""
     if src == dst:
         return ()
     parent: dict[int, tuple[int, int]] = {}
@@ -239,7 +239,7 @@ def _path_within(adj, members, src, dst) -> tuple[int, ...]:
                     return tuple(reversed(letters))
                 nxt.append(t)
         queue = nxt
-    raise AssertionError("strongly connected component without internal path")
+    raise AssertionError(f"no path from {src} to {dst} within the given states")
 
 
 def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
@@ -251,9 +251,13 @@ def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
     the two shortest become the witness.  Their first letters differ,
     which already rules out commuting.
     """
-    k = d.alphabet_size
     adj = _live_graph(d)
     cyclic, _, _ = _cyclic_components(adj)
+    return _witness(d, adj, cyclic)
+
+
+def _witness(d: Dfa, adj, cyclic) -> tuple[int, Word, Word] | None:
+    k = d.alphabet_size
     for comp in sorted(cyclic):
         members = set(comp)
         branching = [q for q in comp if len(_in_scc_edges(adj, members, q)) >= 2]
@@ -273,17 +277,9 @@ def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
     return None
 
 
-def _primitive_period(x: tuple) -> tuple:
-    n = len(x)
-    for p in range(1, n + 1):
-        if n % p == 0 and x == x[:p] * (n // p):
-            return x[:p]
-    raise AssertionError("unreachable")
-
-
 def _normalize_periodic(y: tuple, x: tuple) -> tuple[tuple, tuple]:
     """Canonical (preperiod, period): period primitive, preperiod shortest."""
-    x = _primitive_period(x)
+    x = Word(x).primitive_root().symbols
     y = list(y)
     while y and y[-1] == x[-1]:
         y.pop()
@@ -311,9 +307,12 @@ def enumerate_periodic(d: Dfa) -> list[tuple[Word, Word]]:
     approach followed by one cycle forever, so the enumeration of
     approach paths is finite and complete.
     """
-    k = d.alphabet_size
     adj = _live_graph(d)
-    cyclic, comp_of, comps = _cyclic_components(adj)
+    return _periodic(d, adj, *_cyclic_components(adj))
+
+
+def _periodic(d: Dfa, adj, cyclic, comp_of, comps) -> list[tuple[Word, Word]]:
+    k = d.alphabet_size
     for comp in cyclic:
         if not _is_simple_cycle(adj, comp):
             raise ValueError("automaton has branching cycles; enumeration would be infinite")
@@ -355,18 +354,21 @@ def enumerate_periodic(d: Dfa) -> list[tuple[Word, Word]]:
 
 
 def classify(d: Dfa) -> Classification:
-    if not recurrent_states(d):
-        return NoInfiniteWords()
-    if birecurrent_witness(d) is not None:
-        return UncountablyManyAperiodic()
-    return FinitelyManyPeriodic(tuple(enumerate_periodic(d)))
+    return analyze(d).classification
 
 
 def analyze(d: Dfa) -> AnalysisReport:
-    """Full recurrence report for a minimized automaton."""
-    rec = frozenset(recurrent_states(d))
-    wit = birecurrent_witness(d)
-    cls = classify(d)
+    """Full recurrence report for a minimized automaton, from one graph pass."""
+    adj = _live_graph(d)
+    cyclic, comp_of, comps = _cyclic_components(adj)
+    rec = frozenset(q for comp in cyclic for q in comp)
+    wit = _witness(d, adj, cyclic)
+    if not rec:
+        cls = NoInfiniteWords()
+    elif wit is not None:
+        cls = UncountablyManyAperiodic()
+    else:
+        cls = FinitelyManyPeriodic(tuple(_periodic(d, adj, cyclic, comp_of, comps)))
     periodic = cls.words if isinstance(cls, FinitelyManyPeriodic) else ()
     return AnalysisReport(rec, wit, cls, periodic)
 

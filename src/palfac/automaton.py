@@ -60,9 +60,6 @@ class Dfa:
         """States excluding the dead state — the count conventions use this."""
         return len(self.delta) - (1 if self.dead is not None else 0)
 
-    def step(self, q: int, a: int) -> int:
-        return self.delta[q][a]
-
     def run(self, q: int, w) -> int:
         delta = self.delta
         for a in _symbols(w):

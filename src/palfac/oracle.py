@@ -116,8 +116,7 @@ def brute_count_unpruned(spec: ConstraintSpec, n: int) -> int:
                if satisfies(spec, Word(syms, k)))
 
 
-def longest_word(spec: ConstraintSpec, threshold: int | None = None,
-                 budget: int = DEFAULT_EVAL_BUDGET) -> int | None:
+def longest_word(spec: ConstraintSpec, budget: int = DEFAULT_EVAL_BUDGET) -> int | None:
     """Maximum accepted length, or None when the language is infinite.
 
     An accepted word at least as long as the minimized automaton's live
@@ -125,8 +124,7 @@ def longest_word(spec: ConstraintSpec, threshold: int | None = None,
     reaching that depth is the infinite signal.  Returns -1 if nothing at
     all is accepted.
     """
-    if threshold is None:
-        threshold = minimize(build_direct(spec)).live_state_count()
+    threshold = minimize(build_direct(spec)).live_state_count()
     longest = -1
     infinite = False
 

@@ -1,14 +1,20 @@
-"""Exact integer/rational polynomial arithmetic.
+"""Exact integer polynomial arithmetic.
 
-Everything here is deterministic and exact: arbitrary-precision integer
-coefficients, Fraction evaluation, factorization over the integers by the
-classical route (squarefree split, factorization modulo a good prime,
-Hensel lifting, subset recombination), and Sturm-sequence real root
-isolation with certified rational interval endpoints.
+Everything here is deterministic and exact, and every polynomial has
+arbitrary-precision integer coefficients.  Remainders over the rationals
+are taken as primitive pseudo-remainders (a positive rational multiple
+of the remainder, in lowest integer terms), which drive the gcd as a
+primitive polynomial remainder sequence (Collins 1967; Brown and Traub
+1971) and the Sturm chain alike.  Factorization over the integers takes
+the classical route (squarefree split, factorization modulo a good
+prime, Hensel lifting, subset recombination).  Real roots are isolated
+by Sturm sequences with certified rational interval endpoints; the sign
+of f at num/den is read from the integer den^deg f(num/den).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -64,13 +70,7 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return Polynomial(out)
+        return Polynomial(_poly_add_int(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-x for x in self.coeffs])
@@ -81,15 +81,7 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return Polynomial([other * x for x in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial(out)
+        return Polynomial(_poly_mul_int(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -164,38 +156,28 @@ class Polynomial:
         return 0
 
 
-def divmod_exact(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Division over the rationals, demanding an integer quotient/remainder.
+def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b over the integers, with zero remainder required.
 
-    Valid whenever b is monic or the division is exact; raises otherwise.
+    Raises ValueError at the first quotient coefficient that is not an
+    integer, or when a nonzero remainder is left.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
-    bl = Fraction(b.lead)
-    for i in range(len(rem) - len(b.coeffs), -1, -1):
-        f = rem[i + len(b.coeffs) - 1] / bl
+    rem = list(a.coeffs)
+    nb = len(b.coeffs)
+    q = [0] * max(0, len(rem) - nb + 1)
+    for i in range(len(rem) - nb, -1, -1):
+        f, r = divmod(rem[i + nb - 1], b.lead)
+        if r:
+            raise ValueError(f"{b} does not divide {a}")
         q[i] = f
         if f:
             for j, bc in enumerate(b.coeffs):
                 rem[i + j] -= f * bc
-    def to_int(fracs):
-        out = []
-        for f in fracs:
-            if f.denominator != 1:
-                raise ValueError("division not exact over the integers")
-            out.append(f.numerator)
-        return out
-    return Polynomial(to_int(q)), Polynomial(to_int(rem))
-
-
-def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a / b with zero remainder required."""
-    q, r = divmod_exact(a, b)
-    if not r.is_zero():
+    if any(rem):
         raise ValueError(f"{b} does not divide {a}")
-    return q
+    return Polynomial(q)
 
 
 def divides(b: Polynomial, a: Polynomial) -> bool:
@@ -206,34 +188,36 @@ def divides(b: Polynomial, a: Polynomial) -> bool:
         return False
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive remainder of a by b: a positive rational multiple of rem(a, b).
+
+    Each elimination step scales a by |lead(b)|/g, g the gcd of the two
+    leading coefficients, which is positive, so the result keeps the
+    sign of the remainder over the rationals; it is returned divided by
+    its (positive) content.  Both lists are trimmed, b nonzero.
+    """
     a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for j, bc in enumerate(b):
-            a[off + j] -= f * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    nb = len(b)
+    while len(a) >= nb:
+        top = a.pop()
+        g = math.gcd(top, b[-1])
+        m, f = abs(b[-1]) // g, (top if b[-1] > 0 else -top) // g
+        off = len(a) - nb + 1
+        if m != 1:
+            a = [m * x for x in a]
+        for j in range(nb - 1):
+            a[off + j] -= f * b[j]
+        _trim_int(a)
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor, primitive with positive leading coefficient."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
+    fa, fb = list(a.coeffs), list(b.coeffs)
     while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
-    if not fa:
-        return Polynomial()
-    # clear denominators, then normalize
-    denom = math.lcm(*(f.denominator for f in fa))
-    return Polynomial([int(f * denom) for f in fa]).primitive()
+        fa, fb = fb, _prem(fa, fb)
+    return Polynomial(fa).primitive()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -498,12 +482,11 @@ def _factor_squarefree(p: Polynomial, rng: random.Random) -> list[Polynomial]:
     current = p
     out: list[Polynomial] = []
     size = 1
-    import itertools as _it
     while 2 * size <= len(remaining):
         found = True
         while found:
             found = False
-            for combo in _it.combinations(remaining, size):
+            for combo in itertools.combinations(remaining, size):
                 prod = [current.lead % pk]
                 for i in combo:
                     prod = [x % pk for x in _poly_mul_int(prod, lifted[i])]
@@ -562,7 +545,7 @@ def next_prime(n: int, below: bool = False) -> int:
     return n
 
 
-def factor_int_poly(p: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
+def factor_int_poly(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Irreducible factorization over the integers.
 
     Returns [(factor, multiplicity)] with primitive positive-lead factors,
@@ -573,7 +556,7 @@ def factor_int_poly(p: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]
         raise ValueError("cannot factor the zero polynomial")
     if p.degree > MAX_FACTOR_DEGREE:
         raise CapacityError(f"degree {p.degree} exceeds the {MAX_FACTOR_DEGREE} limit")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out: list[tuple[Polynomial, int]] = []
     work = p.primitive()
     xm = work.x_multiplicity()
@@ -613,38 +596,41 @@ class RootInterval:
         return self.lo <= x <= self.hi
 
 
-def _sturm_chain(p: Polynomial) -> list[list[Fraction]]:
-    chain = [[Fraction(c) for c in p.coeffs]]
-    d = [Fraction(c) for c in p.derivative().coeffs]
+def _sturm_chain(p: Polynomial) -> list[list[int]]:
+    """Sturm sequence of p, each member scaled by a positive rational.
+
+    p, p', then the negated primitive remainders; the scaling leaves
+    every sign, hence every sign-change count, as in the classical chain.
+    """
+    chain = [list(p.coeffs)]
+    d = list(p.derivative().coeffs)
     if d:
         chain.append(d)
     while len(chain[-1]) > 1:
-        r = _frac_rem(chain[-2], chain[-1])
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-x for x in r])
     return chain
 
 
-def _eval_frac(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _scaled_value(coeffs: list[int], x: Fraction) -> int:
+    """den^deg * f(num/den) for x = num/den: f(x) times a positive integer."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * num + c * scale
+        scale *= den
     return acc
 
 
 def _sign_changes(chain, x: Fraction) -> int:
     signs = []
     for coeffs in chain:
-        v = _eval_frac(coeffs, x)
+        v = _scaled_value(coeffs, x)
         if v:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_in(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi]."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 def _squarefree_part(p: Polynomial) -> Polynomial:
@@ -659,7 +645,7 @@ def real_root_count(p: Polynomial) -> int:
     p = _squarefree_part(p)
     b = cauchy_bound(p)
     chain = _sturm_chain(p)
-    return _roots_in(chain, -b, b)
+    return _sign_changes(chain, -b) - _sign_changes(chain, b)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -699,15 +685,18 @@ def largest_real_root(p: Polynomial,
     b = cauchy_bound(p)
     chain = _sturm_chain(p)
     lo, hi = -b, b
-    if _roots_in(chain, lo, hi) == 0:
+    at_hi = _sign_changes(chain, hi)
+    if _sign_changes(chain, lo) == at_hi:
         raise NoRealRootError(f"{p} has no real root")
-    # keep the rightmost root-containing half until the interval is tight
+    # keep the rightmost root-containing half until the interval is tight;
+    # a root at mid is the largest only when none lies in (mid, hi]
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
-        if _eval_frac(chain[0], mid) == 0:
-            return RootInterval(mid, mid)
-        if _roots_in(chain, mid, hi) > 0:
+        at_mid = _sign_changes(chain, mid)
+        if at_mid > at_hi:
             lo = mid
+        elif _scaled_value(chain[0], mid) == 0:
+            return RootInterval(mid, mid)
         else:
-            hi = mid
+            hi, at_hi = mid, at_mid
     return RootInterval(lo, hi)

@@ -50,10 +50,11 @@ __all__ = [
 _MAX_MINPOLY_STATES = 4000
 _BLOCK_ENTRIES = 1 << 22  # int64 entries per column block of the Horner matrix
 _INT64_LIMIT = 1 << 63
+_DRIFT_TOLERANCE = 0.02  # largest relative spread of a converged fit
 
 
 class InconclusiveError(Exception):
-    """No recurrence found within the degree budget; not a claim about the sequence."""
+    """No recurrence is determined by the available terms; not a claim about the sequence."""
 
 
 class CountingSystem:
@@ -395,78 +396,74 @@ def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
     return h, _offset(h, a)
 
 
-def _lift_bound(tail: SeqABC, d: int) -> int:
+def _lift_bound(a: SeqABC, d: int) -> int:
     """Bound on the coefficients of an integral connection polynomial of length d.
 
-    With 2d <= len(tail) the minimal LFSR is unique (Massey 1969), so its
-    coefficients solve a nonsingular d x d system drawn from the tail;
-    by Cramer and Hadamard an integral solution has entries at most
-    (sqrt(d) * max|t|)^d.
+    With 2d <= len(a) the minimal LFSR is unique (Massey 1969), so its
+    coefficients solve a nonsingular d x d system drawn from a; by
+    Cramer and Hadamard an integral solution has entries at most
+    (sqrt(d) * max|a|)^d.
     """
-    return ((math.isqrt(d) + 1) * max(map(abs, tail), default=0)) ** d
+    return ((math.isqrt(d) + 1) * max(map(abs, a), default=0)) ** d
 
 
-def minimal_recurrence(a: SeqABC, max_degree: int | None = None) -> tuple[Polynomial, int]:
+def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
     """Lowest-degree annihilator of a sequence, with its window offset.
 
     Works from the terms alone.  Berlekamp-Massey (Berlekamp 1968; Massey
-    1969) runs on the tail half t = a[n//2:] modulo fixed 61-bit primes,
-    the primes below 2^61 in descending order; the connection polynomials
+    1969) runs on the whole sequence modulo fixed 61-bit primes, the
+    primes below 2^61 in descending order; the connection polynomials
     of the primes with the longest register are lifted to the integers
     by symmetric CRT, reversed, and accepted only when the lift
-    annihilates every window of t exactly over the integers.  A failed
-    lift adds the next prime; only when the product of the primes
-    exceeds twice the coefficient bound of any integral solution is the
-    search given up as inconclusive.
+    annihilates every window of a, from index 0, exactly over the
+    integers.  A failed lift adds the next prime; only when the product
+    of the primes exceeds twice the coefficient bound of any integral
+    solution is the search given up as inconclusive.
 
     Minimality: for terms of an integer linear recurrence (such as word
-    counts of an automaton), Fatou's lemma puts the minimal connection
-    polynomial over Q in Z[x] with constant term 1.  Its reduction mod p
-    annihilates t mod p, hence the linear complexity mod p is at most
-    the one over Q.  A lifted candidate of that length which annihilates
-    the integer windows exactly is thus of minimal degree.
+    counts of an automaton), the generating function is P/C in lowest
+    terms, and Fatou's lemma puts C in Z[x] with constant term 1.  The
+    shortest register over Q has length L = max(deg C, deg P + 1) with
+    connection polynomial C, and its reversal is X^s times the reversal
+    of C, where s = L - deg C counts the transient terms.  Reduction
+    mod p keeps an annihilating register, so the register length mod p
+    is at most L; a lifted candidate of the longest length found that
+    annihilates the integer windows exactly is thus the shortest, and
+    with 2L <= n it is the only one (Massey 1969).
 
-    Powers of X in the result only shift the window and are folded into
-    the offset n0, the smallest index from which every window vanishes.
-    The result is accepted when n0 <= lo + shift (the tail start plus
-    that shift) and n >= 2d + n0; otherwise, or when the degree exceeds
-    max_degree or half the tail, InconclusiveError is raised.
+    The power X^s only shifts the window and is folded into the offset
+    n0, the smallest index from which every window vanishes.  The
+    result is accepted when 2L <= n and n >= 2d + n0 for the degree d
+    returned; otherwise InconclusiveError is raised.
     """
     n = len(a)
     if n < 4:
         raise InconclusiveError("sequence too short")
-    if max_degree is None:
-        max_degree = (n - 4) // 3
-    lo = n // 2
-    tail = a[lo:]
     primes: list[int] = []
     conns: list[list[int]] = []
     for p in _primes_below(1 << 61):
-        conn = _berlekamp_massey([x % p for x in tail], p)
-        d = len(conn) - 1
-        if conns and d != len(conns[0]) - 1:
-            if d < len(conns[0]) - 1:
+        conn = _berlekamp_massey([x % p for x in a], p)
+        L = len(conn) - 1
+        if conns and L != len(conns[0]) - 1:
+            if L < len(conns[0]) - 1:
                 continue  # p divides a minor of the rational solution
             primes, conns = [], []  # the earlier primes were the unlucky ones
-        if d > max_degree:
-            raise InconclusiveError(f"no annihilator up to degree {max_degree}")
-        if 2 * d > len(tail):
-            raise InconclusiveError(f"tail of {len(tail)} terms too short for degree {d}")
+        if 2 * L > n:
+            raise InconclusiveError(f"{n} terms too short for a register of length {L}")
         primes.append(p)
         conns.append(conn)
         if len(primes) < 2:
             continue
         q = Polynomial([_crt_symmetric(list(c), primes) for c in zip(*conns)][::-1])
-        if _annihilates(q, a, lo):
+        if _annihilates(q, a, 0):
             break
-        if math.prod(primes) > 2 * _lift_bound(tail, d) + 1:
-            raise InconclusiveError(f"no integral recurrence of degree {d} fits the tail")
+        if math.prod(primes) > 2 * _lift_bound(a, L) + 1:
+            raise InconclusiveError(f"no integral recurrence of length {L} fits the terms")
     q = q.primitive()
-    shift = q.x_multiplicity()
-    q = q.shift_down(shift)
+    q = q.shift_down(q.x_multiplicity())
     n0 = _offset(q, a)
-    if n0 > lo + shift or n < 2 * d + n0:
-        raise InconclusiveError(f"degree {d} from n0 = {n0} is not determined by {n} terms")
+    if n < 2 * q.degree + n0:
+        raise InconclusiveError(f"degree {q.degree} from n0 = {n0} is not determined by {n} terms")
     return q, n0
 
 
@@ -480,7 +477,7 @@ class AsymptoticFit:
     Single-root mode fills c; the even/odd split mode (for spectra with
     a +alpha/-alpha real pair) fills c1 and c2.  drift is the relative
     spread of the fitted ratios over the averaging window; when it
-    exceeds the tolerance, converged is False and the values are
+    exceeds _DRIFT_TOLERANCE, converged is False and the values are
     reported for diagnostics only.
     """
     alpha: float
@@ -517,8 +514,7 @@ def _deflation_cofactor(annihilator: Polynomial, alpha) -> Polynomial:
 
 
 def asymptotic_fit(a: SeqABC, alpha, annihilator: Polynomial | None = None,
-                   split_parity: bool = False,
-                   drift_tolerance: float = 0.02) -> AsymptoticFit:
+                   split_parity: bool = False) -> AsymptoticFit:
     """Fit a(n) ~ C alpha^n (or C1 alpha^n + C2 (-alpha)^n when split).
 
     Single-root mode averages a(n)/alpha^n over the last quarter of the
@@ -560,11 +556,11 @@ def asymptotic_fit(a: SeqABC, alpha, annihilator: Polynomial | None = None,
     if not split_parity:
         c = math.fsum(ratios) / len(ratios)
         drift = spread(ratios, c)
-        return AsymptoticFit(alpha_f, c, None, None, drift, drift <= drift_tolerance)
+        return AsymptoticFit(alpha_f, c, None, None, drift, drift <= _DRIFT_TOLERANCE)
 
     s_plus = math.fsum(even) / len(even)
     s_minus = math.fsum(odd) / len(odd)
     c1 = (s_plus + s_minus) / 2
     c2 = (s_plus - s_minus) / 2
     drift = max(spread(even, c1), spread(odd, c1))
-    return AsymptoticFit(alpha_f, None, c1, c2, drift, drift <= drift_tolerance)
+    return AsymptoticFit(alpha_f, None, c1, c2, drift, drift <= _DRIFT_TOLERANCE)

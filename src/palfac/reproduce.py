@@ -23,14 +23,16 @@ from .analyze import (
     FinitelyManyPeriodic,
     NoInfiniteWords,
     UncountablyManyAperiodic,
+    _live_graph,
     _normalize_periodic,
+    _path_within,
     birecurrent_witness,
     classify,
     enumerate_periodic,
     spec_dfa,
     verify_ultimately_periodic,
 )
-from .automaton import Dfa, export_dfa, import_dfa, isomorphic, minimize
+from .automaton import export_dfa, import_dfa, isomorphic, minimize
 from .construct import (
     AllowedSet,
     ConstraintSpec,
@@ -108,10 +110,6 @@ def _counts(spec: ConstraintSpec) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _min_poly(spec: ConstraintSpec, seed: int = 0) -> Polynomial:
     return matrix_min_poly(transfer_matrix(spec_dfa(spec)), seed=seed)
-
-
-def _conjugates(text: str, k: int = 2) -> set[Word]:
-    return {W(text[i:] + text[:i], k) for i in range(len(text))}
 
 
 def _normalized(y: Word, x: Word) -> tuple[Word, Word]:
@@ -285,31 +283,6 @@ SIGMA4_FORBIDDEN = frozenset(
 )
 
 
-def _reach_word(d: Dfa, target: int) -> Word | None:
-    """Letters of a shortest start-to-target path, None if unreachable."""
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = [d.start]
-    seen = {d.start}
-    while frontier and target not in seen:
-        nxt = []
-        for q in frontier:
-            for a in range(d.alphabet_size):
-                t = d.step(q, a)
-                if t not in seen:
-                    seen.add(t)
-                    parent[t] = (q, a)
-                    nxt.append(t)
-        frontier = nxt
-    if target not in seen:
-        return None
-    letters = []
-    q = target
-    while q != d.start:
-        q, a = parent[q]
-        letters.append(a)
-    return Word(tuple(reversed(letters)), d.alphabet_size)
-
-
 def _parity_census(w: Word) -> tuple[int, int]:
     """(even, odd) counts of nonempty distinct palindromic factors."""
     pals = [p for p in palindromic_factors(w) if len(p) > 0]
@@ -366,7 +339,7 @@ def _add_classification_rows() -> None:
     def d9(seed):
         got = set(enumerate_periodic(spec_dfa(MaxDistinct(2, 9))))
         want = {(Word((), 2), x)
-                for x in _conjugates("001011") | _conjugates("001101")}
+                for x in W("001011").conjugates() + W("001101").conjugates()}
         return got == want, "12 conjugate words", f"{len(got)} words"
 
     @_row("c2 D(2,10) no birecurrence", "classification", 5)
@@ -457,8 +430,9 @@ def _add_classification_rows() -> None:
             if wit is None:
                 return False, "two cycles at one live state", "no witness"
             q, x0, x1 = wit
-            prefix = _reach_word(d, q)
-            if prefix is None or d.run(d.start, prefix) != q:
+            live = _live_graph(d)
+            prefix = Word(_path_within(live, live, d.start, q), d.alphabet_size)
+            if d.run(d.start, prefix) != q:
                 return False, "witness state reachable", "unreachable witness state"
             if d.run(q, x0) != q or d.run(q, x1) != q or x0 + x1 == x1 + x0:
                 return False, "noncommuting cycles closing at the witness", \

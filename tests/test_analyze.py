@@ -136,6 +136,19 @@ class TestClassify:
         assert rep.birecurrent is None
         assert len(rep.periodic_words) == 12
 
+    @pytest.mark.parametrize("spec", [
+        MaxDistinct(2, 8), MaxDistinct(2, 9), MaxDistinct(2, 11), MaxDistinct(3, 4),
+        MaxLen(2, 4), MaxLenByParity(3, 0, 3), MaxCountByParity(2, 3, 5, count_empty=False),
+    ])
+    def test_report_matches_the_separate_queries(self, spec):
+        d = build(spec)
+        rep = analyze(d)
+        assert rep.recurrent_states == recurrent_states(d)
+        assert rep.birecurrent == birecurrent_witness(d)
+        assert rep.classification == classify(d)
+        if isinstance(rep.classification, FinitelyManyPeriodic):
+            assert list(rep.periodic_words) == enumerate_periodic(d)
+
     def test_monotone_in_the_cap(self):
         seen_aperiodic = False
         for cap in (8, 9, 10, 11):

@@ -184,6 +184,55 @@ class TestFactorization:
             factor_int_poly(P([]))
 
 
+def _sym(f):
+    return sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"))
+
+
+def _rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+class TestAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(products(), products(), products())
+    def test_gcd(self, a, b, c):
+        _, want = _sym(a * c).gcd(_sym(b * c)).primitive()
+        assert gcd(a * c, b * c) == P(reversed([int(x) for x in want.all_coeffs()]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(products(), products())
+    def test_exact_division(self, a, b):
+        assert exact_div(a * b, b) == a
+        q, r = sympy.div(_sym(a), _sym(b), domain=sympy.QQ)
+        integral = r.is_zero and all(x.is_integer for x in q.all_coeffs())
+        assert divides(b, a) == integral
+        if integral:
+            assert exact_div(a, b) == P(reversed([int(x) for x in q.all_coeffs()]))
+        else:
+            with pytest.raises(ValueError):
+                exact_div(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(products())
+    def test_real_root_count(self, f):
+        assert real_root_count(f) == _sym(f).sqf_part().count_roots()
+
+    @settings(max_examples=60, deadline=None)
+    @given(products())
+    def test_largest_real_root_contains_theirs(self, f):
+        sqf = _sym(f).sqf_part()
+        if sqf.count_roots() == 0:
+            with pytest.raises(NoRealRootError):
+                largest_real_root(f)
+            return
+        r = largest_real_root(f)
+        lo, hi = _rational(r.lo), _rational(r.hi)
+        assert sqf.count_roots(lo, hi) >= 1
+        # nothing above hi: the only root in [hi, oo) may be hi itself
+        assert sqf.count_roots(hi, None) == (1 if sqf.eval(hi) == 0 else 0)
+
+
 class TestPrimes:
     def test_against_trial_division(self):
         primes = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
@@ -232,6 +281,11 @@ class TestRealRoots:
         r = largest_real_root(p)
         assert r.contains(3) or abs(float(r) - 3) < 1e-11
 
+    def test_root_at_a_midpoint_below_the_largest(self):
+        # (X + 1)(X + 2): bisection from the bound 4 visits the root -2 first
+        r = largest_real_root(P([2, 3, 1]))
+        assert r.contains(-1) and not r.contains(-2)
+
     def test_no_real_root(self):
         with pytest.raises(NoRealRootError):
             largest_real_root(P([1, 0, 1]))
@@ -257,6 +311,27 @@ class TestRealRoots:
         b = cauchy_bound(p)
         roots = [-5, 2]
         assert all(abs(r) < b for r in roots)
+
+    # the annihilators behind the registry's asymptotics rows: `palfac
+    # asymptotics` prints these intervals, so they must not move
+    @pytest.mark.parametrize("coeffs, lo, hi", [
+        ([-1, -2, -3, -4, -4, -4, -3, 0, 3, 7, 8, 8, 8, 6, 3, -2, -5, -5, -5, -5, -4, -2,
+          1, 1, 1, 1, 1, 1],
+         Fraction(2447019607941, 2199023255552), Fraction(19576156863537, 17592186044416)),
+        ([-1, -1, 0, 0, 1],
+         Fraction(671111157781, 549755813888), Fraction(1342222315563, 1099511627776)),
+        ([-1, -2, -2, -2, -3, 0, 0, 0, 0, 0, 1],
+         Fraction(1505532482619, 1099511627776), Fraction(376383120655, 274877906944)),
+        ([-1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1],
+         Fraction(1187932623787, 1099511627776), Fraction(296983155947, 274877906944)),
+        ([-1, 0, 0, 0, -3, 0, -2, 0, -1, 0, 0, 0, 0, 0, 1],
+         Fraction(1368373358429, 1099511627776), Fraction(684186679215, 549755813888)),
+        ([-1, 0, -1, 1],
+         Fraction(805706305391, 549755813888), Fraction(1611412610783, 1099511627776)),
+    ], ids=["D(2,11)", "D(3,5)", "E(2,5)", "R(2,2,5)", "R(2,6,3)", "R(3,0,3)"])
+    def test_registry_intervals_pinned(self, coeffs, lo, hi):
+        r = largest_real_root(P(coeffs))
+        assert (r.lo, r.hi) == (lo, hi)
 
     def test_tolerance_parameter(self):
         r = largest_real_root(P([-2, 0, 1]), tolerance=Fraction(1, 10 ** 20))

@@ -269,6 +269,29 @@ class TestMinimalRecurrence:
             assert all(window_apply(got, a, i) == 0
                        for i in range(n0, 40 - got.degree))
 
+    @staticmethod
+    def _order_14(seed: int, transient: int):
+        """40 terms of a random degree-14 recurrence, the first terms perturbed."""
+        rng = random.Random(seed)
+        low = [rng.choice([-1, 1])] + [rng.randrange(-2, 3) for _ in range(13)]
+        a = [rng.randrange(-9, 10) for _ in range(14)]
+        while len(a) < 40:
+            a.append(-sum(c * a[len(a) - 14 + j] for j, c in enumerate(low)))
+        for i in range(transient):
+            a[i] += rng.choice([-2, -1, 1, 2])
+        return P(low + [1]), a
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_past_a_quarter_of_the_terms(self, seed):
+        # order 14 > 40/4, with the register length 14 + n0 at most 40/2
+        gen, a = self._order_14(seed, transient=seed)
+        assert minimal_recurrence(a) == (gen, seed)
+
+    def test_register_past_half_the_terms_is_inconclusive(self):
+        _, a = self._order_14(0, transient=7)
+        with pytest.raises(InconclusiveError):
+            minimal_recurrence(a)
+
     def test_inconclusive_on_random_noise(self):
         rng = random.Random(7)
         a = [rng.randrange(1, 10 ** 6) for _ in range(24)]
