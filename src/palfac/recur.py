@@ -1,12 +1,14 @@
 """Exact word counting and linear recurrences from transfer matrices.
 
 A complete DFA yields a counting system (M, v, w) with a(n) = v M^n w.
-From there this module derives annihilating polynomials two independent
-ways: by computing the matrix minimal polynomial and stripping removable
-irreducible factors (checked against sequence windows), and by
-Berlekamp-Massey over primes on the sequence alone, lifted to the
-integers and accepted only after an exact integer window check.
-Dominant-root asymptotics close the loop.
+M is held as a gather table, one row of successors per state, so that
+M y is a sum of gathers of y; for a DFA the table is the transition
+table itself.  From there this module derives annihilating polynomials
+two independent ways: from the matrix minimal polynomial p, by reducing
+the generating function N/P~ that p and the first deg p terms determine
+to lowest terms with one gcd, and by Berlekamp-Massey over primes on the
+sequence alone, lifted to the integers and accepted only after an exact
+integer window check.  Dominant-root asymptotics close the loop.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .polys import (
     RootInterval,
     exact_div,
     factor_int_poly,
+    gcd,
     largest_real_root,
     next_prime,
 )
@@ -60,79 +63,73 @@ class InconclusiveError(Exception):
 class CountingSystem:
     """Transfer matrix M with start vector v and acceptance vector w.
 
-    M[i][j] is the number of letters moving state i to state j, so row
-    sums equal the alphabet size and a(n) = v M^n w counts accepted
-    words of length n.  The matrix is kept sparse internally (each row
-    has at most k distinct targets); M materializes a dense copy.
+    M[i][j] is the number of letters moving state i to state j, and
+    a(n) = v M^n w counts accepted words of length n.  M is kept as an
+    (n, R) gather table: row i lists i's successors, j once per unit of
+    M[i][j], padded with the sentinel n, which indexes a zero entry
+    appended to every vector M acts on.  So (M y)[i] is the sum of
+    y[table[i, s]] over s.  M materializes a dense copy.
     """
 
-    __slots__ = ("rows", "v", "w")
+    __slots__ = ("table", "v", "w")
 
-    def __init__(self, rows, v, w):
-        self.rows = tuple(tuple(sorted(r)) for r in rows)
+    def __init__(self, table, v, w):
+        self.table = np.array(table, dtype=np.int64)
         self.v = tuple(int(x) for x in v)
         self.w = tuple(int(x) for x in w)
-        n = len(self.rows)
+        n = len(self.table)
+        if self.table.ndim != 2 or ((self.table < 0) | (self.table > n)).any():
+            raise ValueError("malformed transfer table")
         if len(self.v) != n or len(self.w) != n:
             raise ValueError("vector lengths must match the matrix size")
-        for r in self.rows:
-            for j, m in r:
-                if not 0 <= j < n or m <= 0:
-                    raise ValueError("malformed transfer row")
 
     @property
     def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def alphabet_size(self) -> int:
-        return sum(m for _, m in self.rows[0]) if self.rows else 0
+        return len(self.table)
 
     @property
     def M(self) -> list[list[int]]:
         """Dense matrix copy; built on demand."""
         n = self.size
-        out = [[0] * n for _ in range(n)]
-        for i, r in enumerate(self.rows):
-            for j, m in r:
-                out[i][j] = m
-        return out
+        out = np.zeros((n, n + 1), dtype=np.int64)
+        np.add.at(out, (np.arange(n)[:, None], self.table), 1)
+        return out[:, :n].tolist()
 
 
 def transfer_matrix(d: Dfa) -> CountingSystem:
     """Counting system of a complete DFA, dead state included."""
     n = d.state_count
-    rows = []
-    for q in range(n):
-        counts: dict[int, int] = {}
-        for target in d.delta[q]:
-            counts[target] = counts.get(target, 0) + 1
-        rows.append(tuple(counts.items()))
     v = [0] * n
     v[d.start] = 1
     w = [0] * n
     for q in d.accepting:
         w[q] = 1
-    return CountingSystem(rows, v, w)
+    return CountingSystem(d.delta, v, w)
+
+
+def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """M y, for y (a vector or a matrix of columns) whose last row, like M y's, is zero."""
+    n, R = table.shape
+    if not R:
+        return np.zeros_like(y)
+    table = np.vstack([table, np.full(R, n)])
+    out = y[table[:, 0]]
+    for col in table.T[1:]:
+        out += y[col]
+    return out
 
 
 def sequence(cs: CountingSystem, n_max: int) -> list[int]:
-    """Exact a(0..n_max) by iterated vector-matrix products."""
+    """Exact a(0..n_max): a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    accept = [i for i, wi in enumerate(cs.w) if wi]
-    x = list(cs.v)
+    start = [(i, vi) for i, vi in enumerate(cs.v) if vi]
+    y = np.array(cs.w + (0,), dtype=object)
     out = []
-    for n in range(n_max + 1):
-        out.append(sum(x[i] for i in accept))
-        if n == n_max:
-            break
-        nxt = [0] * cs.size
-        for i, xi in enumerate(x):
-            if xi:
-                for j, m in cs.rows[i]:
-                    nxt[j] += xi * m
-        x = nxt
+    for t in range(n_max + 1):
+        out.append(sum(vi * y[i] for i, vi in start))
+        if t < n_max:
+            y = _apply(cs.table, y)
     return out
 
 
@@ -155,29 +152,41 @@ def _annihilates(q: Polynomial, a: SeqABC, start: int, stop: int | None = None) 
 # ---------------------------------------------------------------------------
 # matrix minimal polynomial
 
-def _sparse_rows(M) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _gather_table(M) -> np.ndarray:
+    """The gather table of a CountingSystem or of a dense nonnegative integer matrix.
+
+    A dense entry m becomes m gathers of its column.  Raises CapacityError
+    when the table would exceed _BLOCK_ENTRIES entries.
+    """
     if isinstance(M, CountingSystem):
-        return M.rows
-    rows = []
-    for r in M:
-        rows.append(tuple((j, int(x)) for j, x in enumerate(r) if x))
-    return tuple(rows)
+        n, width = M.table.shape
+    else:
+        A = np.array(M, dtype=object)
+        n = len(A)
+        if A.shape != (n, n):
+            raise ValueError("matrix must be square")
+        if (A < 0).any():
+            raise ValueError("matrix entries must be nonnegative")
+        sums = A.sum(axis=1)
+        width = int(max(sums, default=0))
+    if n * width > _BLOCK_ENTRIES:
+        raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
+    if isinstance(M, CountingSystem):
+        return M.table
+    table = np.full((n, width), n, dtype=np.int64)
+    succ = np.repeat(np.tile(np.arange(n), n), A.ravel().astype(np.int64))
+    table[np.arange(width) < sums[:, None]] = succ
+    return table
 
 
-def _projection_terms(rows, u, x, count, p):
+def _projection_terms(table, u, x, count, p):
     """u . M^t . x for t = 0..count-1, all modulo p."""
+    u = np.array(u, dtype=np.int64)
+    y = np.array(list(x) + [0], dtype=np.int64)
     terms = []
-    x = list(x)
-    n = len(rows)
     for _ in range(count):
-        terms.append(sum(u[i] * x[i] for i in range(n)) % p)
-        nxt = [0] * n
-        for i, row in enumerate(rows):
-            xi = x[i]
-            if xi:
-                for j, m in row:
-                    nxt[j] = (nxt[j] + m * xi)
-        x = [v % p for v in nxt]
+        terms.append(int((u * y[:-1] % p).sum() % p))
+        y = _apply(table, y) % p
     return terms
 
 
@@ -212,14 +221,15 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
     return c[:L + 1] + [0] * (L + 1 - len(c))
 
 
-def _min_poly_mod(rows, p, rng, n):
+def _min_poly_mod(table, p, rng):
     """Monic candidate (ascending coefficients mod p) from one random projection."""
+    n = len(table)
     u = [rng.randrange(p) for _ in range(n)]
     x = [rng.randrange(p) for _ in range(n)]
     terms: list[int] = []
     count = min(128, 2 * n + 4)
     while True:
-        terms = _projection_terms(rows, u, x, count, p)
+        terms = _projection_terms(table, u, x, count, p)
         conn = _berlekamp_massey(terms, p)
         L = len(conn) - 1
         if 2 * L + 16 <= count or count >= 2 * n + 4:
@@ -247,58 +257,40 @@ def _crt_symmetric(residues: list[int], moduli: list[int]) -> int:
     return x - m if 2 * x > m else x
 
 
-def _verify_annihilates_matrix(p: Polynomial, rows, n: int) -> bool:
+def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
     """Certified check that p(M) = 0, by a gather Horner modulo primes.
 
-    Entries of M^t are bounded by R^t with R the maximum absolute row
-    sum, so every entry of p(M) lies in [-B, B] for
-    B = sum|p_i| * R^deg.  Vanishing modulo primes whose product exceeds
-    2B + 1 therefore proves exact vanishing.  The primes are the fixed
-    list just below 2^31, so a product of two residues fits in int64.
-    Each Horner step H <- M H + c I builds row i of M H as the sum of
-    m * H[j] over the entries (j, m) of row i: O(nnz * n) per step on the
-    sparse rows, with no dense product and no BLAS.  Residues are
-    reduced only when a tracked bound on the entries would reach 2^63.
-    The columns of H are independent and are processed in blocks.
+    M is nonnegative with row sums at most R, the table's width, so the
+    entries of M^t are at most R^t and every entry of p(M) lies in
+    [-B, B] for B = sum|p_i| * R^deg.  Vanishing modulo primes whose
+    product exceeds 2B + 1 therefore proves exact vanishing.  The primes
+    are the fixed list just below 2^31.  Each Horner step
+    H <- M H + c I is a sum of R row gathers of H: O(n R) row operations
+    per step, with no dense product and no BLAS.  Residues are reduced
+    only when a tracked bound on the entries would reach 2^63.  The
+    columns of H are independent and are processed in blocks.
     """
     if p.is_zero():
         return False
-    R = max((sum(abs(m) for _, m in r) for r in rows), default=0)
+    n, R = table.shape
     bound = sum(abs(c) for c in p.coeffs) * max(R, 1) ** p.degree
-    # slot s holds the s-th entry of every row; short rows point at row n of
-    # H, which stays zero
-    width = max(map(len, rows), default=0)
-    js = [np.array([r[s][0] if s < len(r) else n for r in rows]) for s in range(width)]
     block = max(1, _BLOCK_ENTRIES // n)
     have = 1
     for q in _primes_below(1 << 31):
-        slots = []
-        for s, j in enumerate(js):
-            m = np.array([r[s][1] % q if s < len(r) else 1 for r in rows], dtype=np.int64)
-            slots.append((j, None if (m == 1).all() else m[:, None], int(m.max())))
         for lo in range(0, n, block):
             cols = np.arange(lo, min(n, lo + block))
             diag = (cols, np.arange(len(cols)))
+            # row n of H stays zero: the padding of short table rows gathers it
             H = np.zeros((n + 1, len(cols)), dtype=np.int64)
             H[diag] = p.lead % q
             hb = q  # every entry of H lies in [0, hb)
             for c in reversed(p.coeffs[:-1]):
-                acc = np.zeros_like(H)
-                acc[diag] = c % q
-                ab = q
-                for j, m, m_max in slots:
-                    if hb * m_max >= _INT64_LIMIT:
-                        H %= q
-                        hb = q
-                    if ab + hb * m_max >= _INT64_LIMIT:
-                        acc %= q
-                        ab = q
-                    t = H[j]
-                    if m is not None:
-                        t *= m
-                    acc[:n] += t
-                    ab += hb * m_max
-                H, hb = acc, ab
+                if R * hb + q >= _INT64_LIMIT:
+                    H %= q
+                    hb = q
+                H = _apply(table, H)
+                H[diag] += c % q
+                hb = R * hb + q
             if (H % q).any():
                 return False
         have *= q
@@ -307,7 +299,7 @@ def _verify_annihilates_matrix(p: Polynomial, rows, n: int) -> bool:
 
 
 def matrix_min_poly(M, seed: int = 0) -> Polynomial:
-    """Minimal polynomial of a square integer matrix, monic over the integers.
+    """Minimal polynomial of a nonnegative integer matrix, monic over the integers.
 
     Candidates come from Berlekamp-Massey applied to random projection
     sequences u M^t x modulo two independent random primes (Wiedemann
@@ -315,11 +307,13 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     p(M) = 0 (see _verify_annihilates_matrix).  Degree disagreements
     between the primes trigger a retry with fresh primes.
 
-    Accepts a CountingSystem or any square matrix given as rows.  Raises
-    CapacityError above _MAX_MINPOLY_STATES rows.
+    Accepts a CountingSystem or a square matrix of nonnegative integers
+    given as rows, which becomes a gather table; a negative entry raises
+    ValueError.  Raises CapacityError above _MAX_MINPOLY_STATES rows or
+    when the table exceeds _BLOCK_ENTRIES entries.
     """
-    rows = _sparse_rows(M)
-    n = len(rows)
+    table = _gather_table(M)
+    n = len(table)
     if n == 0:
         raise ValueError("empty matrix")
     if n > _MAX_MINPOLY_STATES:
@@ -334,7 +328,7 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
             if q not in used:
                 used.add(q)
                 primes.append(q)
-        cands = [_min_poly_mod(rows, q, rng, n) for q in primes]
+        cands = [_min_poly_mod(table, q, rng) for q in primes]
         degs = {len(c) - 1 for c in cands}
         if len(degs) != 1:
             continue
@@ -345,7 +339,7 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
         cand = Polynomial(coeffs)
         if cand.lead != 1:
             continue
-        if _verify_annihilates_matrix(cand, rows, n):
+        if _verify_annihilates_matrix(cand, table):
             return cand
     raise ArithmeticError("minimal polynomial not confirmed within retry budget")
 
@@ -362,38 +356,30 @@ def _offset(q: Polynomial, a: SeqABC) -> int:
 
 
 def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
-    """Strip removable irreducible factors from an annihilator.
+    """The lowest-degree annihilator (q, n0) of a, from p annihilating all of a.
 
-    p must annihilate every available window of a.  Each irreducible
-    factor q is dropped when the quotient r still annihilates the first
-    deg(q) windows past the power of X: r applied to the sequence gives
-    a sequence annihilated by q, which vanishes once deg(q) consecutive
-    terms do.  Stripping may reach degree 0 (an eventually-zero
-    sequence); powers of X are not reported in the result but as the
-    window offset n0.  Returns (q, n0) with q primitive, positive leading
-    coefficient, and q annihilating every available window at i >= n0.
+    With d = deg p and P~ = X^d p(1/X), the generating function of a is
+    N/P~ for N = (A P~) mod X^d, A the polynomial of the first d terms
+    (InconclusiveError with fewer).  One gcd g = gcd(N, P~) puts it in
+    lowest terms, so q, the reversal of D = P~/g made primitive, is the
+    minimal annihilator (Fatou's lemma keeps D in Z[X]); it holds from
+    n0 = max(0, deg(N/g) - deg D + 1).  Powers of X go into n0, and an
+    eventually-zero sequence gets q = 1.
     """
     p = p.primitive()
-    if p.degree < 1:
+    d = p.degree
+    if d < 1:
         raise ValueError("annihilator must have positive degree")
-    if len(a) < 2 * p.degree:
-        raise ValueError("sequence too short for the given annihilator")
+    if len(a) < d:
+        raise InconclusiveError(f"{len(a)} terms do not determine a degree {d} annihilator")
     if not _annihilates(p, a, 0):
         raise ValueError("polynomial does not annihilate the sequence")
-
-    shift = p.x_multiplicity()
-    h = p.shift_down(shift)
-    occurrences: list[Polynomial] = []
-    for q, mult in factor_int_poly(h):
-        occurrences.extend([q] * mult)
-    occurrences.sort(key=lambda q: q.degree)
-
-    for q in occurrences:
-        r = exact_div(h, q)
-        if _annihilates(r, a, shift, shift + q.degree):
-            h = r
-    h = h.primitive()
-    return h, _offset(h, a)
+    rev = Polynomial(p.coeffs[::-1])
+    N = Polynomial((Polynomial(a[:d]) * rev).coeffs[:d])
+    g = gcd(N, rev)
+    D = exact_div(rev, g)
+    q = Polynomial(D.coeffs[::-1]).primitive()
+    return q, max(0, N.degree - g.degree - D.degree + 1)
 
 
 def _lift_bound(a: SeqABC, d: int) -> int:

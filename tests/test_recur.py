@@ -19,7 +19,7 @@ from palfac.construct import (
 from palfac.oracle import brute_count
 from palfac.polys import Polynomial, exact_div
 from palfac.recur import (
-    _sparse_rows,
+    _gather_table,
     _verify_annihilates_matrix,
     CountingSystem,
     InconclusiveError,
@@ -79,9 +79,24 @@ class TestTransferMatrix:
 
     def test_malformed_rows_rejected(self):
         with pytest.raises(ValueError):
-            CountingSystem([((0, 2),)], [1, 0], [1])
+            CountingSystem([[0, 0]], [1, 0], [1])
         with pytest.raises(ValueError):
-            CountingSystem([((3, 1),)], [1], [1])
+            CountingSystem([[3]], [1], [1])
+        with pytest.raises(ValueError):
+            CountingSystem([[-1]], [1], [1])
+        with pytest.raises(ValueError):
+            CountingSystem([[0, 1], [1]], [1, 0], [1, 1])
+
+    def test_table_is_the_transition_table(self):
+        d = build(MaxLen(3, 2))
+        cs = transfer_matrix(d)
+        assert cs.table.tolist() == [list(row) for row in d.delta]
+
+    def test_sentinel_pads_short_rows(self):
+        # state 0 reads one letter into 1 and one nowhere; state 1 none
+        cs = CountingSystem([[1, 2], [2, 2]], [1, 0], [1, 1])
+        assert cs.M == [[0, 1], [0, 0]]
+        assert sequence(cs, 4) == [1, 1, 0, 0, 0]
 
 
 class TestSequence:
@@ -171,9 +186,21 @@ class TestMatrixMinPoly:
         assert all(window_apply(mp, a, i) == 0 for i in range(61 - mp.degree))
 
     def test_size_guard(self):
-        rows = tuple(((i, 1),) for i in range(4001))
+        table = [[i] for i in range(4001)]
         with pytest.raises(CapacityError):
-            matrix_min_poly(CountingSystem(rows, [1] + [0] * 4000, [1] * 4001))
+            matrix_min_poly(CountingSystem(table, [1] + [0] * 4000, [1] * 4001))
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            matrix_min_poly([[1, -1], [0, 1]])
+
+    def test_oversized_row_sum_rejected(self):
+        with pytest.raises(CapacityError):
+            matrix_min_poly([[2 ** 22, 1], [0, 1]])
+
+    def test_dense_entries_become_repeated_gathers(self):
+        table = _gather_table([[0, 2, 1], [0, 0, 0], [3, 0, 0]])
+        assert table.tolist() == [[1, 1, 2], [3, 3, 3], [0, 0, 0]]
 
 
 class TestLda:
@@ -221,9 +248,19 @@ class TestLda:
             lda(P([-3, 1]), a)
 
     def test_rejects_short_sequence(self):
-        a = [2 ** n for n in range(6)]
-        with pytest.raises(ValueError):
-            lda(P([-2, 1]) * P([-1, 1]) * P([1, 1]) * P([1, 0, 1]), a)
+        p = P([-2, 1]) * P([-1, 1]) * P([1, 1]) * P([1, 0, 1])
+        assert lda(p, [2 ** n for n in range(6)]) == (P([-2, 1]), 0)
+        with pytest.raises(InconclusiveError):
+            lda(p, [2 ** n for n in range(4)])
+
+    def test_needs_only_degree_many_terms(self):
+        # deg p = 13, so twice the degree exceeds the 13 and 14 terms given
+        cs = transfer_matrix(build(MaxDistinct(3, 5)))
+        mp = matrix_min_poly(cs)
+        assert lda(mp, sequence(cs, 12)) == (P([-1, -1, 0, 0, 1]), 5)
+        assert lda(mp, sequence(cs, 13)) == (P([-1, -1, 0, 0, 1]), 5)
+        with pytest.raises(InconclusiveError):
+            lda(mp, sequence(cs, 11))
 
 
 class TestMinimalRecurrence:
@@ -393,11 +430,11 @@ def _exponent_choices(mults):
 
 
 def certified(p, M):
-    return _verify_annihilates_matrix(p, _sparse_rows(M), len(M))
+    return _verify_annihilates_matrix(p, _gather_table(M))
 
 
 small_matrices = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                        min_size=n, max_size=n))
 
 
@@ -420,12 +457,16 @@ class TestGatherCertificate:
         for f, _ in factor_int_poly(mp):
             assert not certified(exact_div(mp, f), M)
 
-    def test_large_entries_stay_exact(self):
-        # multipliers near 2^31 force reductions inside every Horner step
-        M = [[2 ** 31 - 1, 3], [5, -(2 ** 40)]]
+    def test_wide_rows_force_reduction(self):
+        # with 2^8 gathers a row, entries of H pass 2^63 by the sixth
+        # Horner step unless residues are reduced inside the loop
+        R = 2 ** 8
+        M = [[R - 5 + i if j == i else int(j > i) for j in range(6)] for i in range(6)]
         mp = exact_min_poly(M)
+        assert mp.degree == 6
         assert certified(mp, M)
         assert not certified(mp + P([1]), M)
+        assert not certified(mp + XP(1, -1), M)
 
     def test_rejection_survives_optimized_mode(self):
         code = (
@@ -437,8 +478,8 @@ class TestGatherCertificate:
             "cs = transfer_matrix(minimize(build_direct(MaxLen(3, 2))))\n"
             "good = (P.x_power(3) * P([-3, 1]) * P([-1, -1, 1]) * P([1, 2, 2, 1, 1]))\n"
             "bad = good + P([1])\n"
-            "print(_verify_annihilates_matrix(good, cs.rows, cs.size),"
-            " _verify_annihilates_matrix(bad, cs.rows, cs.size))\n"
+            "print(_verify_annihilates_matrix(good, cs.table),"
+            " _verify_annihilates_matrix(bad, cs.table))\n"
         )
         import palfac
         src = str(Path(palfac.__file__).resolve().parents[1])
@@ -452,6 +493,38 @@ dfas = st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.integers(2, 3).flatmap(lambda k: st.lists(
         st.lists(st.integers(0, n - 1), min_size=k, max_size=k), min_size=n, max_size=n)),
     st.sets(st.integers(0, n - 1))))
+
+
+def v_mn_w(cs, n):
+    """v . M^n . w over Python integers on the dense matrix."""
+    M, x = cs.M, list(cs.v)
+    for _ in range(n):
+        x = [sum(x[i] * M[i][j] for i in range(len(M))) for j in range(len(M))]
+    return sum(xi * wi for xi, wi in zip(x, cs.w))
+
+
+# like dfas, but a target may be the sentinel n: the letter leads nowhere
+partial_tables = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, n), min_size=k, max_size=k), min_size=n, max_size=n)),
+    st.sets(st.integers(0, n - 1))))
+
+
+class TestGatherTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(dfas, partial_tables))
+    def test_sequence_equals_dense_products(self, system):
+        n, table, accepting = system
+        cs = CountingSystem(table, [1] + [0] * (n - 1), [int(i in accepting) for i in range(n)])
+        assert sequence(cs, 12) == [v_mn_w(cs, t) for t in range(13)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(dfas, partial_tables))
+    def test_table_and_dense_matrix_agree(self, system):
+        n, table, _ = system
+        cs = CountingSystem(table, [1] + [0] * (n - 1), [1] * n)
+        assert matrix_min_poly(cs) == matrix_min_poly(cs.M)
 
 
 class TestRoutesDifferential:
