@@ -7,7 +7,6 @@ the empty word counts as an *even* palindrome throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator
 
 
@@ -109,61 +108,38 @@ class Word:
         return self
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PalFacSet:
-    """The set of palindromic factors of a word; always contains the empty word.
+    """The set of palindromic factors of a word; always contains the empty word."""
 
-    Nonempty palindrome v is the span of `lengths[v]` symbols of `word`
-    from `starts[v]`; `inner[v]` is palindrome v without its outer
-    letters (-1 when that is empty or nothing).  Sizes, parities and
-    lengths read `lengths` only, and iteration builds each Word on
-    demand, so memory stays linear in the word.
-    """
+    palindromes: frozenset
 
-    word: Word
-    starts: list[int]
-    lengths: list[int]
-    inner: list[int]
+    def __post_init__(self):
+        if Word(()) not in self.palindromes:
+            object.__setattr__(self, "palindromes", self.palindromes | {Word(())})
 
     def __len__(self) -> int:
-        return len(self.lengths) + 1
+        return len(self.palindromes)
 
     def __contains__(self, w: Word) -> bool:
-        s, n = self.word.symbols, len(w)
-        return n == 0 or any(length == n and s[i:i + n] == w.symbols
-                             for i, length in zip(self.starts, self.lengths))
+        return w in self.palindromes
 
-    def __iter__(self) -> Iterator[Word]:
-        """Length-then-lex order: palindromes of one length rank by (first
-        letter, rank of the inner palindrome among those two shorter)."""
-        yield Word((), self.word.alphabet_size)
-        s = self.word.symbols
-        rank = [0] * len(self.lengths)
-        by_length = sorted(range(len(self.lengths)), key=self.lengths.__getitem__)
-        for _, group in groupby(by_length, key=self.lengths.__getitem__):
-            group = sorted(group, key=lambda v: (s[self.starts[v]],
-                                                 rank[self.inner[v]] if self.inner[v] >= 0 else 0))
-            for r, v in enumerate(group):
-                rank[v] = r
-                yield self.word[self.starts[v]:self.starts[v] + self.lengths[v]]
-
-    @property
-    def palindromes(self) -> frozenset:
-        return frozenset(self)
+    def __iter__(self):
+        return iter(sorted(self.palindromes))
 
     def counts_by_parity(self) -> tuple[int, int]:
         """(even count including the empty word, odd count)."""
-        odd = sum(length % 2 for length in self.lengths)
-        return len(self) - odd, odd
+        even = sum(1 for w in self.palindromes if len(w) % 2 == 0)
+        return even, len(self.palindromes) - even
 
     def max_length_by_parity(self) -> tuple[int, int]:
         """(longest even length, longest odd length); -1 if no odd palindrome."""
-        even = max((n for n in self.lengths if n % 2 == 0), default=0)
-        odd = max((n for n in self.lengths if n % 2 == 1), default=-1)
+        even = max((len(w) for w in self.palindromes if len(w) % 2 == 0), default=0)
+        odd = max((len(w) for w in self.palindromes if len(w) % 2 == 1), default=-1)
         return even, odd
 
     def max_length(self) -> int:
-        return max(self.lengths, default=0)
+        return max(len(w) for w in self.palindromes)
 
 
 class Eertree:
@@ -256,22 +232,37 @@ class Eertree:
     def last_palindrome_length(self) -> int:
         return self.length[self.last]
 
+    def node_palindromes(self) -> list[tuple[int, ...]]:
+        """All distinct nonempty palindromic factors (valid while no pops occurred)."""
+        # reconstruct by replaying ends: node v created when word had some end
+        # position; instead walk the tree, extending by its creation structure.
+        out: list[tuple[int, ...] | None] = [None] * len(self.length)
+        out[0] = ()
+        out[1] = ()
+        # children via trans: pal(child of v under c) = c pal(v) c
+        stack = [0, 1]
+        pals = []
+        while stack:
+            v = stack.pop()
+            for c, child in self.trans[v].items():
+                if self.length[child] == 1:
+                    out[child] = (c,)
+                else:
+                    out[child] = (c,) + out[v] + (c,)
+                pals.append(out[child])
+                stack.append(child)
+        return pals
+
 
 def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     """All distinct palindromic factors of w, including the empty word."""
     if not isinstance(w, Word):
         w = Word(w)
     t = Eertree()
-    starts = []
-    for i, c in enumerate(w.symbols):
-        if t.push(c) is not None:
-            starts.append(i + 1 - t.length[-1])
-    # node v of the tree is palindrome v - 2; roots 0 and 1 have none
-    inner = [0] * len(starts)
-    for v, children in enumerate(t.trans):
-        for child in children.values():
-            inner[child - 2] = v - 2 if v > 1 else -1
-    return PalFacSet(w, starts, t.length[2:], inner)
+    for c in w.symbols:
+        t.push(c)
+    pals = frozenset(Word(p, w.alphabet_size) for p in t.node_palindromes())
+    return PalFacSet(pals | {Word(())})
 
 
 def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
@@ -280,18 +271,16 @@ def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
         w = Word(w)
     s = w.symbols
     n = len(s)
-    found: dict[tuple[int, ...], int] = {}
+    found = set()
     # grow around each center; every palindromic substring is reached this way
     for center in range(2 * n - 1):
         i, j = center // 2, (center + 1) // 2
         while i >= 0 and j < n and s[i] == s[j]:
-            found.setdefault(s[i:j + 1], i)
+            found.add(s[i:j + 1])
             i -= 1
             j += 1
-    pals = sorted(found, key=len)
-    index = {p: v for v, p in enumerate(pals)}
-    return PalFacSet(w, [found[p] for p in pals], [len(p) for p in pals],
-                     [index[p[1:-1]] if len(p) > 2 else -1 for p in pals])
+    pals = frozenset(Word(p, w.alphabet_size) for p in found)
+    return PalFacSet(pals | {Word(())})
 
 
 def enumerate_palindromes(alphabet_size: int, max_length: int,
