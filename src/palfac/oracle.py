@@ -1,9 +1,10 @@
 """Brute-force ground truth for the constraint families.
 
 Counts are produced by a pruned depth-first search over words, evaluating
-palindromic factors with an incremental palindromic tree (push one letter,
-roll back).  None of the automaton machinery is involved, so these results
-are an independent check on the constructions.  The search prunes with
+palindromic factors with a palindromic tree kept in per-depth arrays:
+each letter adds at most one node, and undoing it clears one slot.  None
+of the automaton machinery is involved, so these results are an
+independent check on the constructions.  The search prunes with
 the family's own admissibility rule, as the construction does;
 brute_count_unpruned reads only the separate whole-word predicate, so it
 checks that rule too.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .automaton import minimize
 from .construct import CapacityError, ConstraintSpec, build_direct
-from .words import Eertree, Word, palindromic_factors
+from .words import Word, palindromic_factors
 
 DEFAULT_EVAL_BUDGET = 100_000_000
 
@@ -36,44 +37,96 @@ def satisfies(spec: ConstraintSpec, w: Word) -> bool:
 def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     """Pruned DFS over accepted words of length <= max_depth.
 
-    visit(depth, tree) runs once per accepted word (tree is None for the
-    empty word), lexicographically within each branch; returning False
-    aborts the whole search.
+    visit(depth, word) runs once per accepted word, lexicographically
+    within each branch, where word[:depth] holds its letters (the list is
+    reused, so copy what must outlive the call); returning False aborts
+    the whole search.  Every letter tried costs one evaluation of budget.
+
+    The palindromic tree lives in flat lists indexed by depth and node.
+    Nodes 0 and 1 are the imaginary (length -1) and empty roots; each
+    letter adds at most one node, so nodes form a stack of at most
+    max_depth + 2.  After d letters, last[d] is the longest suffix
+    palindrome and made[d] the slot of nxt (node * k + letter) that the
+    d-th letter filled, or -1; undoing that letter clears the slot.
     """
     if not satisfies(spec, Word(())):
         return
-    if not visit(0, None) or max_depth == 0:
+    word = [0] * max_depth
+    if not visit(0, word) or max_depth == 0:
         return
     k = spec.alphabet_size
     admits = spec.admits
-    tree = Eertree()
-    word, length, push, pop = tree.word, tree.length, tree.push, tree.pop
-    pending = [0]  # pending[-1] = next symbol to try at the current depth
+    length = [-1, 0] + [0] * max_depth
+    link = [0] * (max_depth + 2)
+    nxt = [0] * ((max_depth + 2) * k)  # 0 = no child: node 0 is nobody's child
+    last = [1] * (max_depth + 1)
+    made = [-1] * (max_depth + 1)
+    tried = [0] * (max_depth + 1)  # next letter to try after d letters
+    top = 2  # nodes in use
+    even = odd = 0  # nonempty palindromic factors by parity
     evaluations = 0
-    while pending:
-        c = pending[-1]
+    d = 0
+    while True:
+        c = tried[d]
         if c == k:
-            pending.pop()
-            if word:
-                pop()
+            if d == 0:
+                return
+            slot = made[d]
+            if slot >= 0:
+                nxt[slot] = 0
+                top -= 1
+                if length[top] & 1:
+                    odd -= 1
+                else:
+                    even -= 1
+            d -= 1
             continue
-        pending[-1] += 1
+        tried[d] = c + 1
         evaluations += 1
         if evaluations > budget:
             raise CapacityError(f"oracle evaluation budget {budget} exceeded")
-        node = push(c)
-        # pushing a letter adds at most this one palindrome to the factor set
-        if node is not None and not admits(word[-length[node]:],
-                                           tree.even_count + 1, tree.odd_count):
-            pop()
-            continue
-        depth = len(word)
-        if not visit(depth, tree):
-            return
-        if depth < max_depth:
-            pending.append(0)
+        word[d] = c
+        # deepest suffix palindrome v of the word with c pal(v) c a suffix
+        v = last[d]
+        while True:
+            j = d - 1 - length[v]
+            if j >= 0 and word[j] == c:
+                break
+            v = link[v]
+        slot = v * k + c
+        node = nxt[slot]
+        if node:
+            made[d + 1] = -1
         else:
-            pop()
+            size = length[v] + 2
+            if size == 1:
+                suffix = 1
+            else:
+                # u is shorter than v, which fit, so the index stays >= 0
+                u = link[v]
+                while word[d - 1 - length[u]] != c:
+                    u = link[u]
+                suffix = nxt[u * k + c]
+            # the new palindrome is the only factor this letter adds
+            if size & 1:
+                if not admits(word[d + 1 - size:d + 1], even + 1, odd + 1):
+                    continue
+                odd += 1
+            else:
+                if not admits(word[d + 1 - size:d + 1], even + 2, odd):
+                    continue
+                even += 1
+            node = top
+            top += 1
+            length[node] = size
+            link[node] = suffix
+            nxt[slot] = node
+            made[d + 1] = slot
+        d += 1
+        last[d] = node
+        if not visit(d, word):
+            return
+        tried[d] = 0 if d < max_depth else k
 
 
 def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
@@ -82,13 +135,12 @@ def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
     count = 0
     witnesses: list[Word] = []
 
-    def visit(depth: int, tree: Eertree | None) -> bool:
+    def visit(depth: int, word: list[int]) -> bool:
         nonlocal count
         if depth == n:
             count += 1
             if len(witnesses) < max_witnesses:
-                syms = tuple(tree.word) if tree is not None else ()
-                witnesses.append(Word(syms, spec.alphabet_size))
+                witnesses.append(Word(word[:depth], spec.alphabet_size))
         return True
 
     _search(spec, n, visit, budget)
@@ -101,7 +153,7 @@ def brute_count_profile(spec: ConstraintSpec, n_max: int,
     """Counts for every length 0..n_max from a single search."""
     counts = [0] * (n_max + 1)
 
-    def visit(depth: int, tree: Eertree | None) -> bool:
+    def visit(depth: int, word: list[int]) -> bool:
         counts[depth] += 1
         return True
 
@@ -128,7 +180,7 @@ def longest_word(spec: ConstraintSpec, budget: int = DEFAULT_EVAL_BUDGET) -> int
     longest = -1
     infinite = False
 
-    def visit(depth: int, tree: Eertree | None) -> bool:
+    def visit(depth: int, word: list[int]) -> bool:
         nonlocal longest, infinite
         if depth >= threshold:
             infinite = True

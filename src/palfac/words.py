@@ -46,15 +46,15 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.symbols[i], self.alphabet_size)
+            return _valid_word(self.symbols[i], self.alphabet_size)
         return self.symbols[i]
 
     def __add__(self, other: "Word") -> "Word":
         k = max(self.alphabet_size, other.alphabet_size)
-        return Word(self.symbols + other.symbols, k)
+        return _valid_word(self.symbols + other.symbols, k)
 
     def __mul__(self, n: int) -> "Word":
-        return Word(self.symbols * n, self.alphabet_size)
+        return _valid_word(self.symbols * n, self.alphabet_size)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.symbols == other.symbols
@@ -74,7 +74,7 @@ class Word:
         return f"Word({str(self)!r}, k={self.alphabet_size})"
 
     def reverse(self) -> "Word":
-        return Word(self.symbols[::-1], self.alphabet_size)
+        return _valid_word(self.symbols[::-1], self.alphabet_size)
 
     def is_palindrome(self) -> bool:
         return self.symbols == self.symbols[::-1]
@@ -86,7 +86,8 @@ class Word:
     def conjugates(self) -> list["Word"]:
         """All rotations of the word, in rotation order."""
         s = self.symbols
-        return [Word(s[i:] + s[:i], self.alphabet_size) for i in range(max(1, len(s)))]
+        k = self.alphabet_size
+        return [_valid_word(s[i:] + s[:i], k) for i in range(max(1, len(s)))]
 
     def primitive_root(self) -> "Word":
         """The shortest x with self = x^d."""
@@ -104,8 +105,20 @@ class Word:
             fail[i] = j
         p = n - fail[-1]
         if n % p == 0:
-            return Word(s[:p], self.alphabet_size)
+            return _valid_word(s[:p], self.alphabet_size)
         return self
+
+
+def _valid_word(symbols: tuple[int, ...], alphabet_size: int) -> Word:
+    """A Word over a tuple of symbols already known to lie in the alphabet.
+
+    Skips the per-symbol checks of Word(); only for symbols cut from, or
+    built by the package over, a Word's own alphabet.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "symbols", symbols)
+    object.__setattr__(w, "alphabet_size", alphabet_size)
+    return w
 
 
 @dataclass(frozen=True)
@@ -143,12 +156,11 @@ class PalFacSet:
 
 
 class Eertree:
-    """Palindromic tree with exact rollback.
+    """Palindromic tree, built one letter at a time.
 
     Nodes 0 and 1 are the imaginary (length -1) and empty (length 0) roots;
     every further node is one distinct nonempty palindromic factor of the
-    word pushed so far.  push/pop maintain the structure incrementally,
-    which the search oracles rely on.
+    word pushed so far.
     """
 
     def __init__(self):
@@ -156,10 +168,10 @@ class Eertree:
         self.length = [-1, 0]
         self.link = [0, 0]
         self.trans: list[dict] = [{}, {}]
+        self.end = [-1, -1]  # where each palindrome first ends in word
         self.last = 1
         self.even_count = 0  # nonempty even palindromes so far
         self.odd_count = 0
-        self._trail: list[tuple[int, int | None, int]] = []
 
     @property
     def distinct_count(self) -> int:
@@ -181,11 +193,11 @@ class Eertree:
         """Append a symbol; return the new node id if a new palindrome appeared."""
         w = self.word
         w.append(c)
-        # _fit(self.last, c) inlined: push is the brute-force oracle's
-        # innermost call
+        # _fit(self.last, c) inlined: push runs once per letter of every
+        # word palindromic_factors reads
         i = len(w) - 2
         length, link = self.length, self.link
-        prev_last = v = self.last
+        v = self.last
         while True:
             j = i - length[v]
             if j >= 0 and w[j] == c:
@@ -194,10 +206,10 @@ class Eertree:
         existing = self.trans[v].get(c)
         if existing is not None:
             self.last = existing
-            self._trail.append((prev_last, None, c))
             return None
         node = len(self.length)
         self.length.append(self.length[v] + 2)
+        self.end.append(i + 1)
         self.trans.append({})
         if self.length[node] == 1:
             self.link.append(1)
@@ -210,48 +222,12 @@ class Eertree:
             self.even_count += 1
         else:
             self.odd_count += 1
-        self._trail.append((prev_last, v, c))
         return node
 
-    def pop(self) -> None:
-        """Undo the most recent push."""
-        prev_last, parent, c = self._trail.pop()
-        if parent is not None:
-            node = len(self.length) - 1
-            if self.length[node] % 2 == 0:
-                self.even_count -= 1
-            else:
-                self.odd_count -= 1
-            del self.trans[parent][c]
-            self.length.pop()
-            self.link.pop()
-            self.trans.pop()
-        self.word.pop()
-        self.last = prev_last
-
-    def last_palindrome_length(self) -> int:
-        return self.length[self.last]
-
     def node_palindromes(self) -> list[tuple[int, ...]]:
-        """All distinct nonempty palindromic factors (valid while no pops occurred)."""
-        # reconstruct by replaying ends: node v created when word had some end
-        # position; instead walk the tree, extending by its creation structure.
-        out: list[tuple[int, ...] | None] = [None] * len(self.length)
-        out[0] = ()
-        out[1] = ()
-        # children via trans: pal(child of v under c) = c pal(v) c
-        stack = [0, 1]
-        pals = []
-        while stack:
-            v = stack.pop()
-            for c, child in self.trans[v].items():
-                if self.length[child] == 1:
-                    out[child] = (c,)
-                else:
-                    out[child] = (c,) + out[v] + (c,)
-                pals.append(out[child])
-                stack.append(child)
-        return pals
+        """All distinct nonempty palindromic factors, in order of first appearance."""
+        w = tuple(self.word)
+        return [w[e - n + 1:e + 1] for n, e in zip(self.length[2:], self.end[2:])]
 
 
 def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
@@ -261,7 +237,8 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     t = Eertree()
     for c in w.symbols:
         t.push(c)
-    pals = frozenset(Word(p, w.alphabet_size) for p in t.node_palindromes())
+    k = w.alphabet_size
+    pals = frozenset(_valid_word(p, k) for p in t.node_palindromes())
     return PalFacSet(pals | {Word(())})
 
 
@@ -279,7 +256,8 @@ def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
             found.add(s[i:j + 1])
             i -= 1
             j += 1
-    pals = frozenset(Word(p, w.alphabet_size) for p in found)
+    k = w.alphabet_size
+    pals = frozenset(_valid_word(p, k) for p in found)
     return PalFacSet(pals | {Word(())})
 
 
@@ -291,6 +269,8 @@ def enumerate_palindromes(alphabet_size: int, max_length: int,
     """
     if parity not in (None, "even", "odd"):
         raise ValueError(f"parity must be 'even', 'odd', or None, not {parity!r}")
+    if alphabet_size < 0:
+        raise ValueError(f"alphabet size must be nonnegative, not {alphabet_size}")
     out = []
     for length in range(max_length + 1):
         if parity == "even" and length % 2:
@@ -306,7 +286,7 @@ def enumerate_palindromes(alphabet_size: int, max_length: int,
                 x //= alphabet_size
             digits.reverse()  # lex order over the first half
             mirror = digits[:length // 2][::-1]
-            out.append(Word(tuple(digits) + tuple(mirror), alphabet_size))
+            out.append(_valid_word(tuple(digits) + tuple(mirror), alphabet_size))
     return out
 
 

@@ -49,16 +49,19 @@ def test_registry_shape():
 
 def test_rows_hold_under_optimized_python():
     # certificates raise real exceptions, so `python -O` (which strips
-    # asserts) must give the same verdicts as a normal run
+    # asserts) must give the same verdicts as a normal run; the oracle rows
+    # check the brute-force search against the automata
     src = str(Path(palfac.__file__).resolve().parents[1])
-    statuses = []
-    for flags in ([], ["-O"]):
-        out = subprocess.run(
-            [sys.executable, *flags, "-m", "palfac.cli", "reproduce",
-             "--group", "classification"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert out.returncode == 0, out.stderr
-        statuses.append({(row["name"], row["status"])
-                         for row in map(json.loads, out.stdout.splitlines())})
-    assert statuses[0] == statuses[1]
-    assert {status for _, status in statuses[0]} == {"PASS", "XFAIL"}
+    for group, verdicts in (("classification", {"PASS", "XFAIL"}),
+                            ("oracle-agreement", {"PASS"})):
+        statuses = []
+        for flags in ([], ["-O"]):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "palfac.cli", "reproduce",
+                 "--group", group],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+            assert out.returncode == 0, out.stderr
+            statuses.append({(row["name"], row["status"])
+                             for row in map(json.loads, out.stdout.splitlines())})
+        assert statuses[0] == statuses[1]
+        assert {status for _, status in statuses[0]} == verdicts

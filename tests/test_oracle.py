@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palfac.construct import (AllowedSet, CapacityError, MaxCountByParity,
                               MaxDistinct, MaxLen, MaxLenByParity)
-from palfac.oracle import (brute_count, brute_count_profile, brute_count_unpruned,
-                           longest_word, satisfies)
-from palfac.words import Word, enumerate_palindromes
+from palfac.oracle import (_search, brute_count, brute_count_profile,
+                           brute_count_unpruned, longest_word, satisfies)
+from palfac.words import Word, enumerate_palindromes, naive_palindromic_factors
+from test_construct import small_specs
 
 
 def test_published_counts():
@@ -81,3 +83,62 @@ def test_satisfies_spot_checks():
 def test_budget_enforced():
     with pytest.raises(CapacityError):
         brute_count(MaxDistinct(2, 30), 25, budget=100)
+
+
+def test_budget_counts_one_evaluation_per_letter_tried():
+    # every binary word of length <= 10 is accepted: 2 + 4 + ... + 1024 letters
+    spec = MaxDistinct(2, 30)
+    assert brute_count_profile(spec, 10, budget=2046) == [2 ** n for n in range(11)]
+    with pytest.raises(CapacityError):
+        brute_count_profile(spec, 10, budget=2045)
+
+
+class _Recording:
+    """A spec that records every (palindrome, even, odd) passed to admits."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.alphabet_size = spec.alphabet_size
+        self.calls = []
+
+    def admits(self, pal, even, odd):
+        self.calls.append((tuple(pal), even, odd))
+        return self.spec.admits(pal, even, odd)
+
+    def satisfied_by(self, pf):
+        return self.spec.satisfied_by(pf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs(), st.integers(0, 7))
+def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
+    k = spec.alphabet_size
+    if k == 3:
+        depth = min(depth, 5)
+    recording = _Recording(spec)
+    visited = []
+    _search(recording, depth, lambda d, word: visited.append(tuple(word[:d])) or True,
+            budget=10 ** 6)
+
+    # reference: w + c gains the palindromes of its naive factor set that w
+    # lacks (at most one), with the parity counts of w + c's whole set
+    want_calls, want_visits = [], []
+
+    def expand(w):
+        want_visits.append(w)
+        if len(w) == depth:
+            return
+        before = naive_palindromic_factors(Word(w, k)).palindromes
+        for c in range(k):
+            after = naive_palindromic_factors(Word(w + (c,), k))
+            new = after.palindromes - before
+            assert len(new) <= 1
+            even, odd = after.counts_by_parity()
+            want_calls.extend((p.symbols, even, odd) for p in new)
+            if all(spec.admits(p.symbols, even, odd) for p in new):
+                expand(w + (c,))
+
+    if spec.satisfied_by(naive_palindromic_factors(Word((), k))):
+        expand(())
+    assert recording.calls == want_calls
+    assert visited == want_visits

@@ -30,6 +30,33 @@ def test_word_equality_ignores_alphabet():
 def test_word_rejects_bad_symbols():
     with pytest.raises(ValueError):
         Word((0, 2), 2)
+    for symbols in ((0, -1), (0, 1.0), ("0",), (None,)):
+        with pytest.raises(ValueError):
+            Word(symbols, 2)
+
+
+def test_words_cut_from_words_match_the_checked_constructor():
+    # slices, reversals, products and rotations skip the symbol checks;
+    # they must still be the Words the public constructor would build
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.choice((2, 3, 5))
+        w = Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 12))), k)
+        v = Word(tuple(rng.randrange(2) for _ in range(rng.randrange(0, 5))), 2)
+        i, j = sorted(rng.randrange(len(w) + 1) for _ in range(2))
+        derived = [w[i:j], w[::-1], w.reverse(), w + v, v + w, w * 3,
+                   w.primitive_root(), *w.conjugates(),
+                   *palindromic_factors(w), *naive_palindromic_factors(w)]
+        for d in derived:
+            assert type(d.symbols) is tuple
+            assert d == Word(d.symbols, d.alphabet_size)
+            # k >= 2, so w + v stays over k letters; factor sets add the
+            # empty word as Word(())
+            assert d.alphabet_size == k or d == Word(())
+    for w in enumerate_palindromes(3, 4):
+        assert w == Word(w.symbols, 3) and w.alphabet_size == 3
+    with pytest.raises(ValueError):
+        enumerate_palindromes(-2, 3)
 
 
 def test_word_order_is_length_then_lex():
@@ -80,32 +107,10 @@ def test_palfac_count_at_most_length_plus_one():
         assert len(palindromic_factors(w)) <= n + 1
 
 
-def test_eertree_rollback():
-    rng = random.Random(3)
-    t = Eertree()
-    stack = []
-    # random push/pop walk, checking counts match a fresh eertree on the word
-    for _ in range(3000):
-        if stack and rng.random() < 0.45:
-            t.pop()
-            stack.pop()
-        else:
-            c = rng.randrange(3)
-            t.push(c)
-            stack.append(c)
-        fresh = Eertree()
-        for c in stack:
-            fresh.push(c)
-        assert t.distinct_count == fresh.distinct_count
-        assert (t.even_count, t.odd_count) == (fresh.even_count, fresh.odd_count)
-        assert t.last_palindrome_length() == fresh.last_palindrome_length()
-
-
 def test_eertree_parity_counts():
     t = Eertree()
     for c in (0, 0, 1, 0, 1, 1):
         t.push(c)
-    # palindromes of 001011: 0, 1, 00, 11, 010, 101, 0110? no -- check via naive
     pf = naive_palindromic_factors(Word.from_digits("001011"))
     even, odd = pf.counts_by_parity()
     assert t.even_count == even - 1  # eertree tracks nonempty only
