@@ -138,7 +138,8 @@ class PalFacSet:
         return w in self.palindromes
 
     def __iter__(self):
-        return iter(sorted(self.palindromes))
+        # the order of Word.__lt__, without a Python call per comparison
+        return iter(sorted(self.palindromes, key=lambda w: (len(w.symbols), w.symbols)))
 
     def counts_by_parity(self) -> tuple[int, int]:
         """(even count including the empty word, odd count)."""
@@ -237,8 +238,7 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     t = Eertree()
     for c in w.symbols:
         t.push(c)
-    k = w.alphabet_size
-    pals = frozenset(_valid_word(p, k) for p in t.node_palindromes())
+    pals = frozenset(Word(p, w.alphabet_size) for p in t.node_palindromes())
     return PalFacSet(pals | {Word(())})
 
 

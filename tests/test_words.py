@@ -84,6 +84,15 @@ def test_palfac_small_cases():
     assert pf.max_length() == 2
 
 
+def test_palfac_iterates_in_word_order():
+    rng = random.Random(3)
+    for _ in range(200):
+        k = rng.choice((2, 3))
+        w = Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 40))), k)
+        pf = palindromic_factors(w)
+        assert list(pf) == sorted(pf.palindromes)
+
+
 def test_palfac_empty_word():
     pf = palindromic_factors(Word(()))
     assert len(pf) == 1
