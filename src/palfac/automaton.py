@@ -90,24 +90,42 @@ def _symbols(w) -> tuple[int, ...]:
     return tuple(w)
 
 
+_PACK_LIMIT = 1 << 62
+
+
+def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
+    """Split blocks by the blocks found in each column; returns (block ids, count).
+
+    block and every column hold ids below count.  Two rows stay together
+    exactly when their tuples (block, column 0, column 1, ...) agree.  The
+    tuple is packed into one int64 key in radix count and re-ranked with
+    np.unique only when the next column would push the key past 2**62, so
+    a round over k columns needs one np.unique while count**(k+1) fits.
+    """
+    key, size = block, count
+    for col in columns:
+        if size * count > _PACK_LIMIT:
+            ids, key = np.unique(key, return_inverse=True)
+            size = len(ids)
+        key = key * count + col
+        size *= count
+    ids, key = np.unique(key, return_inverse=True)
+    return key, len(ids)
+
+
 def _moore(delta: np.ndarray, accepting: np.ndarray) -> np.ndarray:
     """Moore partition refinement; returns the block id of each state.
 
-    A round splits every block by the blocks of its successors, one letter
-    at a time: the pair (block, block of the a-successor) is packed into
-    one int64 and re-ranked with np.unique, so the key never exceeds n**2.
-    Rounds refine, so the first round that adds no block ends the loop.
-    Each round costs O(n k log n), and there is one round more than the
-    longest of the shortest words separating two inequivalent states.
+    A round splits every block by the blocks of the successors under all
+    letters at once (see refine).  Rounds refine, so the first round that
+    adds no block ends the loop.  Each round costs O(n k log n), and there
+    is one round more than the longest of the shortest words separating
+    two inequivalent states.
     """
-    n, k = delta.shape
-    _, block = np.unique(accepting, return_inverse=True)
-    count = int(block.max()) + 1
+    ids, block = np.unique(accepting, return_inverse=True)
+    count = len(ids)
     while True:
-        key = block
-        for a in range(k):
-            _, key = np.unique(key * n + block[delta[:, a]], return_inverse=True)
-        refined = int(key.max()) + 1
+        key, refined = refine(block, count, block[delta].T)
         if refined == count:
             return block
         block, count = key, refined

@@ -8,9 +8,12 @@ build_direct runs a breadth-first closure over (window, bookkeeping)
 states, where the window keeps just enough recent symbols that every
 first occurrence of a palindromic factor in a not-yet-rejected word is
 visible as a suffix of window+letter.  Each state is a single int: the
-window in base k+1 and, for counted families, a bitmask of the
-palindromes seen so far.  The suffix palindromes of window+letter come
-from those of the window (a bitmask of lengths) without a rescan.
+window in base k+1 and, for counted families, a sid numbering the set
+of palindromes seen so far.  A letter adds at most one new palindromic
+factor, the longest suffix palindrome, so a transition looks up that
+one palindrome; it comes from the window's suffix palindromes (a
+bitmask of lengths) without a rescan, and what it does to a sid is
+worked out once.
 build_avoidance reaches the same languages for the AllowedSet family
 through a forbidden-factor keyword automaton, giving an independent
 construction to cross-check against.
@@ -27,7 +30,7 @@ from .automaton import Dfa, minimize
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
-# D(2,14) peaks at about 420 bytes per raw state through build_direct and
+# D(2,14) peaks at about 345 bytes per raw state through build_direct and
 # minimize, and about 650 through `palfac build --format json` on the raw
 # automaton, so 4e6 states stay near 2.6 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
@@ -222,15 +225,20 @@ def window_bound(spec: ConstraintSpec) -> int:
 def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
-    A state is one int, seen * span + window.  The window holds the last
+    A state is one int, sid * span + window.  The window holds the last
     `bound` symbols in base k+1, one digit s+1 per symbol s, so appending
     a is window*(k+1) + a+1 and truncating is a reduction mod span =
-    (k+1)**bound.  For counted families `seen` is a bitmask over the
-    nonempty palindromes the word has shown, each palindrome getting its
-    bit the first time any word shows it; the even count (empty word
-    included) is 1 + popcount(seen & even_bits).  Live states are numbered
-    in discovery order starting from 0; the dead state, if the language is
-    proper, gets the final number.
+    (k+1)**bound.  For counted families sid numbers the set of nonempty
+    palindromes the word has shown, held as a bitmask in which each
+    palindrome gets its bit the first time any word shows it; otherwise
+    sid is 0.  A letter adds at most one new palindromic factor, the
+    longest suffix palindrome of the word (Droubay, Justin and Pirillo
+    2001): the shorter ones are its suffixes, hence its prefixes, so they
+    ended earlier in the word.  So a transition looks up one palindrome,
+    the longest suffix palindrome of window+letter, and what it does to a
+    sid (the next sid, or dead) is worked out once per (sid, palindrome).
+    Live states are numbered in discovery order starting from 0; the dead
+    state, if the language is proper, gets the final number.
     """
     k = spec.alphabet_size
     bound = window_bound(spec)
@@ -251,10 +259,12 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     # palindrome (L = 0 included): the suffix of length L+2 of w.a is one
     # exactly when w's suffix of length L is and the symbol before it is a
     suffix_lengths = {0: 1}
-    pal_bit: dict[int, int] = {}     # palindrome code -> its bit
-    pal_symbols: list[tuple[int, ...]] = []
+    pal_bit: dict[int, int] = {}   # palindrome code -> its bit
     even_bits = 0
-    rejected = 0   # palindromes a rule that ignores the counts forbids
+    masks = [0]                    # sid -> seen bitmask
+    sid_of = {0: 0}
+    # sid -> {palindrome code: the next sid times span, or -1 for dead}
+    moves: list[dict[int, int]] = [{}]
 
     index = {0: 0}
     states = [0]
@@ -265,60 +275,55 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     while qi < len(states):
         key = states[qi]
         qi += 1
-        seen, window = divmod(key, span)
+        sid, window = divmod(key, span)
+        here = key - window
+        move = moves[sid]
+        # the window's suffix palindrome lengths, split by the digit before
+        # each (0 when the suffix is the whole window)
+        before = [0] * base
+        m = suffix_lengths[window]
+        while m:
+            low = m & -m
+            before[window // powers[low.bit_length() - 1] % base] |= low
+            m ^= low
         shifted = window * base
         for a in range(1, base):
+            lengths = before[a] << 2 | 3
+            longest = lengths.bit_length() - 1
             ext = shifted + a
-            lengths = 3
-            m = suffix_lengths[window]
-            while m:
-                low = m & -m
-                if window // powers[low.bit_length() - 1] % base == a:
-                    lengths |= low << 2
-                m ^= low
-            pals = 0
-            m = lengths ^ 1
-            while m:
-                low = m & -m
-                length = low.bit_length() - 1
-                code = ext % powers[length]
+            code = ext % powers[longest]
+            to = move.get(code)
+            if to is None:
                 bit = pal_bit.get(code)
                 if bit is None:
-                    bit = pal_bit[code] = len(pal_symbols)
-                    pal = _digits(code, base, length)
-                    pal_symbols.append(pal)
-                    if length % 2 == 0:
-                        even_bits |= 1 << bit
-                    if not counted and not admits(pal, 0, 0):
-                        rejected |= 1 << bit
-                pals |= 1 << bit
-                m ^= low
-            new_window = ext % span
-            nxt = key - window + new_window
-            if not counted:
-                live = not pals & rejected
-            elif fresh := pals & ~seen:
-                # a suffix palindrome's shorter palindromic suffixes got
-                # their bits first, so ascending bits go shortest first
-                ev = 1 + (seen & even_bits).bit_count()
-                od = seen.bit_count() + 1 - ev
-                while fresh:
-                    low = fresh & -fresh
-                    if low & even_bits:
-                        ev += 1
+                    bit = pal_bit[code] = 1 << len(pal_bit)
+                    if longest % 2 == 0:
+                        even_bits |= bit
+                seen = masks[sid]
+                if not counted:
+                    to = here if admits(_digits(code, base, longest), 0, 0) else -1
+                elif seen & bit:
+                    to = here
+                else:
+                    seen |= bit
+                    ev = 1 + (seen & even_bits).bit_count()
+                    od = seen.bit_count() + 1 - ev
+                    if not admits(_digits(code, base, longest), ev, od):
+                        to = -1
                     else:
-                        od += 1
-                    if not admits(pal_symbols[low.bit_length() - 1], ev, od):
-                        break
-                    fresh ^= low
-                live = not fresh
-                nxt = (seen | pals) * span + new_window
-            else:
-                live = True
-            if not live:
+                        to = sid_of.get(seen)
+                        if to is None:
+                            to = sid_of[seen] = len(masks)
+                            masks.append(seen)
+                            moves.append({})
+                        to *= span
+                move[code] = to
+            if to < 0:
                 used_dead = True
                 flat.append(-1)
                 continue
+            new_window = ext % span
+            nxt = to + new_window
             ti = index.get(nxt)
             if ti is None:
                 ti = len(states)
@@ -331,6 +336,9 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
             flat.append(ti)
 
     n = len(states)
+    # the search's tables go before the Dfa copies the transitions: they
+    # are most of the construction's memory peak
+    del index, states, suffix_lengths, moves, sid_of, masks
     if used_dead:
         flat = [n if t < 0 else t for t in flat]
         flat.extend([n] * k)

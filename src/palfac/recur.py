@@ -3,12 +3,15 @@
 A complete DFA yields a counting system (M, v, w) with a(n) = v M^n w.
 M is held as a gather table, one row of successors per state, so that
 M y is a sum of gathers of y; for a DFA the table is the transition
-table itself.  From there this module derives annihilating polynomials
-two independent ways: from the matrix minimal polynomial p, by reducing
-the generating function N/P~ that p and the first deg p terms determine
-to lowest terms with one gcd, and by Berlekamp-Massey over primes on the
-sequence alone, lifted to the integers and accepted only after an exact
-integer window check.  Dominant-root asymptotics close the loop.
+table itself.  The terms come from the counting quotient, the coarsest
+lumping of the states on which every M^t w is constant per block, so
+the recurrence runs on fewer rows.  From there this module derives
+annihilating polynomials two independent ways: from the matrix minimal
+polynomial p, by reducing the generating function N/P~ that p and the
+first deg p terms determine to lowest terms with one gcd, and by
+Berlekamp-Massey over primes on the sequence alone, lifted to the
+integers and accepted only after an exact integer window check.
+Dominant-root asymptotics close the loop.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence as SeqABC
 
 import numpy as np
 
-from .automaton import Dfa
+from .automaton import Dfa, refine
 from .construct import CapacityError
 from .polys import (
     Polynomial,
@@ -119,10 +122,49 @@ def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lumped(cs: CountingSystem) -> CountingSystem:
+    """The counting quotient of cs: the same sequence from fewer rows.
+
+    States go together on the coarsest partition of the states and the
+    sentinel row that refines w's values and whose blocks gather equal
+    multisets of blocks (ordinary lumpability; Kemeny and Snell 1960).
+    On it every y_t = M^t w is constant on each block, so the quotient
+    gathers one member's row as blocks, takes that member's w, and sums v
+    over each block.  The sentinel's block, where every y_t is zero,
+    becomes the quotient's sentinel.
+    """
+    n, R = cs.table.shape
+    table = np.vstack([cs.table, np.full(R, n)])
+    w = cs.w + (0,)
+    rank = {x: r for r, x in enumerate(sorted(set(w)))}  # exact: w may pass 2^63
+    block = np.fromiter((rank[x] for x in w), dtype=np.int64, count=n + 1)
+    count = len(rank)
+    while True:
+        key, refined = refine(block, count, np.sort(block[table], axis=1).T)
+        if refined == count:
+            break
+        block, count = key, refined
+    # number the sentinel's block last
+    last = count - 1
+    sentinel = block[n]
+    block = np.where(block == sentinel, last, np.where(block == last, sentinel, block))
+    rep = np.unique(block, return_index=True)[1][:last].tolist()
+    v = [0] * last
+    for i, vi in enumerate(cs.v):
+        if vi and block[i] != last:
+            v[block[i]] += vi
+    return CountingSystem(block[table[rep]], v, [w[i] for i in rep])
+
+
 def sequence(cs: CountingSystem, n_max: int) -> list[int]:
-    """Exact a(0..n_max): a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t."""
+    """Exact a(0..n_max): a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t.
+
+    The recurrence runs on the counting quotient of cs (see _lumped), on
+    object arrays of Python ints.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    cs = _lumped(cs)
     start = [(i, vi) for i, vi in enumerate(cs.v) if vi]
     y = np.array(cs.w + (0,), dtype=object)
     out = []

@@ -238,8 +238,9 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     t = Eertree()
     for c in w.symbols:
         t.push(c)
-    pals = frozenset(Word(p, w.alphabet_size) for p in t.node_palindromes())
-    return PalFacSet(pals | {Word(())})
+    k = w.alphabet_size
+    pals = frozenset(Word(p, k) for p in t.node_palindromes())
+    return PalFacSet(pals | {_valid_word((), k)})
 
 
 def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
@@ -258,7 +259,7 @@ def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
             j += 1
     k = w.alphabet_size
     pals = frozenset(_valid_word(p, k) for p in found)
-    return PalFacSet(pals | {Word(())})
+    return PalFacSet(pals | {_valid_word((), k)})
 
 
 def enumerate_palindromes(alphabet_size: int, max_length: int,

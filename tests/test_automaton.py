@@ -158,6 +158,30 @@ def test_minimize_matches_table_filling(dfa):
     assert (m.delta, m.accepting) == _table_filling_minimum(delta, start, accepting)
 
 
+def test_minimize_matches_table_filling_over_twelve_letters():
+    # a round packs (block, 12 successor blocks) in radix count, and
+    # 28**13 > 2**62, so rounds with 28 or more blocks re-rank the key
+    # between letters; in every other automaton letter 0 alone (a cycle)
+    # separates the states, so a re-rank that lost the letters before it
+    # would stop on too coarse a partition
+    rng = random.Random(13)
+    wide = 0
+    for i in range(12):
+        n = rng.randrange(30, 45)
+        if i % 2:
+            d = _random_dfa(rng, n, 12)
+        else:
+            cycle = rng.sample(range(n), n)
+            after = {q: cycle[(j + 1) % n] for j, q in enumerate(cycle)}
+            fixed = [rng.randrange(n) for _ in range(11)]
+            accepting = [q for q in range(n) if rng.random() < 0.5]
+            d = Dfa([[after[q]] + fixed for q in range(n)], 0, accepting)
+        m = minimize(d)
+        assert (m.delta, m.accepting) == _table_filling_minimum(d.delta, d.start, d.accepting)
+        wide += m.state_count >= 28
+    assert wide >= 9
+
+
 def test_isomorphic_on_renumbered_copy():
     rng = random.Random(7)
     for _ in range(40):

@@ -188,6 +188,8 @@ DELTA_DIGESTS = [
      "0d509b6f3140c318dfc6870d91250f6f290389e95e4d7bee874ba94a6088904f"),
     ("R(2,6,3)", MaxLenByParity(2, 6, 3), 210,
      "240de0633c85489d812dc9083727c56e90718d56ec5a2305aafa2f93da80e7f4"),
+    ("D(2,13)", MaxDistinct(2, 13), 124230,
+     "d80089720536154e8aedee95bb080690a088266d7da7f86cb1697e5f49616b8b"),
     ("T(2,3,10)", MaxCountByParity(2, 3, 10, count_empty=False), 22556,
      "af7460841dbf2c32c259cfbac4cae9bb0158f8283d7cba454a7ed254448df73b"),
     ("S(4)", AllowedSet(4, [Word((), 4)] + [Word((c,), 4) for c in range(4)]), 42,

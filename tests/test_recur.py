@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,7 +100,59 @@ class TestTransferMatrix:
         assert sequence(cs, 4) == [1, 1, 0, 0, 0]
 
 
+def _power_terms(M, v, w, n_max):
+    """v M^t w for t = 0..n_max, by plain Python-int matrix-vector products."""
+    y, out = list(w), []
+    for _ in range(n_max + 1):
+        out.append(sum(a * b for a, b in zip(v, y)))
+        y = [sum(m * x for m, x in zip(row, y)) for row in M]
+    return out
+
+
+def _dense_system(M, v, w, pad=0):
+    """CountingSystem of a dense matrix: j once per unit of M[i][j], pad extra columns."""
+    n = len(M)
+    rows = [[j for j, m in enumerate(row) for _ in range(m)] for row in M]
+    width = max(map(len, rows), default=0) + pad
+    return CountingSystem([r + [n] * (width - len(r)) for r in rows], v, w)
+
+
 class TestSequence:
+    def test_matches_plain_matrix_powers(self):
+        rng = random.Random(12)
+        big = 2 ** 64  # w is ranked exactly: big and big + 1 must stay apart
+        cases = [
+            # same w, same successor sets, different multisets: 1*2+2 != 1+2*2
+            ([[0, 0, 2, 1], [0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 0, 0]],
+             [1, 1, 0, 0], [0, 0, 1, 2]),
+            ([[2, 1], [1, 0]], [1, 3], [big, big + 1]),
+        ]
+        for _ in range(150):  # DFA tables, half of them with a dead state
+            n, k = rng.randrange(1, 12), rng.randrange(1, 4)
+            delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+            if rng.random() < 0.5:
+                delta.append([n] * k)
+                delta[rng.randrange(n)][0] = n
+            m = len(delta)
+            accepting = [q for q in range(n) if rng.random() < 0.6]
+            cs = transfer_matrix(Dfa(delta, rng.randrange(n), accepting))
+            M = [[row.count(j) for j in range(m)] for row in delta]
+            cases.append((M, list(cs.v), list(cs.w), cs))
+        for _ in range(150):  # dense matrices with multiplicities
+            n = rng.randrange(1, 9)
+            M = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+            v = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+            w = [rng.choice((0, 1, 1, 2, 7, big, big + 1)) for _ in range(n)]
+            cases.append((M, v, w))
+        for k in (1, 2, 3):  # one state, all accepting
+            cases.append(([[k]], [1], [1], transfer_matrix(Dfa([[0] * k], 0, [0]))))
+        cases.append(([[0, 0], [0, 0]], [1, 1], [1, 3],
+                      CountingSystem(np.zeros((2, 0), dtype=np.int64), [1, 1], [1, 3])))
+        for i, (M, v, w, *built) in enumerate(cases):
+            cs = built[0] if built else _dense_system(M, v, w, pad=i % 3)
+            n_max = {0: 80, 1: 80, 2: 0}.get(i, rng.randrange(81))
+            assert sequence(cs, n_max) == _power_terms(M, v, w, n_max), (M, v, w)
+
     def test_first_term_reflects_start_acceptance(self):
         accepting = transfer_matrix(Dfa([[0, 0]], 0, [0]))
         rejecting = transfer_matrix(Dfa([[0, 0]], 0, []))

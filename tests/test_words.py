@@ -108,6 +108,20 @@ def test_eertree_against_naive_bulk():
         assert palindromic_factors(w) == naive_palindromic_factors(w)
 
 
+def test_palfac_members_keep_the_alphabet():
+    rng = random.Random(4)
+    cases = [Word((), 3), Word((1,), 2), Word((0,), 1), Word((2,), 5)]
+    for _ in range(300):
+        k = rng.choice((1, 2, 3, 4))
+        cases.append(Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 25))), k))
+    for w in cases:
+        fast, naive = palindromic_factors(w), naive_palindromic_factors(w)
+        assert fast == naive
+        for pf in (fast, naive):
+            assert Word(()) in pf
+            assert {p.alphabet_size for p in pf} == {w.alphabet_size}
+
+
 def test_palfac_count_at_most_length_plus_one():
     rng = random.Random(2)
     for _ in range(300):
