@@ -243,12 +243,13 @@ def cmd_asymptotics(args, parser) -> int:
         "c": _finite(fit.c),
         "c1": _finite(fit.c1),
         "c2": _finite(fit.c2),
-        "drift": _finite(fit.drift),
+        "multiplicity": fit.multiplicity,
         "converged": fit.converged,
+        "reason": fit.reason,
     }
     print(json.dumps(payload, allow_nan=False))
     if not fit.converged:
-        _say("constant estimate did not settle at the requested length")
+        _say(fit.reason)
         return 1
     return 0
 
@@ -356,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--terms", type=int, default=400, metavar="N")
     p.add_argument("--split-parity", action="store_true",
-                   help="fit separate constants for even and odd indices")
+                   help="also read the constant c2 of the pole at -1/alpha")
     p.add_argument("--seed", type=int, default=0, help="seed for modular sampling")
     p.set_defaults(func=cmd_asymptotics)
 

@@ -5,25 +5,18 @@ arbitrary-precision integer coefficients.  Remainders over the rationals
 are taken as primitive pseudo-remainders (a positive rational multiple
 of the remainder, in lowest integer terms), which drive the gcd as a
 primitive polynomial remainder sequence (Collins 1967; Brown and Traub
-1971) and the Sturm chain alike.  Factorization over the integers takes
-the classical route (squarefree split, factorization modulo a good
-prime, Hensel lifting, subset recombination).  Real roots are isolated
-by Sturm sequences with certified rational interval endpoints; the sign
-of f at num/den is read from the integer den^deg f(num/den).
+1971) and the Sturm chains alike.  Real roots are isolated by Sturm
+sequences with certified rational interval endpoints; the sign of f at
+num/den is read from the integer den^deg f(num/den).  The roots outside
+a circle are counted by the Routh-Hurwitz criterion on a Cauchy index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-from .construct import CapacityError
-
-MAX_FACTOR_DEGREE = 128
 
 
 class NoRealRootError(ValueError):
@@ -180,14 +173,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(q)
 
 
-def divides(b: Polynomial, a: Polynomial) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except ValueError:
-        return False
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Primitive remainder of a by b: a positive rational multiple of rem(a, b).
 
@@ -242,7 +227,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 # ---------------------------------------------------------------------------
-# integer coefficient lists, lowest degree first, reduced mod m on request
+# integer coefficient lists, lowest degree first
 
 def _trim_int(a):
     while a and a[-1] == 0:
@@ -267,243 +252,6 @@ def _poly_add_int(a, b):
         out[i] += x
     for i, y in enumerate(b):
         out[i] += y
-    return out
-
-
-def _mod_list(a, m):
-    return _trim_int([x % m for x in a])
-
-
-def _poly_divmod_mod(a, b, m):
-    """Division mod m by b with lead(b) invertible mod m."""
-    a = [x % m for x in a]
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        f = (a[i + len(b) - 1] * inv) % m
-        q[i] = f
-        if f:
-            for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - f * bc) % m
-    return _trim_int(q), _trim_int(a[:len(b) - 1])
-
-
-# ---------------------------------------------------------------------------
-# factorization modulo a prime (Cantor–Zassenhaus)
-
-def _pmod_gcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _poly_divmod_mod(a, b, p)[1]
-    return _pmod_monic(a, p)
-
-def _pmod_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_divmod_mod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod_mod(_poly_mul_int(result, base), mod, p)[1]
-        base = _poly_divmod_mod(_poly_mul_int(base, base), mod, p)[1]
-        e >>= 1
-    return result
-
-def _pmod_monic(a, p):
-    inv = pow(a[-1], p - 2, p)
-    return [(x * inv) % p for x in a]
-
-
-def _distinct_degree(f, p):
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
-    out = []
-    h = [0, 1]  # X, iterated through the Frobenius
-    d = 0
-    f = f[:]
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _pmod_powmod(h, p, f, p)
-        diff = h[:] + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        diff = _trim_int(diff)
-        g = f[:] if not diff else _pmod_gcd(f, diff, p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _poly_divmod_mod(f, g, p)[0]
-            if len(f) > 1:
-                h = _poly_divmod_mod(h, f, p)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def _equal_degree_split(f, d, p, rng):
-    """Split monic squarefree f, all of whose irreducible factors have degree d."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _trim_int(a)
-        if len(a) < 2:
-            continue
-        g = _pmod_gcd(f, a, p)
-        if 1 < len(g) < len(f):
-            break
-        # a^((p^d - 1)/2) - 1 splits the factors into quadratic residues
-        b = _pmod_powmod(a, (p ** d - 1) // 2, f, p)
-        b = b[:]
-        if not b:
-            b = [0]
-        b[0] = (b[0] - 1) % p
-        b = _trim_int(b)
-        if not b:
-            continue
-        g = _pmod_gcd(f, b, p)
-        if 1 < len(g) < len(f):
-            break
-    left = _equal_degree_split(g, d, p, rng)
-    right = _equal_degree_split(_poly_divmod_mod(f, g, p)[0], d, p, rng)
-    return left + right
-
-
-def _factor_mod_p(f, p, rng):
-    """Irreducible monic factors of monic squarefree f over GF(p)."""
-    out = []
-    for g, d in _distinct_degree(f, p):
-        out.extend(_equal_degree_split(g, d, p, rng))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hensel lifting
-
-def _ext_euclid(a, b, p):
-    """(s, t) with s*a + t*b = gcd = 1 (mod p) for coprime monic-ish a, b."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        neg_q = [-x for x in q]
-        s0, s1 = s1, _mod_list(_poly_add_int(s0, _poly_mul_int(neg_q, s1)), p)
-        t0, t1 = t1, _mod_list(_poly_add_int(t0, _poly_mul_int(neg_q, t1)), p)
-    inv = pow(r0[-1], p - 2, p)
-    s0 = [(x * inv) % p for x in s0]
-    t0 = [(x * inv) % p for x in t0]
-    return s0, t0
-
-
-def _centered(x: int, m: int) -> int:
-    x %= m
-    return x - m if 2 * x > m else x
-
-
-def _hensel_pair(f: list[int], g: list[int], h: list[int], p: int, k: int):
-    """Lift monic f = g*h (mod p) to mod p^k by quadratic Hensel steps."""
-    s, t = _ext_euclid(g, h, p)
-    m = p
-    target = p ** k
-    while m < target:
-        m2 = min(m * m, target)
-        e = _mod_list(_poly_add_int(f, [-x for x in _poly_mul_int(g, h)]), m2)
-        q, r = _poly_divmod_mod(_poly_mul_int(s, e), h, m2)
-        g = _mod_list(_poly_add_int(g, _poly_add_int(_poly_mul_int(t, e),
-                                                     _poly_mul_int(q, g))), m2)
-        h = _mod_list(_poly_add_int(h, r), m2)
-        # refresh s, t so s*g + t*h = 1 holds mod m2
-        b = _poly_add_int(_poly_mul_int(s, g), _poly_mul_int(t, h))
-        b = _mod_list(_poly_add_int(b, [-1]), m2)
-        c, d = _poly_divmod_mod(_poly_mul_int(s, b), h, m2)
-        s = _mod_list(_poly_add_int(s, [-x for x in d]), m2)
-        tb_cg = _poly_add_int(_poly_mul_int(t, b), _poly_mul_int(c, g))
-        t = _mod_list(_poly_add_int(t, [-x for x in tb_cg]), m2)
-        m = m2
-    return g, h
-
-
-def _hensel_multi(f: list[int], factors: list[list[int]], p: int, k: int):
-    """Lift monic f = prod(factors) (mod p) to mod p^k, recursively pairing."""
-    if len(factors) == 1:
-        return [[c % (p ** k) for c in f]]
-    half = len(factors) // 2
-    g = [1]
-    for fac in factors[:half]:
-        g = [x % p for x in _poly_mul_int(g, fac)]
-    h = [1]
-    for fac in factors[half:]:
-        h = [x % p for x in _poly_mul_int(h, fac)]
-    g_lift, h_lift = _hensel_pair(f, _trim_int(g), _trim_int(h), p, k)
-    return (_hensel_multi(g_lift, factors[:half], p, k) +
-            _hensel_multi(h_lift, factors[half:], p, k))
-
-
-def _mignotte_bound(p: Polynomial) -> int:
-    norm = math.isqrt(sum(c * c for c in p.coeffs)) + 1
-    return (2 ** p.degree) * norm * abs(p.lead)
-
-
-def _factor_squarefree(p: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Irreducible factors of a primitive squarefree polynomial, degree >= 1."""
-    if p.degree == 1:
-        return [p]
-    lc = p.lead
-
-    # a prime keeping the leading coefficient a unit and p squarefree mod q
-    q = 2
-    while True:
-        q = next_prime(q)
-        if lc % q == 0:
-            continue
-        fq = [c % q for c in p.coeffs]
-        d = _trim_int([(i * c) % q for i, c in enumerate(fq)][1:])
-        if not d:
-            continue
-        if len(_pmod_gcd(fq[:], d, q)) == 1:
-            break
-
-    monic = _pmod_monic([c % q for c in p.coeffs], q)
-    mod_factors = _factor_mod_p(monic, q, rng)
-    if len(mod_factors) == 1:
-        return [p]
-    mod_factors.sort(key=len)
-
-    bound = 2 * _mignotte_bound(p) + 1
-    k = 1
-    while q ** k < bound:
-        k += 1
-    pk = q ** k
-    # lift the factorization of the monic associate p/lc
-    inv = pow(lc, -1, pk)
-    monic_f = [(c * inv) % pk for c in p.coeffs]
-    lifted = _hensel_multi(monic_f, mod_factors, q, k)
-
-    # subset recombination
-    remaining = list(range(len(lifted)))
-    current = p
-    out: list[Polynomial] = []
-    size = 1
-    while 2 * size <= len(remaining):
-        found = True
-        while found:
-            found = False
-            for combo in itertools.combinations(remaining, size):
-                prod = [current.lead % pk]
-                for i in combo:
-                    prod = [x % pk for x in _poly_mul_int(prod, lifted[i])]
-                cand = Polynomial([_centered(c, pk) for c in prod]).primitive()
-                if cand.degree < 1:
-                    continue
-                if divides(cand, current):
-                    out.append(cand)
-                    current = exact_div(current, cand)
-                    remaining = [i for i in remaining if i not in combo]
-                    found = True
-                    break
-            if 2 * size > len(remaining):
-                break
-        size += 1
-    if current.degree >= 1:
-        out.append(current.primitive())
     return out
 
 
@@ -545,33 +293,6 @@ def next_prime(n: int, below: bool = False) -> int:
     return n
 
 
-def factor_int_poly(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Irreducible factorization over the integers.
-
-    Returns [(factor, multiplicity)] with primitive positive-lead factors,
-    constants dropped; content and sign are recoverable from the input.
-    The product of factor^multiplicity times the content equals the input.
-    """
-    if p.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    if p.degree > MAX_FACTOR_DEGREE:
-        raise CapacityError(f"degree {p.degree} exceeds the {MAX_FACTOR_DEGREE} limit")
-    rng = random.Random(0)
-    out: list[tuple[Polynomial, int]] = []
-    work = p.primitive()
-    xm = work.x_multiplicity()
-    if xm:
-        out.append((Polynomial.x_power(1), xm))
-        work = work.shift_down(xm)
-    if work.degree < 1:
-        return out
-    for sqfree, mult in squarefree_decomposition(work):
-        for irr in _factor_squarefree(sqfree, rng):
-            out.append((irr.primitive(), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # real roots
 
@@ -596,17 +317,17 @@ class RootInterval:
         return self.lo <= x <= self.hi
 
 
-def _sturm_chain(p: Polynomial) -> list[list[int]]:
-    """Sturm sequence of p, each member scaled by a positive rational.
+def _sturm_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """Sturm sequence from a and b, each member scaled by a positive rational.
 
-    p, p', then the negated primitive remainders; the scaling leaves
-    every sign, hence every sign-change count, as in the classical chain.
+    a, b (when nonzero), then the negated primitive remainders; the
+    scaling leaves every sign, hence every sign-change count, as in the
+    classical chain.  V(x) - V(y) is the Cauchy index of b/a over (x, y),
+    for b = a' the number of distinct roots of a in (x, y] (Gantmacher
+    1959, ch. XV).  The last member is gcd(a, b) up to a rational factor.
     """
-    chain = [list(p.coeffs)]
-    d = list(p.derivative().coeffs)
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
+    chain = [a] + ([b] if b else [])
+    while len(chain) > 1 and len(chain[-1]) > 1:
         r = _prem(chain[-2], chain[-1])
         if not r:
             break
@@ -624,28 +345,58 @@ def _scaled_value(coeffs: list[int], x: Fraction) -> int:
     return acc
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _scaled_value(coeffs, x)
-        if v:
-            signs.append(v > 0)
+def _changes(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sign_changes(chain, x: Fraction) -> int:
+    return _changes([v > 0 for v in (_scaled_value(c, x) for c in chain) if v])
+
+
+def _sign_changes_at_infinity(chain, negative: bool = False) -> int:
+    """Sign changes of the chain at +infinity, or at -infinity when negative."""
+    return _changes([(c[-1] > 0) != (negative and len(c) % 2 == 0) for c in chain])
+
+
+def _roots_outside(p: Polynomial, r: Fraction) -> int | None:
+    """Number of roots of p, with multiplicity, of modulus above r > 0.
+
+    None when a root lies on the circle |x| = r.  x = r (1 + z) / (1 - z)
+    takes Re z > 0 onto |x| > r, so these are the right half-plane roots
+    of f(z) = den^d (1 - z)^d p(x), r = num/den and d = deg p, which has
+    degree d unless p(-r) = 0.  With f(iy) = U(y) + i V(y), arg f(iy)
+    turns by pi (L - R) over the real line, L + R = d: pi times minus the
+    Cauchy index of V/U for even d, of -U/V for odd d (Routh-Hurwitz;
+    Gantmacher 1959, ch. XV).  A root on the imaginary axis is a real
+    root of gcd(U, V), the chain's last member.
+    """
+    num, den = r.numerator, r.denominator
+    f, power = [p.lead], [1]  # power = (den (1 - z))^j after j steps
+    for c in reversed(p.coeffs[:-1]):
+        power = _poly_mul_int(power, [den, -den])
+        f = _poly_add_int(_poly_mul_int(f, [num, num]), [c * x for x in power])
+    d = p.degree
+    if not _trim_int(f) or len(f) <= d:
+        return None
+    # i^k cycles 1, i, -1, -i: U takes the even powers, V the odd ones
+    U = _trim_int([x if k % 4 == 0 else -x if k % 4 == 2 else 0 for k, x in enumerate(f)])
+    V = _trim_int([x if k % 4 == 1 else -x if k % 4 == 3 else 0 for k, x in enumerate(f)])
+    chain = _sturm_chain(U, V) if d % 2 == 0 else _sturm_chain(V, [-x for x in U])
+    if len(chain[-1]) > 1 and _real_roots_above(Polynomial(chain[-1])):
+        return None
+    return (d + _sign_changes_at_infinity(chain, True) - _sign_changes_at_infinity(chain)) // 2
+
+
+def _real_roots_above(p: Polynomial, x: Fraction | None = None) -> int:
+    """Number of distinct real roots of p above x, or of all when x is None."""
+    chain = _sturm_chain(list(p.coeffs), list(p.derivative().coeffs))
+    start = _sign_changes_at_infinity(chain, True) if x is None else _sign_changes(chain, x)
+    return start - _sign_changes_at_infinity(chain)
 
 
 def _squarefree_part(p: Polynomial) -> Polynomial:
     g = gcd(p, p.derivative())
     return p.primitive() if g.degree == 0 else exact_div(p, g).primitive()
-
-
-def real_root_count(p: Polynomial) -> int:
-    """Number of distinct real roots."""
-    if p.degree < 1:
-        return 0
-    p = _squarefree_part(p)
-    b = cauchy_bound(p)
-    chain = _sturm_chain(p)
-    return _sign_changes(chain, -b) - _sign_changes(chain, b)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -683,7 +434,7 @@ def largest_real_root(p: Polynomial,
 
     p = _squarefree_part(p)
     b = cauchy_bound(p)
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(list(p.coeffs), list(p.derivative().coeffs))
     lo, hi = -b, b
     at_hi = _sign_changes(chain, hi)
     if _sign_changes(chain, lo) == at_hi:

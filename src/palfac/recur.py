@@ -11,7 +11,8 @@ polynomial p, by reducing the generating function N/P~ that p and the
 first deg p terms determine to lowest terms with one gcd, and by
 Berlekamp-Massey over primes on the sequence alone, lifted to the
 integers and accepted only after an exact integer window check.
-Dominant-root asymptotics close the loop.
+The dominant pole closes the loop: one of order m at 1/alpha gives
+a(n) ~ C n^(m-1) alpha^n, with C exact and the dominance certified.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from .construct import CapacityError
 from .polys import (
     Polynomial,
     RootInterval,
+    _real_roots_above,
+    _roots_outside,
+    _scaled_value,
     exact_div,
-    factor_int_poly,
     gcd,
     largest_real_root,
     next_prime,
+    squarefree_decomposition,
 )
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "sequence",
     "window_apply",
     "matrix_min_poly",
-    "factor_int_poly",
     "lda",
     "minimal_recurrence",
     "largest_real_root",
@@ -56,7 +59,7 @@ __all__ = [
 _MAX_MINPOLY_STATES = 4000
 _BLOCK_ENTRIES = 1 << 22  # int64 entries per column block of the Horner matrix
 _INT64_LIMIT = 1 << 63
-_DRIFT_TOLERANCE = 0.02  # largest relative spread of a converged fit
+_PRECISION = Fraction(1, 10 ** 12)  # relative width of a constant; finest radius step
 
 
 class InconclusiveError(Exception):
@@ -500,95 +503,125 @@ def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Growth constants fitted from exact terms against a known root.
+    """Growth constants read off the dominant pole of the generating function.
 
-    Single-root mode fills c; the even/odd split mode (for spectra with
-    a +alpha/-alpha real pair) fills c1 and c2.  drift is the relative
-    spread of the fitted ratios over the averaging window; when it
-    exceeds _DRIFT_TOLERANCE, converged is False and the values are
-    reported for diagnostics only.
+    a(n) ~ c n^(m-1) alpha^n for alpha of multiplicity m, so for m > 1, c
+    is the coefficient of the leading power of n.  The parity split fills
+    c1 and c2 instead, with a(n) ~ n^(m-1) alpha^n (c1 + (-1)^n c2); c2 is
+    0 when -alpha is not a pole of order m.  converged holds when no other
+    root shares alpha's modulus (-alpha aside, in the split); otherwise
+    reason says why, and the constants of alpha's pole need not govern a(n).
     """
     alpha: float
     c: float | None
     c1: float | None
     c2: float | None
-    drift: float
+    multiplicity: int
     converged: bool
+    reason: str | None = None
 
 
-def _deflation_cofactor(annihilator: Polynomial, alpha) -> Polynomial:
-    """The annihilator with the irreducible factor owning root alpha removed.
+def _pole_constant(N: Polynomial, D: Polynomial, m: int, lo: Fraction, hi: Fraction):
+    """Bounds on C = m N(x) / (D^(m)(x) (-x)^m) over lo <= x <= hi, or None.
 
-    Applying the cofactor as a sliding window annihilates every root of
-    the recurrence except those sharing alpha's irreducible factor, so
-    the windowed sequence converges like the gaps within that one factor
-    instead of the full spectrum.
+    For a pole of N/D of order m at x, [z^n] N/D ~ C n^(m-1) x^-n
+    (Flajolet and Sedgewick 2009, Thm IV.9).  N and D^(m) X^m are bounded
+    by Horner in interval arithmetic, on integers scaled by powers of w
+    for lo = u/w and hi = v/w; None when the denominator's bounds hold 0.
     """
-    if isinstance(alpha, RootInterval):
-        lo, hi = alpha.lo, alpha.hi
-    else:
-        pad = Fraction(1, 10 ** 6)
-        lo, hi = Fraction(alpha) - pad, Fraction(alpha) + pad
-    owners = []
-    cofactor = Polynomial([1])
-    for f, mult in factor_int_poly(annihilator):
-        if f.degree >= 1 and f(lo) * f(hi) <= 0:
-            owners.append(f)
-        else:
-            cofactor = cofactor * f ** mult
-    if len(owners) != 1:
-        raise ValueError("alpha does not isolate one irreducible factor")
-    return cofactor
+    E = D
+    for _ in range(m):
+        E = E.derivative()
+    w = math.lcm(lo.denominator, hi.denominator)
+    u, v = int(lo * w), int(hi * w)
+    bounds = []
+    for p in (N, Polynomial.x_power(m) * E):
+        plo = phi = 0
+        scale = 1
+        for c in reversed(p.coeffs):
+            products = (plo * u, plo * v, phi * u, phi * v)
+            plo, phi = min(products) + c * scale, max(products) + c * scale
+            scale *= w
+        bounds.append((Fraction(plo * w, scale), Fraction(phi * w, scale)))
+    (nlo, nhi), (elo, ehi) = bounds
+    if elo <= 0 <= ehi:
+        return None
+    quotients = [m * (-1) ** m * x / y for x in (nlo, nhi) for y in (elo, ehi)]
+    return min(quotients), max(quotients)
+
+
+def _changes_sign(f: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    return _scaled_value(f.coeffs, lo) * _scaled_value(f.coeffs, hi) <= 0
 
 
 def asymptotic_fit(a: SeqABC, alpha, annihilator: Polynomial | None = None,
                    split_parity: bool = False) -> AsymptoticFit:
-    """Fit a(n) ~ C alpha^n (or C1 alpha^n + C2 (-alpha)^n when split).
+    """Read a(n) ~ C n^(m-1) alpha^n exactly off the pole at 1/alpha.
 
-    Single-root mode averages a(n)/alpha^n over the last quarter of the
-    terms and reports the relative spread as drift.  When the sequence's
-    annihilator is supplied, its other irreducible factors are divided
-    out of the data first (an exact integer windowing), which removes
-    subdominant roots that would otherwise decay too slowly to average
-    away.  alpha may be a float, Fraction, or a certified root interval.
+    lda puts the annihilator (minimal_recurrence(a) when None) in lowest
+    terms, q of degree d from n0, so the generating function of a is N/D
+    with D = X^d q(1/X) and N = (A D) mod X^(d+n0), A the polynomial of
+    the first d + n0 terms.  alpha is a RootInterval of the largest real
+    root of q, or that root as an exact number; anything else raises
+    ValueError.  m is the multiplicity of the squarefree factor of q that
+    changes sign on alpha's interval.  C, and with split_parity C2 at
+    -1/alpha, is evaluated over that interval, bisected until C is known
+    to 10^-12 relative; the midpoint is reported.
+
+    Dominance: the roots of q of modulus above r = (ceil(lo 2^k) - 1)/2^k
+    are counted exactly (polys._roots_outside) for k = 2, 4, 8, ... while
+    2^-k >= 10^-12.  A count of 1, or of 2 when split_parity is set and
+    -alpha is a root (alpha is a root of gcd(q(X), q(-X))), certifies it.
     """
-    alpha_f = float(alpha)
-    if alpha_f <= 1:
-        raise ValueError("alpha must exceed 1")
-    scale = 1.0
-    terms: SeqABC = a
-    if annihilator is not None:
-        h = _deflation_cofactor(annihilator, alpha)
-        if h.degree >= 1:
-            terms = [window_apply(h, a, i) for i in range(len(a) - h.degree)]
-            x = alpha.midpoint if isinstance(alpha, RootInterval) else Fraction(alpha_f)
-            scale = float(h(x))
-            if scale == 0:
-                raise ValueError("alpha appears to be a repeated root")
-    n = len(terms)
-    if n < 8:
-        raise ValueError("need at least 8 terms")
-    start = (3 * n) // 4
-    indices = range(start, n)
-    ratios = [terms[i] / (scale * alpha_f ** i) for i in indices]
-    even = [r for i, r in zip(indices, ratios) if i % 2 == 0]
-    odd = [r for i, r in zip(indices, ratios) if i % 2 == 1]
-    if not even or not odd:
-        raise ValueError("need terms of both parities")
+    if annihilator is None:
+        q, n0 = minimal_recurrence(a)
+    else:
+        p = annihilator * Polynomial.x_power(_offset(annihilator, a))
+        q, n0 = lda(p, a[:p.degree])  # _offset has checked every window
+    d = q.degree
+    D = Polynomial(q.coeffs[::-1])
+    N = Polynomial((Polynomial(a[:d + n0]) * D).coeffs[:d + n0])
+    if isinstance(alpha, RootInterval):
+        lo, hi = alpha.lo, alpha.hi
+    else:
+        lo = hi = Fraction(alpha)
+    parts = squarefree_decomposition(q)
+    owners = [(f, m) for f, m in parts if _changes_sign(f, lo, hi)]
+    s = math.prod((f for f, _ in parts), start=Polynomial([1]))
+    if len(owners) != 1 or lo <= 0 or \
+            _real_roots_above(s, lo) != (_scaled_value(s.coeffs, lo) != 0):
+        raise ValueError("alpha is not the largest real root of the sequence's "
+                         "minimal annihilator, or not positive")
+    f, m = owners[0]
 
-    def spread(vals, center):
-        if not vals or center == 0:
-            return math.inf
-        return (max(vals) - min(vals)) / abs(center)
+    minus = split_parity and _changes_sign(gcd(s, Polynomial(
+        [c if i % 2 == 0 else -c for i, c in enumerate(s.coeffs)])), lo, hi)
+    m_minus = next((i for g, i in parts if minus and _changes_sign(g, -hi, -lo)), 0)
+    k, converged, reason = 2, False, None
+    while not converged:
+        r = Fraction(math.ceil(lo * 2 ** k) - 1, 2 ** k)
+        count = _roots_outside(s, r)
+        converged = count == (2 if minus else 1)
+        if not converged and Fraction(1, 2 ** k) < _PRECISION:
+            where = "a root lies on" if count is None else f"{count} roots lie outside"
+            reason = (f"alpha is not certified dominant: {where} the circle "
+                      f"|x| = {float(r):.12g} just below alpha")
+            break
+        k *= 2
+    if m_minus > m:
+        converged, reason = False, f"the pole at -1/alpha has order {m_minus} > {m}"
 
-    if not split_parity:
-        c = math.fsum(ratios) / len(ratios)
-        drift = spread(ratios, c)
-        return AsymptoticFit(alpha_f, c, None, None, drift, drift <= _DRIFT_TOLERANCE)
-
-    s_plus = math.fsum(even) / len(even)
-    s_minus = math.fsum(odd) / len(odd)
-    c1 = (s_plus + s_minus) / 2
-    c2 = (s_plus - s_minus) / 2
-    drift = max(spread(even, c1), spread(odd, c1))
-    return AsymptoticFit(alpha_f, None, c1, c2, drift, drift <= _DRIFT_TOLERANCE)
+    at_lo = _scaled_value(f.coeffs, lo)
+    while True:
+        poles = [(1 / hi, 1 / lo)] + ([(-1 / lo, -1 / hi)] if m_minus == m else [])
+        consts = [_pole_constant(N, D, m, x, y) for x, y in poles]
+        if all(c and c[1] - c[0] <= _PRECISION * min(abs(c[0]), abs(c[1])) for c in consts):
+            break
+        for _ in range(10):  # bisect alpha's interval on its factor f
+            mid = (lo + hi) / 2
+            at_mid = _scaled_value(f.coeffs, mid)
+            lo, hi = (mid, hi) if at_mid * at_lo > 0 else (lo, mid) if at_mid else (mid, mid)
+    c, *c2 = [float((x + y) / 2) for x, y in consts]
+    c2 = c2[0] if c2 else (None if m_minus > m else 0.0)
+    fields = (None, c, c2) if split_parity else (c, None, None)
+    return AsymptoticFit(float((lo + hi) / 2), *fields, m, converged, reason)

@@ -55,7 +55,8 @@ def test_rows_hold_under_optimized_python():
     for group, verdicts in (("classification", {"PASS", "XFAIL"}),
                             ("oracle-agreement", {"PASS"}),
                             ("state-counts", {"PASS"}),
-                            ("sequences", {"PASS", "XFAIL"})):
+                            ("sequences", {"PASS", "XFAIL"}),
+                            ("asymptotics", {"PASS"})):
         statuses = []
         for flags in ([], ["-O"]):
             out = subprocess.run(

@@ -133,6 +133,7 @@ class TestAnnihilateAsymptotics:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["converged"] is True
+        assert payload["multiplicity"] == 1 and payload["reason"] is None
         assert abs(payload["alpha"]["value"] - 1.465571231876768) < 1e-9
         assert abs(payload["c"] - 5.37711043) / 5.37711043 < 0.01
         assert payload["c1"] is None and payload["c2"] is None
@@ -164,22 +165,32 @@ class TestAnnihilateAsymptotics:
         import palfac.cli
 
         def unsettled(*args, **kwargs):
-            return AsymptoticFit(2.0, math.nan, None, None, math.inf, False)
+            return AsymptoticFit(2.0, math.nan, None, None, 1, False, "no certified gap")
 
         monkeypatch.setattr(palfac.cli, "asymptotic_fit", unsettled)
         code, stdout, stderr = run(
             capsys, "asymptotics", "--family", "R", "--alphabet", "3",
             "--cap", "0", "--odd-cap", "3")
         assert code == 1
-        assert "did not settle" in stderr
+        assert "no certified gap" in stderr
 
         def reject(token):
             raise AssertionError(f"non-standard JSON constant {token}")
 
         payload = json.loads(stdout, parse_constant=reject)
-        assert payload["drift"] is None
         assert payload["c"] is None
         assert payload["converged"] is False
+        assert payload["reason"] == "no certified gap"
+
+    def test_polynomial_growth_fails_the_dominance_check(self, capsys):
+        # D(2,10) has annihilator X^6 - 1: six roots on the unit circle
+        code, stdout, stderr = run(capsys, "asymptotics", "--family", "D", "--cap", "10")
+        assert code == 1
+        payload = json.loads(stdout)
+        assert payload["annihilator"] == [-1, 0, 0, 0, 0, 0, 1]
+        assert payload["alpha"]["value"] == 1.0
+        assert payload["converged"] is False
+        assert "6 roots" in payload["reason"] and payload["reason"] in stderr
 
 
 class TestVerifyOracle:

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,18 +10,15 @@ try:
 except ImportError:
     sympy = None
 
-from palfac.construct import CapacityError
 from palfac.polys import (
     NoRealRootError,
     Polynomial,
+    _roots_outside,
     cauchy_bound,
-    divides,
     exact_div,
-    factor_int_poly,
     gcd,
     largest_real_root,
     next_prime,
-    real_root_count,
     squarefree_decomposition,
 )
 
@@ -64,8 +63,6 @@ class TestArithmetic:
         assert exact_div(a, X - P([3])) == X + P([5])
         with pytest.raises(ValueError):
             exact_div(a, X - P([1]))
-        assert divides(X + P([5]), a)
-        assert not divides(X + P([4]), a)
 
     def test_gcd_primitive_positive(self):
         a = (X - P([1])) * (X - P([2])) * 6
@@ -104,86 +101,6 @@ class TestSquarefree:
         assert squarefree_decomposition(p) == [(p, 1)]
 
 
-class TestFactorization:
-    def test_difference_of_squares(self):
-        assert factor_int_poly(P([-1, 0, 1])) == [
-            (P([-1, 1]), 1),
-            (P([1, 1]), 1),
-        ]
-
-    def test_irreducible_quartic(self):
-        p = P([-1, -1, 0, 0, 1])
-        assert factor_int_poly(p) == [(p, 1)]
-
-    @pytest.mark.parametrize("coeffs", [
-        [-1, -1, 0, 0, 0, 0, 0, 1],      # X^7 - X - 1
-        [-1, 0, -1, 0, 0, 0, 0, 0, 1],   # X^8 - X^2 - 1
-        [-1, 0, -1, 1],                  # X^3 - X^2 - 1
-    ])
-    def test_known_irreducibles(self, coeffs):
-        p = P(coeffs)
-        assert factor_int_poly(p) == [(p, 1)]
-
-    def test_product_of_the_two_trinomials(self):
-        p7 = P([-1, -1, 0, 0, 0, 0, 0, 1])
-        p8 = P([-1, 0, -1, 0, 0, 0, 0, 0, 1])
-        got = factor_int_poly(p7 * p8)
-        assert got == [(p7, 1), (p8, 1)]
-
-    def test_x_power_extracted(self):
-        p = P([0, 0, 0, -1, 0, 0, 0, 0, 0, 1])  # X^3 (X^6 - 1)
-        got = dict()
-        for q, m in factor_int_poly(p):
-            got[q] = m
-        assert got[X] == 3
-        assert got[X - P([1])] == 1
-        assert got[X + P([1])] == 1
-        assert got[P([1, 1, 1])] == 1
-        assert got[P([1, -1, 1])] == 1
-
-    def test_multiplicities_preserved(self):
-        p = (X - P([2])) ** 4 * (P([1, 1, 1])) ** 2
-        got = factor_int_poly(p)
-        assert (X - P([2]), 4) in got
-        assert (P([1, 1, 1]), 2) in got
-
-    def test_content_dropped_but_recoverable(self):
-        p = 12 * (X - P([1])) * (X + P([1]))
-        got = factor_int_poly(p)
-        back = P([p.content()])
-        for q, m in got:
-            back = back * q ** m
-        assert back == p
-
-    @settings(max_examples=60, deadline=None)
-    @given(products())
-    def test_random_products_round_trip(self, f):
-        back = P([f.content()])
-        for q, m in factor_int_poly(f):
-            assert q.lead > 0
-            assert q.content() == 1
-            back = back * q ** m
-        assert back == f
-
-    def test_degree_limit(self):
-        with pytest.raises(CapacityError):
-            factor_int_poly(X ** 129 - P([1]))
-
-    @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
-    @settings(max_examples=60, deadline=None)
-    @given(products())
-    def test_agrees_with_sympy(self, f):
-        x = sympy.Symbol("x")
-        _, theirs = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
-        want = sorted((tuple(reversed([int(c) for c in q.all_coeffs()])), m)
-                      for q, m in theirs)
-        assert sorted((q.coeffs, m) for q, m in factor_int_poly(f)) == want
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            factor_int_poly(P([]))
-
-
 def _sym(f):
     return sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"))
 
@@ -206,17 +123,11 @@ class TestAgainstSympy:
         assert exact_div(a * b, b) == a
         q, r = sympy.div(_sym(a), _sym(b), domain=sympy.QQ)
         integral = r.is_zero and all(x.is_integer for x in q.all_coeffs())
-        assert divides(b, a) == integral
         if integral:
             assert exact_div(a, b) == P(reversed([int(x) for x in q.all_coeffs()]))
         else:
             with pytest.raises(ValueError):
                 exact_div(a, b)
-
-    @settings(max_examples=60, deadline=None)
-    @given(products())
-    def test_real_root_count(self, f):
-        assert real_root_count(f) == _sym(f).sqf_part().count_roots()
 
     @settings(max_examples=60, deadline=None)
     @given(products())
@@ -300,12 +211,6 @@ class TestRealRoots:
         r = largest_real_root(P([0, -5, 1]))
         assert float(r) == pytest.approx(5, abs=1e-11)
 
-    def test_root_counts(self):
-        assert real_root_count(P([-1, 0, 1])) == 2
-        assert real_root_count(P([1, 0, 1])) == 0
-        assert real_root_count(P([1, -2, 1])) == 1
-        assert real_root_count(P([0, -1, 0, 1])) == 3
-
     def test_cauchy_bound_dominates(self):
         p = P([-10, 3, 1])
         b = cauchy_bound(p)
@@ -337,3 +242,28 @@ class TestRealRoots:
         r = largest_real_root(P([-2, 0, 1]), tolerance=Fraction(1, 10 ** 20))
         assert r.width <= Fraction(1, 10 ** 20)
         assert abs(float(r) - 2 ** 0.5) < 1e-15
+
+
+class TestRootsOutside:
+    def test_against_numpy(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 400:
+            d = rng.randint(1, 11)
+            coeffs = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-3, -1, 1, 2])]
+            r = Fraction(rng.randint(1, 40), rng.randint(1, 16))
+            moduli = np.abs(np.roots(coeffs[::-1]))
+            if np.any(np.abs(moduli - float(r)) < 1e-6):
+                continue
+            assert _roots_outside(P(coeffs), r) == int(np.sum(moduli > float(r))), (coeffs, r)
+            checked += 1
+
+    def test_root_on_the_circle(self):
+        assert _roots_outside(P([-1, 0, 0, 0, 0, 0, 1]), Fraction(1)) is None  # X^6 - 1
+        assert _roots_outside(P([1, 0, 1]), Fraction(1)) is None  # +-i
+        assert _roots_outside(P([1, 1]), Fraction(1)) is None  # -1: f loses its degree
+
+    def test_pair_inverse_about_the_circle(self):
+        # 2 and 1/2 map to z and -z: gcd(U, V) has no real root
+        assert _roots_outside(P([2, -5, 2]), Fraction(1)) == 1
+        assert _roots_outside(P([-8, 0, 0, 1]), Fraction(7, 4)) == 3

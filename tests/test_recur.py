@@ -9,6 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
 from palfac.automaton import Dfa, minimize
 from palfac.construct import (
     CapacityError,
@@ -25,7 +30,6 @@ from palfac.recur import (
     CountingSystem,
     InconclusiveError,
     asymptotic_fit,
-    factor_int_poly,
     largest_real_root,
     lda,
     matrix_min_poly,
@@ -38,6 +42,7 @@ from palfac.recur import (
 P = Polynomial
 X = P([0, 1])
 XP = Polynomial.x_power
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 
 def build(spec):
@@ -284,14 +289,12 @@ class TestLda:
         assert n0 == 10
 
     def test_output_divides_min_poly(self):
-        from palfac.polys import divides
-
         for spec in (MaxDistinct(3, 5), MaxLen(3, 2), MaxLenByParity(3, 0, 3)):
             cs = transfer_matrix(build(spec))
             a = sequence(cs, 80)
             mp = matrix_min_poly(cs)
             q, n0 = lda(mp, a)
-            assert divides(q, mp)
+            exact_div(mp, q)  # raises unless q divides mp
             assert q.lead > 0 and q.content() == 1
             assert n0 >= 0
 
@@ -397,8 +400,8 @@ class TestAsymptoticFit:
     def test_exact_geometric(self):
         fit = asymptotic_fit([3 * 2 ** n for n in range(40)], 2.0)
         assert fit.c == 3.0
-        assert fit.drift == 0.0
-        assert fit.converged
+        assert fit.multiplicity == 1
+        assert fit.converged and fit.reason is None
 
     def test_single_root_with_deflation(self):
         cs = transfer_matrix(build(MaxDistinct(3, 5)))
@@ -407,6 +410,15 @@ class TestAsymptoticFit:
         fit = asymptotic_fit(a, largest_real_root(q), annihilator=q)
         assert fit.converged
         assert abs(fit.c - 16.07007) / 16.07007 < 0.01
+
+    def test_redundant_factors_change_nothing(self):
+        a = sequence(transfer_matrix(build(MaxDistinct(3, 5))), 120)
+        q = P([-1, -1, 0, 0, 1])
+        fit = asymptotic_fit(a, largest_real_root(q), annihilator=q)
+        padded = q * P([-1, 1]) * XP(2)
+        got = asymptotic_fit(a, largest_real_root(padded), annihilator=padded)
+        assert (got.multiplicity, got.converged) == (fit.multiplicity, fit.converged)
+        assert got.c == pytest.approx(fit.c, rel=1e-11)
 
     def test_plus_minus_pair(self):
         cs = transfer_matrix(build(MaxLenByParity(2, 2, 5)))
@@ -422,12 +434,44 @@ class TestAsymptoticFit:
         with pytest.raises(ValueError):
             asymptotic_fit([1] * 40, 0.9)
 
+    def test_alpha_must_be_the_largest_root(self):
+        with pytest.raises(ValueError):
+            asymptotic_fit([2 ** n + 1 for n in range(30)], 1)
+
     def test_non_convergence_reported_not_raised(self):
         # alternating contamination as strong as the main term
         a = [int(2 ** n + (-2) ** n) + 1 for n in range(60)]
         fit = asymptotic_fit(a, 2.0)
         assert not fit.converged
-        assert fit.drift > 0.02
+        assert "2 roots" in fit.reason
+
+    def test_polynomial_growth(self):
+        # n^2 + 1: a triple pole at 1
+        fit = asymptotic_fit([n * n + 1 for n in range(40)], 1)
+        assert (fit.alpha, fit.multiplicity, fit.c, fit.converged) == (1.0, 3, 1.0, True)
+
+    def test_double_pole(self):
+        # (n + 1) 3^n + 5 ~ n 3^n
+        fit = asymptotic_fit([(n + 1) * 3 ** n + 5 for n in range(40)], 3)
+        assert (fit.multiplicity, fit.c, fit.converged) == (2, 1.0, True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.lists(st.integers(-3, 3), max_size=2),
+           st.integers(1, 4), st.integers(-9, 9), st.booleans())
+    def test_leading_coefficient_of_polynomial_times_power(self, alpha, low, lead, b, negative):
+        # a(n) = (lead n^(m-1) + lower powers) alpha^n + b beta^n, |beta| < alpha
+        poly = low + [lead]
+        beta = 1 - alpha if negative else alpha - 1
+        a = [sum(c * n ** j for j, c in enumerate(poly)) * alpha ** n + b * beta ** n
+             for n in range(40)]
+        fit = asymptotic_fit(a, alpha)
+        assert (fit.multiplicity, fit.c, fit.converged) == (len(poly), lead, True)
+
+    def test_rotated_roots_block_dominance(self):
+        # roots 2, 2w, 2w^2 (w a cube root of unity) share alpha's modulus
+        fit = asymptotic_fit([3 * 2 ** n if n % 3 == 0 else 0 for n in range(40)], 2)
+        assert not fit.converged
+        assert "3 roots" in fit.reason
 
 
 class TestDominantRootReexport:
@@ -450,6 +494,13 @@ def exact_eval(p, M):
     return H
 
 
+def factor_list(p):
+    """[(irreducible factor, multiplicity)] of p over the integers, by sympy."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+    return [(P(reversed([int(c) for c in f.all_coeffs()])), m) for f, m in factors]
+
+
 def exact_min_poly(M):
     """Lowest-degree monic divisor of the characteristic polynomial killing M."""
     n = len(M)
@@ -462,7 +513,7 @@ def exact_min_poly(M):
         trace = sum(M[i][t] * Mk[t][i] for i in range(n) for t in range(n))
         coeffs[n - k] = Fraction(-trace, k)
     charpoly = P([int(c) for c in coeffs])
-    factors = factor_int_poly(charpoly)
+    factors = factor_list(charpoly)
     best = charpoly
     for exps in _exponent_choices([m for _, m in factors]):
         cand = P([1])
@@ -498,6 +549,7 @@ class TestGatherCertificate:
         p = P(coeffs)
         assert certified(p, M) == (not p.is_zero() and not any(map(any, exact_eval(p, M))))
 
+    @needs_sympy
     @settings(max_examples=60, deadline=None)
     @given(small_matrices, st.data())
     def test_minimal_polynomial_accepted_and_perturbations_rejected(self, M, data):
@@ -507,9 +559,10 @@ class TestGatherCertificate:
         i = data.draw(st.integers(0, mp.degree - 1))
         delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
         assert not certified(mp + XP(i, delta), M)
-        for f, _ in factor_int_poly(mp):
+        for f, _ in factor_list(mp):
             assert not certified(exact_div(mp, f), M)
 
+    @needs_sympy
     def test_wide_rows_force_reduction(self):
         # with 2^8 gathers a row, entries of H pass 2^63 by the sixth
         # Horner step unless residues are reduced inside the loop
