@@ -3,7 +3,6 @@
 from .words import (
     Word,
     PalFacSet,
-    Eertree,
     palindromic_factors,
     naive_palindromic_factors,
     enumerate_palindromes,
@@ -13,7 +12,6 @@ from .words import (
 __all__ = [
     "Word",
     "PalFacSet",
-    "Eertree",
     "palindromic_factors",
     "naive_palindromic_factors",
     "enumerate_palindromes",

@@ -215,7 +215,7 @@ def cmd_annihilate(args, parser) -> int:
     a = sequence(cs, args.terms)
     results = {}
     if args.method in ("lda", "both"):
-        results["lda"] = lda(matrix_min_poly(cs, seed=args.seed), a)
+        results["lda"] = lda(matrix_min_poly(cs), a)
     if args.method in ("hankel", "both"):
         results["hankel"] = minimal_recurrence(a)
     if len(results) == 2 and results["lda"] != results["hankel"]:
@@ -231,7 +231,7 @@ def cmd_asymptotics(args, parser) -> int:
     d = _dfa_from_args(args, parser)
     cs = transfer_matrix(d)
     a = sequence(cs, args.terms)
-    q, n0 = lda(matrix_min_poly(cs, seed=args.seed), a)
+    q, n0 = lda(matrix_min_poly(cs), a)
     if q.degree == 0:
         _say(f"finite language: no words of length {n0} or more")
         return 1
@@ -349,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--terms", type=int, default=400, metavar="N")
     p.add_argument("--method", choices=["lda", "hankel", "both"], default="both")
-    p.add_argument("--seed", type=int, default=0, help="seed for modular sampling")
     p.set_defaults(func=cmd_annihilate)
 
     p = sub.add_parser("asymptotics", help="growth rate and leading constants")
@@ -358,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=400, metavar="N")
     p.add_argument("--split-parity", action="store_true",
                    help="also read the constant c2 of the pole at -1/alpha")
-    p.add_argument("--seed", type=int, default=0, help="seed for modular sampling")
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("verify", help="transformation stabilization for X -> X s X^R")

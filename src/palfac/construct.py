@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import Dfa, minimize
+from .automaton import Dfa
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
@@ -432,27 +432,3 @@ def build_avoidance(forbidden: Iterable[Word], alphabet_size: int) -> Dfa:
         delta.append(row)
     delta.append([dead] * alphabet_size)
     return Dfa(delta, 0, range(len(live)), dead=dead, alphabet_size=alphabet_size)
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    """Size diagnostics for one constraint spec."""
-    spec: ConstraintSpec
-    window: int
-    unminimized_states: int       # live states + dead, as constructed
-    unminimized_live_states: int  # excluding the dead state
-    minimized_states: int         # excluding the dead state
-    minimized_total: int
-
-
-def build_report(spec: ConstraintSpec, budget: int | None = None) -> BuildReport:
-    raw = build_direct(spec, budget)
-    small = minimize(raw)
-    return BuildReport(
-        spec=spec,
-        window=window_bound(spec),
-        unminimized_states=raw.state_count,
-        unminimized_live_states=raw.live_state_count(),
-        minimized_states=small.live_state_count(),
-        minimized_total=small.state_count,
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class NoRealRootError(ValueError):
@@ -282,15 +282,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int, below: bool = False) -> int:
-    """The least prime above n, or with below=True the greatest prime below n."""
-    step = -1 if below else 1
-    n += step
-    while not _is_prime(n):
-        if below and n < 2:
-            raise ValueError("no prime below 2")
-        n += step
-    return n
+def _primes_below(top: int) -> Iterator[int]:
+    """The primes below top, in descending order: a fixed modulus list."""
+    return filter(_is_prime, range(top - 1, 1, -1))
 
 
 # ---------------------------------------------------------------------------

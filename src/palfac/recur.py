@@ -9,8 +9,14 @@ the recurrence runs on fewer rows.  From there this module derives
 annihilating polynomials two independent ways: from the matrix minimal
 polynomial p, by reducing the generating function N/P~ that p and the
 first deg p terms determine to lowest terms with one gcd, and by
-Berlekamp-Massey over primes on the sequence alone, lifted to the
-integers and accepted only after an exact integer window check.
+Berlekamp-Massey on the sequence alone.  Both routes run
+Berlekamp-Massey modulo a fixed descending list of primes, on their own
+inputs, and lift the longest registers to the integers by one symmetric
+CRT (_lift): the matrix route's lift is accepted only by the p(M) = 0
+certificate and the sequence route's only by an exact integer window
+check.  When the primes outgrow the coefficient bound (for the matrix,
+(1 + R)^deg with R the largest row sum) without an accepted lift, the
+route raises InconclusiveError.
 The dominant pole closes the loop: one of order m at 1/alpha gives
 a(n) ~ C n^(m-1) alpha^n, with C exact and the dominance certified.
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence as SeqABC
@@ -30,13 +37,13 @@ from .construct import CapacityError
 from .polys import (
     Polynomial,
     RootInterval,
+    _primes_below,
     _real_roots_above,
     _roots_outside,
     _scaled_value,
     exact_div,
     gcd,
     largest_real_root,
-    next_prime,
     squarefree_decomposition,
 )
 
@@ -186,12 +193,12 @@ def window_apply(q: Polynomial, a: SeqABC, i: int) -> int:
     return sum(c * a[i + j] for j, c in enumerate(q.coeffs))
 
 
-def _annihilates(q: Polynomial, a: SeqABC, start: int, stop: int | None = None) -> bool:
-    """True when every window at start <= i < stop (or end of data) vanishes."""
-    if stop is None:
-        stop = len(a) - q.degree
-    stop = min(stop, len(a) - q.degree)
-    return all(window_apply(q, a, i) == 0 for i in range(start, stop))
+def _offset(q: Polynomial, a: SeqABC) -> int:
+    """Smallest n0 from which q annihilates every available window of a."""
+    for i in range(len(a) - q.degree - 1, -1, -1):
+        if window_apply(q, a, i) != 0:
+            return i + 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +291,6 @@ def _min_poly_mod(table, p, rng):
     return list(reversed(conn))
 
 
-def _primes_below(top: int):
-    """The primes below top, in descending order: a fixed modulus list."""
-    q = top
-    while True:
-        q = next_prime(q, below=True)
-        yield q
-
-
 def _crt_symmetric(residues: list[int], moduli: list[int]) -> int:
     x, m = 0, 1
     for r, p in zip(residues, moduli):
@@ -300,6 +299,37 @@ def _crt_symmetric(residues: list[int], moduli: list[int]) -> int:
         m *= p
     x %= m
     return x - m if 2 * x > m else x
+
+
+def _lift(registers: Iterable[tuple[int, list[int]]], accept: Callable[[Polynomial], bool],
+          bound: Callable[[int], int]) -> Polynomial | None:
+    """The first symmetric CRT lift of the longest registers that accept takes.
+
+    registers yields (p, coefficients modulo p) of a register of length L
+    (L + 1 coefficients) for distinct primes p.  Reduction mod p can only
+    shorten a register, so a shorter one is skipped and a longer one
+    discards those before it.  From the second prime on, the lift of the
+    registers kept is offered to accept; once the product of their primes
+    exceeds 2 bound(L) + 1, a lift bounded by bound(L) would have been
+    found, and None is returned.
+    """
+    primes: list[int] = []
+    kept: list[list[int]] = []
+    for p, reg in registers:
+        if kept and len(reg) != len(kept[0]):
+            if len(reg) < len(kept[0]):
+                continue  # p divides a minor of the integral register
+            primes, kept = [], []  # the earlier primes were the unlucky ones
+        primes.append(p)
+        kept.append(reg)
+        if len(primes) < 2:
+            continue
+        q = Polynomial([_crt_symmetric(list(c), primes) for c in zip(*kept)])
+        if accept(q):
+            return q
+        if math.prod(primes) > 2 * bound(len(reg) - 1) + 1:
+            return None
+    return None
 
 
 def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
@@ -346,11 +376,17 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
 def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     """Minimal polynomial of a nonnegative integer matrix, monic over the integers.
 
-    Candidates come from Berlekamp-Massey applied to random projection
-    sequences u M^t x modulo two independent random primes (Wiedemann
-    1986); a candidate is accepted only after an exact certificate that
-    p(M) = 0 (see _verify_annihilates_matrix).  Degree disagreements
-    between the primes trigger a retry with fresh primes.
+    Berlekamp-Massey runs on a projection sequence u M^t x modulo each of
+    the primes below 2^31 in descending order (Wiedemann 1986), with u
+    and x drawn afresh for each prime from a generator seeded by seed.
+    Each register reverses a connection polynomial with constant term 1,
+    so every candidate is monic.  The longest registers are lifted by
+    symmetric CRT (_lift), and a lift is accepted only after an exact
+    certificate that p(M) = 0 (see _verify_annihilates_matrix).  Every
+    eigenvalue of M has modulus at most R, the largest row sum, so
+    coefficient i of the minimal polynomial of degree d is at most
+    C(d, i) R^i <= (1 + R)^d; once the primes outgrow that bound without
+    a certified lift, InconclusiveError is raised.
 
     Accepts a CountingSystem or a square matrix of nonnegative integers
     given as rows, which becomes a gather table; a negative entry raises
@@ -358,47 +394,22 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     when the table exceeds _BLOCK_ENTRIES entries.
     """
     table = _gather_table(M)
-    n = len(table)
+    n, R = table.shape
     if n == 0:
         raise ValueError("empty matrix")
     if n > _MAX_MINPOLY_STATES:
         raise CapacityError(f"matrix size {n} exceeds the {_MAX_MINPOLY_STATES} limit")
     rng = random.Random(seed)
-    used: set[int] = set()
-    for attempt in range(8):
-        k_primes = 2 + attempt
-        primes = []
-        while len(primes) < k_primes:
-            q = next_prime(rng.randrange(1 << 29, 1 << 30))
-            if q not in used:
-                used.add(q)
-                primes.append(q)
-        cands = [_min_poly_mod(table, q, rng) for q in primes]
-        degs = {len(c) - 1 for c in cands}
-        if len(degs) != 1:
-            continue
-        coeffs = [
-            _crt_symmetric([c[i] for c in cands], primes)
-            for i in range(len(cands[0]))
-        ]
-        cand = Polynomial(coeffs)
-        if cand.lead != 1:
-            continue
-        if _verify_annihilates_matrix(cand, table):
-            return cand
-    raise ArithmeticError("minimal polynomial not confirmed within retry budget")
+    p = _lift(((q, _min_poly_mod(table, q, rng)) for q in _primes_below(1 << 31)),
+              lambda p: _verify_annihilates_matrix(p, table), lambda d: (1 + R) ** d)
+    if p is None:
+        raise InconclusiveError("no lift of the projection registers passed the p(M) = 0 "
+                                "certificate")
+    return p
 
 
 # ---------------------------------------------------------------------------
 # annihilator extraction
-
-def _offset(q: Polynomial, a: SeqABC) -> int:
-    """Smallest n0 from which q annihilates every available window of a."""
-    for i in range(len(a) - q.degree - 1, -1, -1):
-        if window_apply(q, a, i) != 0:
-            return i + 1
-    return 0
-
 
 def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
     """The lowest-degree annihilator (q, n0) of a, from p annihilating all of a.
@@ -417,7 +428,7 @@ def lda(p: Polynomial, a: SeqABC) -> tuple[Polynomial, int]:
         raise ValueError("annihilator must have positive degree")
     if len(a) < d:
         raise InconclusiveError(f"{len(a)} terms do not determine a degree {d} annihilator")
-    if not _annihilates(p, a, 0):
+    if _offset(p, a):
         raise ValueError("polynomial does not annihilate the sequence")
     rev = Polynomial(p.coeffs[::-1])
     N = Polynomial((Polynomial(a[:d]) * rev).coeffs[:d])
@@ -443,13 +454,14 @@ def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
 
     Works from the terms alone.  Berlekamp-Massey (Berlekamp 1968; Massey
     1969) runs on the whole sequence modulo fixed 61-bit primes, the
-    primes below 2^61 in descending order; the connection polynomials
-    of the primes with the longest register are lifted to the integers
-    by symmetric CRT, reversed, and accepted only when the lift
-    annihilates every window of a, from index 0, exactly over the
-    integers.  A failed lift adds the next prime; only when the product
-    of the primes exceeds twice the coefficient bound of any integral
-    solution is the search given up as inconclusive.
+    primes below 2^61 in descending order; the reversed connection
+    polynomials of the primes with the longest register are lifted to
+    the integers by symmetric CRT (_lift), and a lift is accepted only
+    when it annihilates every window of a, from index 0, exactly over
+    the integers.  A failed lift adds the next prime; only when the
+    product of the primes exceeds twice the coefficient bound of any
+    integral solution (_lift_bound) is the search given up as
+    inconclusive.
 
     Minimality: for terms of an integer linear recurrence (such as word
     counts of an automaton), the generating function is P/C in lowest
@@ -470,26 +482,18 @@ def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
     n = len(a)
     if n < 4:
         raise InconclusiveError("sequence too short")
-    primes: list[int] = []
-    conns: list[list[int]] = []
-    for p in _primes_below(1 << 61):
-        conn = _berlekamp_massey([x % p for x in a], p)
-        L = len(conn) - 1
-        if conns and L != len(conns[0]) - 1:
-            if L < len(conns[0]) - 1:
-                continue  # p divides a minor of the rational solution
-            primes, conns = [], []  # the earlier primes were the unlucky ones
-        if 2 * L > n:
-            raise InconclusiveError(f"{n} terms too short for a register of length {L}")
-        primes.append(p)
-        conns.append(conn)
-        if len(primes) < 2:
-            continue
-        q = Polynomial([_crt_symmetric(list(c), primes) for c in zip(*conns)][::-1])
-        if _annihilates(q, a, 0):
-            break
-        if math.prod(primes) > 2 * _lift_bound(a, L) + 1:
-            raise InconclusiveError(f"no integral recurrence of length {L} fits the terms")
+
+    def registers():
+        for p in _primes_below(1 << 61):
+            conn = _berlekamp_massey([x % p for x in a], p)
+            L = len(conn) - 1
+            if 2 * L > n:
+                raise InconclusiveError(f"{n} terms too short for a register of length {L}")
+            yield p, conn[::-1]
+
+    q = _lift(registers(), lambda q: not _offset(q, a), lambda L: _lift_bound(a, L))
+    if q is None:
+        raise InconclusiveError("no integral recurrence of the register's length fits the terms")
     q = q.primitive()
     q = q.shift_down(q.x_multiplicity())
     n0 = _offset(q, a)

@@ -96,9 +96,6 @@ class StabilizationReport:
     reversal_equal: tuple[bool, ...]
     accepted: tuple[bool, ...]
 
-    def stable_from(self, n: int) -> bool:
-        return self.stabilized_at is not None and self.stabilized_at <= n
-
 
 def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> StabilizationReport:
     """Drive the perturbed-symmetry words X_0..X_{n_max} through d.

@@ -156,90 +156,44 @@ class PalFacSet:
         return max(len(w) for w in self.palindromes)
 
 
-class Eertree:
-    """Palindromic tree, built one letter at a time.
-
-    Nodes 0 and 1 are the imaginary (length -1) and empty (length 0) roots;
-    every further node is one distinct nonempty palindromic factor of the
-    word pushed so far.
-    """
-
-    def __init__(self):
-        self.word: list[int] = []
-        self.length = [-1, 0]
-        self.link = [0, 0]
-        self.trans: list[dict] = [{}, {}]
-        self.end = [-1, -1]  # where each palindrome first ends in word
-        self.last = 1
-        self.even_count = 0  # nonempty even palindromes so far
-        self.odd_count = 0
-
-    @property
-    def distinct_count(self) -> int:
-        """Number of distinct nonempty palindromic factors."""
-        return len(self.length) - 2
-
-    def _fit(self, v: int, c: int) -> int:
-        # deepest suffix-palindrome v' on v's suffix-link chain with c pal(v') c
-        # a suffix of word (word already ends with c)
-        w = self.word
-        i = len(w) - 1
-        while True:
-            l = self.length[v]
-            if i - l - 1 >= 0 and w[i - l - 1] == c:
-                return v
-            v = self.link[v]
-
-    def push(self, c: int) -> int | None:
-        """Append a symbol; return the new node id if a new palindrome appeared."""
-        w = self.word
-        w.append(c)
-        # _fit(self.last, c) inlined: push runs once per letter of every
-        # word palindromic_factors reads
-        i = len(w) - 2
-        length, link = self.length, self.link
-        v = self.last
-        while True:
-            j = i - length[v]
-            if j >= 0 and w[j] == c:
-                break
-            v = link[v]
-        existing = self.trans[v].get(c)
-        if existing is not None:
-            self.last = existing
-            return None
-        node = len(self.length)
-        self.length.append(self.length[v] + 2)
-        self.end.append(i + 1)
-        self.trans.append({})
-        if self.length[node] == 1:
-            self.link.append(1)
-        else:
-            u = self._fit(self.link[v], c)
-            self.link.append(self.trans[u][c])
-        self.trans[v][c] = node
-        self.last = node
-        if self.length[node] % 2 == 0:
-            self.even_count += 1
-        else:
-            self.odd_count += 1
-        return node
-
-    def node_palindromes(self) -> list[tuple[int, ...]]:
-        """All distinct nonempty palindromic factors, in order of first appearance."""
-        w = tuple(self.word)
-        return [w[e - n + 1:e + 1] for n, e in zip(self.length[2:], self.end[2:])]
-
-
 def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
-    """All distinct palindromic factors of w, including the empty word."""
+    """All distinct palindromic factors of w, including the empty word.
+
+    Runs the palindromic tree (Rubinchik and Shur 2018) over flat lists.
+    Node 0 is the imaginary root of length -1 and node 1 the empty word;
+    every further node is one distinct nonempty palindrome, with its
+    length, its longest proper suffix palindrome (link) and the index
+    where it first ends.  child[v * k + c] is the node of c pal(v) c, or
+    0, since node 0 is nobody's child.  A letter adds at most one new
+    palindrome, its longest suffix palindrome.
+    """
     if not isinstance(w, Word):
         w = Word(w)
-    t = Eertree()
-    for c in w.symbols:
-        t.push(c)
-    k = w.alphabet_size
-    pals = frozenset(Word(p, k) for p in t.node_palindromes())
+    s, k = w.symbols, w.alphabet_size
+    length, link, end = [-1, 0], [0, 0], [-1, -1]
+    child = [0] * ((len(s) + 2) * k)
+    v = 1  # longest suffix palindrome of s[:i]
+    for i, c in enumerate(s):
+        # deepest v on the suffix-link chain with c pal(v) c a suffix of s[:i + 1]
+        while i - 1 - length[v] < 0 or s[i - 1 - length[v]] != c:
+            v = link[v]
+        node = child[v * k + c]
+        if not node:
+            node = len(length)
+            if length[v] < 0:
+                suffix = 1
+            else:
+                # u is shorter than v, which fit, so the index stays >= 0
+                u = link[v]
+                while s[i - 1 - length[u]] != c:
+                    u = link[u]
+                suffix = child[u * k + c]
+            length.append(length[v] + 2)
+            link.append(suffix)
+            end.append(i)
+            child[v * k + c] = node
+        v = node
+    pals = frozenset(Word(s[e - n + 1:e + 1], k) for n, e in zip(length[2:], end[2:]))
     return PalFacSet(pals | {_valid_word((), k)})
 
 

@@ -56,6 +56,8 @@ def test_rows_hold_under_optimized_python():
                             ("oracle-agreement", {"PASS"}),
                             ("state-counts", {"PASS"}),
                             ("sequences", {"PASS", "XFAIL"}),
+                            ("annihilators", {"PASS"}),
+                            ("matrix-polynomials", {"PASS"}),
                             ("asymptotics", {"PASS"})):
         statuses = []
         for flags in ([], ["-O"]):

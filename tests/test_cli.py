@@ -328,6 +328,16 @@ class TestErrors:
         assert stdout == ""
         assert "capacity" in stderr
 
+    def test_uncertified_min_poly_is_inconclusive(self, capsys, monkeypatch):
+        import palfac.recur
+
+        monkeypatch.setattr(palfac.recur, "_verify_annihilates_matrix", lambda p, table: False)
+        code, stdout, stderr = run(
+            capsys, "annihilate", "--family", "D", "--cap", "8", "--method", "lda")
+        assert code == 1
+        assert stdout == ""
+        assert "inconclusive:" in stderr
+
     def test_nonpositive_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--family", "D", "--cap", "8", "--state-budget", "0"])

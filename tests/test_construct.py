@@ -11,7 +11,7 @@ import palfac
 from palfac.automaton import isomorphic, minimize
 from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
                               MaxCountByParity, MaxDistinct, MaxLen, MaxLenByParity,
-                              build_avoidance, build_direct, build_report, forbidden_set,
+                              build_avoidance, build_direct, forbidden_set,
                               window_bound)
 from palfac.oracle import brute_count_profile, brute_count_unpruned
 from palfac.words import Word, enumerate_palindromes
@@ -113,15 +113,6 @@ def test_minimized_sizes_match_published_values():
     for spec, want in rows:
         got = minimize(build_direct(spec)).live_state_count()
         assert got == want, f"{spec!r}: {got} != {want}"
-
-
-def test_build_report_diagnostics():
-    r = build_report(MaxDistinct(3, 4))
-    assert r.window == 7
-    assert r.minimized_states == 18
-    assert r.minimized_total == 19
-    assert r.unminimized_states == r.unminimized_live_states + 1
-    assert r.unminimized_states >= r.minimized_total
 
 
 def test_dead_state_conventions():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ except ImportError:
 from palfac.polys import (
     NoRealRootError,
     Polynomial,
+    _is_prime,
+    _primes_below,
     _roots_outside,
     cauchy_bound,
     exact_div,
     gcd,
     largest_real_root,
-    next_prime,
     squarefree_decomposition,
 )
 
@@ -147,22 +149,19 @@ class TestAgainstSympy:
 class TestPrimes:
     def test_against_trial_division(self):
         primes = [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
-        assert [next_prime(p) for p in primes[:-1]] == primes[1:]
-        assert [next_prime(p, below=True) for p in primes[1:]] == primes[:-1]
-        assert next_prime(0) == 2 and next_prime(2) == 3
+        assert [n for n in range(-3, 3000) if _is_prime(n)] == primes
+        assert list(_primes_below(3000)) == primes[::-1]
 
     def test_modulus_lists_start_below_powers_of_two(self):
-        assert next_prime(1 << 31, below=True) == 2 ** 31 - 1
-        assert next_prime(1 << 61, below=True) == 2 ** 61 - 1
-        assert next_prime(2 ** 31 - 1, below=True) == 2 ** 31 - 19
+        assert list(islice(_primes_below(1 << 31), 2)) == [2 ** 31 - 1, 2 ** 31 - 19]
+        assert next(_primes_below(1 << 61)) == 2 ** 61 - 1
         # a strong pseudoprime to the bases 2..23 is still composite here
         spsp = 149491 * 747451 * 34233211
         assert spsp == 3825123056546413051
-        assert next_prime(spsp - 1) != spsp
+        assert not _is_prime(spsp)
 
     def test_nothing_below_two(self):
-        with pytest.raises(ValueError):
-            next_prime(2, below=True)
+        assert list(_primes_below(2)) == [] and list(_primes_below(0)) == []
 
 
 class TestRealRoots:

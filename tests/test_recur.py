@@ -26,6 +26,7 @@ from palfac.oracle import brute_count
 from palfac.polys import Polynomial, exact_div
 from palfac.recur import (
     _gather_table,
+    _lift,
     _verify_annihilates_matrix,
     CountingSystem,
     InconclusiveError,
@@ -259,6 +260,51 @@ class TestMatrixMinPoly:
     def test_dense_entries_become_repeated_gathers(self):
         table = _gather_table([[0, 2, 1], [0, 0, 0], [3, 0, 0]])
         assert table.tolist() == [[1, 1, 2], [3, 3, 3], [0, 0, 0]]
+
+    def test_lift_past_two_primes(self):
+        # the constant term 1000 * 1001 * ... * 1007 needs 80 bits: three 31-bit primes
+        expect = P([1])
+        for lam in range(1000, 1008):
+            expect = expect * P([-lam, 1])
+        assert abs(expect.coeffs[0]) > (1 << 31) ** 2
+        M = [[1000 + i if i == j else 0 for j in range(8)] for i in range(8)]
+        assert matrix_min_poly(M) == expect
+
+
+class TestLift:
+    """_lift on synthetic (prime, register) streams."""
+
+    def test_shorter_register_is_skipped(self):
+        offered = []
+        q = _lift(zip((101, 103, 107), ([5, 1], [1], [5, 1])),
+                  lambda q: offered.append(q) or True, lambda L: 10)
+        assert q == P([5, 1]) and offered == [q]
+
+    def test_longer_register_resets(self):
+        # 5000 = 56 mod 103 = 78 mod 107; the length-0 register mod 101 is dropped
+        q = _lift(zip((101, 103, 107), ([3], [56, 1], [78, 1])), lambda q: True, lambda L: 10 ** 4)
+        assert q == P([5000, 1])
+
+    def test_accept_is_first_called_at_the_second_prime(self):
+        drawn, calls = [], []
+
+        def registers():
+            for p in (101, 103, 107):
+                drawn.append(p)
+                yield p, [1, 1]
+
+        assert _lift(registers(), lambda q: calls.append(len(drawn)) or True,
+                     lambda L: 10) == P([1, 1])
+        assert calls == [2]
+
+    def test_gives_up_past_the_bound(self):
+        # 2 * 10^4 + 1 lies between 101 * 103 and 101 * 103 * 107
+        offered, lengths = [], []
+        q = _lift(((p, [1, 1]) for p in (101, 103, 107, 109, 113)),
+                  lambda q: offered.append(q) or False,
+                  lambda L: lengths.append(L) or 10 ** 4)
+        assert q is None
+        assert len(offered) == 2 and set(lengths) == {1}
 
 
 class TestLda:

@@ -147,8 +147,7 @@ class TestCheckStabilization:
         assert report.stabilized_at == 1
         assert report.accepted == (True,) * 6
         assert report.reversal_equal == (True,) * 5
-        assert report.stable_from(1) and report.stable_from(4)
-        assert not report.stable_from(0)
+        assert check_stabilization(sigma4(), B0, INFIX_23, 2).stabilized_at == 1
 
     def test_degenerate_empty_seed(self):
         # only the empty word has a single palindromic factor

@@ -4,7 +4,6 @@ import pytest
 
 from palfac.words import (
     Word,
-    Eertree,
     palindromic_factors,
     naive_palindromic_factors,
     enumerate_palindromes,
@@ -131,13 +130,13 @@ def test_palfac_count_at_most_length_plus_one():
 
 
 def test_eertree_parity_counts():
-    t = Eertree()
-    for c in (0, 0, 1, 0, 1, 1):
-        t.push(c)
-    pf = naive_palindromic_factors(Word.from_digits("001011"))
-    even, odd = pf.counts_by_parity()
-    assert t.even_count == even - 1  # eertree tracks nonempty only
-    assert t.odd_count == odd
+    rng = random.Random(6)
+    for _ in range(200):
+        k = rng.randrange(1, 4)
+        w = Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 40))), k)
+        assert (palindromic_factors(w).counts_by_parity()
+                == naive_palindromic_factors(w).counts_by_parity())
+    assert palindromic_factors(Word.from_digits("001011")).counts_by_parity() == (3, 4)
 
 
 def test_enumerate_palindromes():
