@@ -122,12 +122,13 @@ def _live_graph(d: Dfa):
     adj: dict[int, list[tuple[int, int]]] = {}
     if d.start == d.dead:
         return adj
+    delta = d.delta.tolist()
     stack = [d.start]
     adj[d.start] = []
     while stack:
         q = stack.pop()
         edges = []
-        for a, t in enumerate(d.delta[q]):
+        for a, t in enumerate(delta[q]):
             if t == d.dead:
                 continue
             edges.append((a, t))

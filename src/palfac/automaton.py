@@ -9,48 +9,52 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
-
-from .words import Word
 
 
 class Dfa:
     """A complete DFA over the alphabet {0, ..., alphabet_size - 1}.
 
-    delta[q][a] is the successor of state q under symbol a.  `dead`, when
-    not None, must be non-accepting with every transition a self-loop.
+    delta is a read-only (n, k) int32 array with delta[q, a] the successor
+    of state q under symbol a, and accepting a read-only (n,) bool mask.
+    The constructor takes any integer table of that shape and the
+    accepting states as an iterable of indices.  alphabet_size is
+    delta.shape[1], and dead is the first rejecting state whose
+    transitions all self-loop, or None.
     """
 
-    __slots__ = ("delta", "start", "accepting", "dead", "alphabet_size")
+    __slots__ = ("delta", "start", "accepting", "dead")
 
-    def __init__(self, delta, start: int, accepting: Iterable[int],
-                 dead: int | None = None, alphabet_size: int | None = None):
-        delta = tuple(tuple(row) for row in delta)
-        n = len(delta)
-        if alphabet_size is None:
-            alphabet_size = len(delta[0]) if n else 0
-        accepting = frozenset(accepting)
-        if not (0 <= start < n):
-            raise ValueError(f"start state {start} out of range")
-        for q, row in enumerate(delta):
-            if len(row) != alphabet_size:
-                raise ValueError(f"state {q} has {len(row)} transitions, want {alphabet_size}")
-            for t in row:
-                if not (0 <= t < n):
-                    raise ValueError(f"transition {q} -> {t} out of range")
-        if dead is not None:
-            if dead in accepting:
-                raise ValueError("dead state must be rejecting")
-            if any(t != dead for t in delta[dead]):
-                raise ValueError("dead state transitions must self-loop")
-        self.delta = delta
-        self.start = start
-        self.accepting = accepting
-        self.dead = dead
-        self.alphabet_size = alphabet_size
+    def __init__(self, delta, start: int, accepting: Iterable[int]):
+        # checked in the input's own dtype: a cast first would overflow
+        table = np.asarray(delta)
+        if table.ndim != 2 or table.size and table.dtype.kind not in "iu":
+            raise ValueError("transitions must be an (n, k) table of integers")
+        n = len(table)
+        if table.size and (table.min() < 0 or table.max() >= n):
+            raise ValueError(f"a transition leaves the {n} states")
+        if not isinstance(start, (int, np.integer)) or not 0 <= start < n:
+            raise ValueError(f"start state {start!r} out of range")
+        states = np.asarray(accepting if isinstance(accepting, np.ndarray)
+                            else list(accepting))
+        if states.size and (states.ndim != 1 or states.dtype.kind not in "iu"
+                            or states.min() < 0 or states.max() >= n):
+            raise ValueError(f"an accepting state is not one of the {n} states")
+        mask = np.zeros(n, dtype=bool)
+        mask[states.astype(np.intp)] = True
+        self.delta = table.astype(np.int32)
+        self.delta.flags.writeable = False
+        mask.flags.writeable = False
+        self.accepting = mask
+        self.start = int(start)
+        loops = ~mask & (self.delta == np.arange(n)[:, None]).all(axis=1)
+        self.dead = int(loops.argmax()) if loops.any() else None
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.delta.shape[1]
 
     @property
     def state_count(self) -> int:
@@ -62,32 +66,26 @@ class Dfa:
 
     def run(self, q: int, w) -> int:
         delta = self.delta
-        for a in _symbols(w):
-            q = delta[q][a]
-        return q
+        for a in w:
+            q = delta[q, a]
+        return int(q)
 
     def accepts(self, w) -> bool:
-        return self.run(self.start, w) in self.accepting
+        return bool(self.accepting[self.run(self.start, w)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Dfa)
-                and self.delta == other.delta
+                and np.array_equal(self.delta, other.delta)
                 and self.start == other.start
-                and self.accepting == other.accepting
-                and self.dead == other.dead)
+                and np.array_equal(self.accepting, other.accepting))
 
     def __hash__(self):
-        return hash((self.delta, self.start, self.accepting, self.dead))
+        return hash((self.delta.tobytes(), self.alphabet_size, self.start,
+                     self.accepting.tobytes()))
 
     def __repr__(self):
         return (f"Dfa(states={self.state_count}, alphabet={self.alphabet_size}, "
-                f"accepting={len(self.accepting)}, dead={self.dead})")
-
-
-def _symbols(w) -> tuple[int, ...]:
-    if isinstance(w, Word):
-        return w.symbols
-    return tuple(w)
+                f"accepting={int(self.accepting.sum())}, dead={self.dead})")
 
 
 _PACK_LIMIT = 1 << 62
@@ -113,46 +111,43 @@ def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
     return key, len(ids)
 
 
+def stable_partition(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
+    """Refine by columns(block) until a round adds no block; returns (block ids, count).
+
+    Rounds only split blocks, so the partition of that round is the fixpoint.
+    """
+    while True:
+        key, refined = refine(block, count, columns(block))
+        if refined == count:
+            return block, count
+        block, count = key, refined
+
+
 def _moore(delta: np.ndarray, accepting: np.ndarray) -> np.ndarray:
     """Moore partition refinement; returns the block id of each state.
 
     A round splits every block by the blocks of the successors under all
-    letters at once (see refine).  Rounds refine, so the first round that
-    adds no block ends the loop.  Each round costs O(n k log n), and there
-    is one round more than the longest of the shortest words separating
-    two inequivalent states.
+    letters at once.  Each round costs O(n k log n), and there is one
+    round more than the longest of the shortest words separating two
+    inequivalent states.
     """
     ids, block = np.unique(accepting, return_inverse=True)
-    count = len(ids)
-    while True:
-        key, refined = refine(block, count, block[delta].T)
-        if refined == count:
-            return block
-        block, count = key, refined
+    return stable_partition(block, len(ids), lambda block: block[delta].T)[0]
 
 
-def _canonical_renumber(delta, k: int, start: int, accepting) -> tuple:
-    """BFS renumbering from the start with ascending symbols; returns the new parts."""
+def _canonical_renumber(delta: list, start: int, accepting) -> tuple[list, list]:
+    """BFS renumbering from the start with ascending symbols; accepting is a mask."""
     order = {start: 0}
     seq = [start]
     queue = deque((start,))
     while queue:
-        q = queue.popleft()
-        for a in range(k):
-            t = delta[q][a]
+        for t in delta[queue.popleft()]:
             if t not in order:
                 order[t] = len(order)
                 seq.append(t)
                 queue.append(t)
-    new_delta = tuple(tuple(order[delta[q][a]] for a in range(k)) for q in seq)
-    new_accepting = frozenset(order[q] for q in accepting if q in order)
-    return new_delta, 0, new_accepting
-
-
-def _find_dead(delta, accepting) -> int | None:
-    cands = [q for q, row in enumerate(delta)
-             if q not in accepting and all(t == q for t in row)]
-    return cands[0] if cands else None
+    new_delta = [[order[t] for t in delta[q]] for q in seq]
+    return new_delta, [order[q] for q in seq if accepting[q]]
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -162,38 +157,30 @@ def minimize(d: Dfa) -> Dfa:
     refined and the canonical renumbering from the start block drops the
     blocks no word reaches.
     """
-    k = d.alphabet_size
-    n = d.state_count
-    delta = np.fromiter(chain.from_iterable(d.delta), dtype=np.int64,
-                        count=n * k).reshape(n, k)
-    accepting = np.zeros(n, dtype=bool)
-    accepting[list(d.accepting)] = True
-
-    block = _moore(delta, accepting)
+    block = _moore(d.delta, d.accepting)
     _, rep = np.unique(block, return_index=True)
-    mdelta = block[delta[rep]].tolist()
-    maccept = set(block[accepting].tolist())
-    cdelta, cstart, caccept = _canonical_renumber(mdelta, k, int(block[d.start]), maccept)
-    dead = _find_dead(cdelta, caccept)
-    return Dfa(cdelta, cstart, caccept, dead, k)
+    delta, accepting = _canonical_renumber(block[d.delta[rep]].tolist(), int(block[d.start]),
+                                           d.accepting[rep])
+    return Dfa(delta, 0, accepting)
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
     """Whether two minimized DFAs are the same up to renumbering."""
     if a.alphabet_size != b.alphabet_size or a.state_count != b.state_count:
         return False
-    ka = _canonical_renumber(a.delta, a.alphabet_size, a.start, a.accepting)
-    kb = _canonical_renumber(b.delta, b.alphabet_size, b.start, b.accepting)
-    return ka == kb
+    return (_canonical_renumber(a.delta.tolist(), a.start, a.accepting)
+            == _canonical_renumber(b.delta.tolist(), b.start, b.accepting))
 
 
 def export_dfa(d: Dfa, fmt: str = "grail") -> str:
+    delta = d.delta.tolist()
+    accepting = np.flatnonzero(d.accepting).tolist()
     if fmt == "grail":
         lines = [f"(START) |- {d.start}"]
-        for q, row in enumerate(d.delta):
+        for q, row in enumerate(delta):
             for a, t in enumerate(row):
                 lines.append(f"{q} {a} {t}")
-        for q in sorted(d.accepting):
+        for q in accepting:
             lines.append(f"{q} -| (FINAL)")
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -201,9 +188,9 @@ def export_dfa(d: Dfa, fmt: str = "grail") -> str:
             "states": d.state_count,
             "alphabet": d.alphabet_size,
             "start": d.start,
-            "accepting": sorted(d.accepting),
+            "accepting": accepting,
             "dead": d.dead,
-            "delta": [list(row) for row in d.delta],
+            "delta": delta,
         }
         return json.dumps(payload, indent=1) + "\n"
     if fmt == "dot":
@@ -211,11 +198,11 @@ def export_dfa(d: Dfa, fmt: str = "grail") -> str:
         for q in range(d.state_count):
             if q == d.dead:
                 continue
-            shape = "doublecircle" if q in d.accepting else "circle"
+            shape = "doublecircle" if d.accepting[q] else "circle"
             lines.append(f"  {q} [shape={shape}];")
         lines.append(f"  hidden -> {d.start};")
         edges: dict[tuple[int, int], list[int]] = {}
-        for q, row in enumerate(d.delta):
+        for q, row in enumerate(delta):
             if q == d.dead:
                 continue
             for a, t in enumerate(row):
@@ -235,11 +222,21 @@ class FormatError(ValueError):
 
 
 def import_dfa(text: str, fmt: str = "grail") -> Dfa:
-    """Parse an automaton; partial transition tables are completed with a dead state."""
+    """Parse an automaton; partial transition tables are completed with a dead state.
+
+    The JSON "alphabet" and "dead" fields, when present, must agree with
+    what the table gives.
+    """
     if fmt == "json":
         payload = json.loads(text)
-        return Dfa(payload["delta"], payload["start"], payload["accepting"],
-                   payload.get("dead"), payload["alphabet"])
+        if not (isinstance(payload, dict) and "start" in payload
+                and all(isinstance(payload.get(key), list) for key in ("delta", "accepting"))):
+            raise FormatError("a JSON automaton needs a delta list, a start and an accepting list")
+        d = Dfa(payload["delta"], payload["start"], payload["accepting"])
+        for key, value in (("alphabet", d.alphabet_size), ("dead", d.dead)):
+            if key in payload and payload[key] != value:
+                raise FormatError(f"{key} is {payload[key]!r} but the table gives {value!r}")
+        return d
     if fmt != "grail":
         raise ValueError(f"unknown format {fmt!r} (want grail or json)")
 
@@ -268,6 +265,8 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
             states.add(q)
         elif len(parts) == 3:
             q, a, t = int(parts[0]), int(parts[1]), int(parts[2])
+            if a < 0:
+                raise FormatError(f"line {lineno}: negative symbol {a}")
             if (q, a) in trans and trans[(q, a)] != t:
                 raise FormatError(f"line {lineno}: nondeterministic transition from {q} on {a}")
             trans[(q, a)] = t
@@ -277,17 +276,13 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
     if start is None:
         raise FormatError("no start state")
+    if min(states) < 0:
+        raise FormatError(f"negative state id {min(states)}")
     k = max_symbol + 1
     if k == 0:
         raise FormatError("no transitions; alphabet size unknown")
     n = max(states) + 1
-    missing = any((q, a) not in trans for q in range(n) for a in range(k))
-    dead = None
-    if missing:
-        dead = n
-        n += 1
-    delta = [[trans.get((q, a), dead) for a in range(k)] for q in range(n)]
-    if dead is not None:
-        delta[dead] = [dead] * k
-    found = _find_dead(tuple(tuple(r) for r in delta), accepting)
-    return Dfa(delta, start, accepting, found, k)
+    delta = [[trans.get((q, a), n) for a in range(k)] for q in range(n)]
+    if len(trans) < n * k:  # n is the dead state that completes the table
+        delta.append([n] * k)
+    return Dfa(delta, start, accepting)

@@ -26,13 +26,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .automaton import Dfa
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
-# D(2,14) peaks at about 345 bytes per raw state through build_direct and
-# minimize, and about 650 through `palfac build --format json` on the raw
-# automaton, so 4e6 states stay near 2.6 GB: under half of a 7 GB machine
+# D(2,14) peaks at about 330 bytes per raw state through build_direct and
+# minimize, and about 635 through `palfac build --format json` on the raw
+# automaton, so 4e6 states stay near 2.5 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
 
@@ -249,7 +251,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
 
     # the empty word is a palindromic factor of every word
     if not admits((), 1, 0):
-        return Dfa([[0] * k], 0, [], dead=0, alphabet_size=k)
+        return Dfa([[0] * k], 0, [])
 
     base = k + 1
     powers = [base ** i for i in range(bound + 2)]
@@ -336,14 +338,15 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
             flat.append(ti)
 
     n = len(states)
-    # the search's tables go before the Dfa copies the transitions: they
+    # the search's tables go before the transitions become a table: they
     # are most of the construction's memory peak
     del index, states, suffix_lengths, moves, sid_of, masks
     if used_dead:
-        flat = [n if t < 0 else t for t in flat]
-        flat.extend([n] * k)
-    rows = zip(*[iter(flat)] * k)
-    return Dfa(rows, 0, range(n), dead=n if used_dead else None, alphabet_size=k)
+        flat.extend([-1] * k)
+    table = np.array(flat, dtype=np.int32).reshape(-1, k)
+    del flat
+    table[table < 0] = n
+    return Dfa(table, 0, np.arange(n))
 
 
 def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
@@ -380,7 +383,7 @@ def build_avoidance(forbidden: Iterable[Word], alphabet_size: int) -> Dfa:
     forbidden = sorted(set(forbidden))
     if any(len(w) == 0 for w in forbidden):
         # the empty word is a factor of everything: empty language
-        return Dfa([[0] * alphabet_size], 0, [], dead=0, alphabet_size=alphabet_size)
+        return Dfa([[0] * alphabet_size], 0, [])
 
     children: list[dict[int, int]] = [{}]
     terminal = [False]
@@ -420,15 +423,9 @@ def build_avoidance(forbidden: Iterable[Word], alphabet_size: int) -> Dfa:
                 goto[node][c] = child
                 queue.append(child)
 
-    live = [i for i in range(n) if not terminal[i]]
-    remap = {old: new for new, old in enumerate(live)}
-    dead = len(live)
-    delta = []
-    for old in live:
-        row = []
-        for c in range(alphabet_size):
-            t = goto[old][c]
-            row.append(dead if terminal[t] else remap[t])
-        delta.append(row)
-    delta.append([dead] * alphabet_size)
-    return Dfa(delta, 0, range(len(live)), dead=dead, alphabet_size=alphabet_size)
+    # live nodes keep their order, and every terminal node becomes the dead state
+    live = ~np.array(terminal)
+    dead = np.count_nonzero(live)
+    number = np.where(live, np.cumsum(live) - 1, dead)
+    delta = number[np.array(goto, dtype=np.int64)[live]]
+    return Dfa(np.vstack([delta, np.full(alphabet_size, dead)]), 0, np.arange(dead))

@@ -32,7 +32,7 @@ from typing import Sequence as SeqABC
 
 import numpy as np
 
-from .automaton import Dfa, refine
+from .automaton import Dfa, stable_partition
 from .construct import CapacityError
 from .polys import (
     Polynomial,
@@ -111,13 +111,9 @@ class CountingSystem:
 
 def transfer_matrix(d: Dfa) -> CountingSystem:
     """Counting system of a complete DFA, dead state included."""
-    n = d.state_count
-    v = [0] * n
+    v = np.zeros(d.state_count, dtype=np.int64)
     v[d.start] = 1
-    w = [0] * n
-    for q in d.accepting:
-        w[q] = 1
-    return CountingSystem(d.delta, v, w)
+    return CountingSystem(d.delta, v, d.accepting.astype(np.int64))
 
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,12 +144,8 @@ def _lumped(cs: CountingSystem) -> CountingSystem:
     w = cs.w + (0,)
     rank = {x: r for r, x in enumerate(sorted(set(w)))}  # exact: w may pass 2^63
     block = np.fromiter((rank[x] for x in w), dtype=np.int64, count=n + 1)
-    count = len(rank)
-    while True:
-        key, refined = refine(block, count, np.sort(block[table], axis=1).T)
-        if refined == count:
-            break
-        block, count = key, refined
+    block, count = stable_partition(block, len(rank),
+                                    lambda block: np.sort(block[table], axis=1).T)
     # number the sentinel's block last
     last = count - 1
     sentinel = block[n]
@@ -257,18 +249,12 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
             m += 1
             continue
         coef = d * pow(bb, p - 2, p) % p
+        old, c = c, c + [0] * (len(b) + m - len(c))
+        for i, bi in enumerate(b):
+            c[i + m] = (c[i + m] - coef * bi) % p
         if 2 * L <= n:
-            old = c[:]
-            if len(c) < len(b) + m:
-                c = c + [0] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] = (c[i + m] - coef * bi) % p
             L, b, bb, m = n + 1 - L, old, d, 1
         else:
-            if len(c) < len(b) + m:
-                c = c + [0] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] = (c[i + m] - coef * bi) % p
             m += 1
     return c[:L + 1] + [0] * (L + 1 - len(c))
 

@@ -696,12 +696,12 @@ def _add_property_rows() -> None:
             stack = [(raw.start, m.start, 0)]
             while stack:
                 q_raw, q_min, d = stack.pop()
-                if (q_raw in raw.accepting) != (q_min in m.accepting):
+                if raw.accepting[q_raw] != m.accepting[q_min]:
                     return False, "idempotent + same language", f"{spec} differs"
                 if d == depth:
                     continue
                 for a in range(raw.alphabet_size):
-                    stack.append((raw.delta[q_raw][a], m.delta[q_min][a], d + 1))
+                    stack.append((raw.delta[q_raw, a], m.delta[q_min, a], d + 1))
         return True, "idempotent + same language", "6 instances verified"
 
     @_row("c10 factor closure of accepted words", "properties", None)
@@ -715,12 +715,12 @@ def _add_property_rows() -> None:
                 q, letters = d.start, []
                 for _ in range(rng.randrange(3, 15)):
                     live = [a for a in range(d.alphabet_size)
-                            if d.delta[q][a] != d.dead]
+                            if d.delta[q, a] != d.dead]
                     if not live:
                         break
                     a = rng.choice(live)
                     letters.append(a)
-                    q = d.delta[q][a]
+                    q = d.delta[q, a]
                 w = Word(letters, d.alphabet_size)
                 if not d.accepts(w):
                     return False, "every factor accepted", f"{spec}: {w} rejected"

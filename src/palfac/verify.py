@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .automaton import Dfa
 from .construct import CapacityError, state_budget
 from .words import Word
@@ -54,10 +56,10 @@ def identity(n: int) -> StateTransformation:
 
 def transform(d: Dfa, w) -> StateTransformation:
     """tau_w over every state of d, the dead state included."""
-    targets = []
-    for q in range(d.state_count):
-        targets.append(d.run(q, w))
-    return StateTransformation(tuple(targets))
+    t = np.arange(d.state_count)
+    for a in w:
+        t = d.delta[t, a]
+    return StateTransformation(tuple(t.tolist()))
 
 
 def compose(s: StateTransformation, t: StateTransformation) -> StateTransformation:
@@ -120,7 +122,7 @@ def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> Stabiliz
     stabilized_at = next((n for n in range(n_max) if taus[n] == taus[n + 1]
                           and taus_rev[n] == taus_rev[n + 1]), None)
     reversal_equal = tuple(taus[n] == taus_rev[n] for n in range(1, n_max + 1))
-    accepted = tuple(tau(d.start) in d.accepting for tau in taus)
+    accepted = tuple(bool(d.accepting[tau(d.start)]) for tau in taus)
     return StabilizationReport(stabilized_at, reversal_equal, accepted)
 
 

@@ -49,24 +49,29 @@ def test_registry_shape():
 
 def test_rows_hold_under_optimized_python():
     # certificates raise real exceptions, so `python -O` (which strips
-    # asserts) must give the same verdicts as a normal run; the oracle rows
-    # check the brute-force search against the automata
+    # asserts) must give the same rows as a normal run; the two runs cover
+    # the whole registry and run side by side
     src = str(Path(palfac.__file__).resolve().parents[1])
-    for group, verdicts in (("classification", {"PASS", "XFAIL"}),
-                            ("oracle-agreement", {"PASS"}),
-                            ("state-counts", {"PASS"}),
-                            ("sequences", {"PASS", "XFAIL"}),
-                            ("annihilators", {"PASS"}),
-                            ("matrix-polynomials", {"PASS"}),
-                            ("asymptotics", {"PASS"})):
-        statuses = []
-        for flags in ([], ["-O"]):
-            out = subprocess.run(
-                [sys.executable, *flags, "-m", "palfac.cli", "reproduce",
-                 "--group", group],
-                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-            assert out.returncode == 0, out.stderr
-            statuses.append({(row["name"], row["status"])
-                             for row in map(json.loads, out.stdout.splitlines())})
-        assert statuses[0] == statuses[1]
-        assert {status for _, status in statuses[0]} == verdicts
+    runs = [subprocess.Popen([sys.executable, *flags, "-m", "palfac.cli", "reproduce"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+            for flags in ([], ["-O"])]
+    rows = []
+    for run in runs:
+        stdout, stderr = run.communicate()
+        assert run.returncode == 0, stderr
+        rows.append([json.loads(line) for line in stdout.splitlines()])
+    plain, optimized = rows
+    assert [row["name"] for row in plain] == [name for name, *_ in ROWS]
+    assert plain == optimized
+    verdicts = {}
+    for row in plain:
+        verdicts.setdefault(row["group"], set()).add(row["status"])
+    for group, want in (("classification", {"PASS", "XFAIL"}),
+                        ("oracle-agreement", {"PASS"}),
+                        ("state-counts", {"PASS"}),
+                        ("sequences", {"PASS", "XFAIL"}),
+                        ("annihilators", {"PASS"}),
+                        ("matrix-polynomials", {"PASS"}),
+                        ("asymptotics", {"PASS"})):
+        assert verdicts[group] == want

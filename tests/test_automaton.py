@@ -1,6 +1,8 @@
+import inspect
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from palfac.automaton import (
     isomorphic,
     minimize,
 )
+from palfac.construct import MaxDistinct, build_avoidance, build_direct
 from palfac.words import Word
 
 
@@ -35,10 +38,51 @@ def test_dfa_validation():
         Dfa([[0, 1], [1]], 0, [0])  # ragged row
     with pytest.raises(ValueError):
         Dfa([[0, 2], [1, 1]], 0, [0])  # out of range
+    for delta, accepting in (([[0, 1 << 40], [1, 1]], [0]),  # past int32
+                             ([[0, 0.5], [1, 1]], [0]),  # not an integer
+                             ([[0, 1], [1, 1]], [2]),  # accepting out of range
+                             ([[0, 1], [1, 1]], [-1]),
+                             ([[0, 1], [1, 1]], [True, False])):  # a mask, not indices
+        with pytest.raises(ValueError):
+            Dfa(delta, 0, accepting)
+
+
+def test_dfa_arrays_are_read_only():
+    d = Dfa([[0, 1], [1, 1]], 0, [0])
     with pytest.raises(ValueError):
-        Dfa([[0, 0], [1, 1]], 0, [0, 1], dead=1)  # accepting dead
+        d.delta[0, 0] = 1
     with pytest.raises(ValueError):
-        Dfa([[1, 1], [0, 1]], 0, [0], dead=1)  # dead must self-loop
+        d.accepting[1] = True
+
+
+@pytest.mark.parametrize("delta, accepting, dead", [
+    ([[0, 1], [1, 1]], [0], 1),
+    ([[1, 1], [0, 1]], [0], None),  # 1 rejects but leaves on 0
+    ([[0, 1], [1, 1]], [0, 1], None),  # every state accepts
+])
+def test_dead_is_derived(delta, accepting, dead):
+    assert Dfa(delta, 0, accepting).dead == dead
+
+
+def test_dfa_from_lists_equals_dfa_from_array():
+    rows = [[1, 2], [3, 3], [3, 3], [3, 3]]
+    a = Dfa(rows, 0, [0, 1, 2])
+    b = Dfa(np.array(rows, dtype=np.int32), 0, np.array([0, 1, 2]))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != Dfa(rows, 0, [0, 1])
+
+
+def test_every_producer_gives_read_only_arrays():
+    assert list(inspect.signature(Dfa).parameters) == ["delta", "start", "accepting"]
+    raw = build_direct(MaxDistinct(2, 6))
+    for d in (raw, minimize(raw), build_avoidance([Word((0, 0)), Word((1, 1))], 2),
+              import_dfa(export_dfa(raw, "json"), "json"), import_dfa(export_dfa(raw), "grail")):
+        assert d.delta.dtype == np.int32
+        assert d.delta.shape == (d.state_count, d.alphabet_size)
+        assert d.accepting.dtype == bool
+        assert d.accepting.shape == (d.state_count,)
+        assert not d.delta.flags.writeable and not d.accepting.flags.writeable
 
 
 def test_run_and_accepts():
@@ -51,7 +95,7 @@ def test_run_and_accepts():
 
 def test_minimize_collapses_equivalent_states():
     # states 1 and 2 are interchangeable
-    d = Dfa([[1, 2], [3, 3], [3, 3], [3, 3]], 0, [0, 1, 2], dead=3)
+    d = Dfa([[1, 2], [3, 3], [3, 3], [3, 3]], 0, [0, 1, 2])
     m = minimize(d)
     assert m.state_count == 3
     assert m.live_state_count() == 2
@@ -99,6 +143,11 @@ def test_minimize_canonical_numbering_is_bfs():
         assert order == sorted(order)  # discovery order equals numbering
 
 
+def _parts(d):
+    """The rows and accepting states of d as Python values."""
+    return d.delta.tolist(), np.flatnonzero(d.accepting).tolist()
+
+
 def _table_filling_minimum(delta, start, accepting):
     """Minimal DFA by pairwise table filling (Myhill-Nerode), BFS-numbered.
 
@@ -138,8 +187,8 @@ def _table_filling_minimum(delta, start, accepting):
                 number[t] = len(number)
                 order.append(t)
                 queue.append(t)
-    table = tuple(tuple(number[cls[delta[c][a]]] for a in range(k)) for c in order)
-    return table, frozenset(number[c] for c in order if c in accepting)
+    table = [[number[cls[delta[c][a]]] for a in range(k)] for c in order]
+    return table, sorted(number[c] for c in order if c in accepting)
 
 
 complete_dfas = st.integers(1, 40).flatmap(lambda n: st.tuples(
@@ -155,7 +204,7 @@ def test_minimize_matches_table_filling(dfa):
     delta, start, accepting = dfa
     m = minimize(Dfa(delta, start, accepting))
     assert m.start == 0
-    assert (m.delta, m.accepting) == _table_filling_minimum(delta, start, accepting)
+    assert _parts(m) == _table_filling_minimum(delta, start, accepting)
 
 
 def test_minimize_matches_table_filling_over_twelve_letters():
@@ -177,7 +226,8 @@ def test_minimize_matches_table_filling_over_twelve_letters():
             accepting = [q for q in range(n) if rng.random() < 0.5]
             d = Dfa([[after[q]] + fixed for q in range(n)], 0, accepting)
         m = minimize(d)
-        assert (m.delta, m.accepting) == _table_filling_minimum(d.delta, d.start, d.accepting)
+        delta, accepting = _parts(d)
+        assert _parts(m) == _table_filling_minimum(delta, d.start, accepting)
         wide += m.state_count >= 28
     assert wide >= 9
 
@@ -192,13 +242,13 @@ def test_isomorphic_on_renumbered_copy():
         delta = [None] * n
         for q in range(n):
             delta[perm[q]] = [perm[m.delta[q][a]] for a in range(m.alphabet_size)]
-        other = Dfa(delta, perm[m.start], [perm[q] for q in m.accepting])
+        other = Dfa(delta, perm[m.start], [perm[q] for q in _parts(m)[1]])
         assert isomorphic(m, other)
 
 
 def test_not_isomorphic_different_language():
-    a = minimize(Dfa([[0, 1], [1, 1]], 0, [0], dead=1))  # only 0*... no: L = 0*
-    b = minimize(Dfa([[1, 0], [1, 1]], 0, [0], dead=1))  # L = 1*... differs
+    a = minimize(Dfa([[0, 1], [1, 1]], 0, [0]))  # L = 0*
+    b = minimize(Dfa([[1, 0], [1, 1]], 0, [0]))  # L = 1*
     assert not isomorphic(a, b)
 
 
@@ -238,7 +288,7 @@ def test_grail_rejects_nondeterminism():
 
 
 def test_dot_omits_dead():
-    d = Dfa([[1, 2], [1, 2], [2, 2]], 0, [0, 1], dead=2)
+    d = Dfa([[1, 2], [1, 2], [2, 2]], 0, [0, 1])
     dot = export_dfa(d, "dot")
     assert "doublecircle" in dot
     assert " 2 [" not in dot and "-> 2" not in dot

@@ -303,6 +303,29 @@ class TestErrors:
             main(["build", "--family", "S", "--allowed", str(tmp_path / "missing.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["minimize", "count"])
+    @pytest.mark.parametrize("name, text", [
+        ("accepting past the states", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": [0, 99]}'),
+        ("negative accepting", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": [0, -1]}'),
+        ("fractional transition", '{"delta": [[0, 0.5], [1, 1]], "start": 0, "accepting": [0]}'),
+        ("huge transition", '{"delta": [[0, 1099511627776], [1, 1]], "start": 0, "accepting": [0]}'),
+        ("wrong alphabet", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": [0], "alphabet": 3}'),
+        ("wrong dead", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": [0], "dead": null}'),
+        ("no accepting field", '{"delta": [[0, 1], [1, 1]], "start": 0}'),
+        ("accepting not a list", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": 0}'),
+        ("start not an integer", '{"delta": [[0, 1], [1, 1]], "start": "0", "accepting": [0]}'),
+        ("grail negative final", "(START) |- 0\n0 0 0\n-1 -| (FINAL)\n"),
+        ("grail negative state", "(START) |- 0\n0 0 0\n-1 0 0\n0 -| (FINAL)\n"),
+        ("grail negative symbol", "(START) |- 0\n0 0 0\n0 -1 0\n0 -| (FINAL)\n"),
+    ])
+    def test_malformed_automaton_is_usage_error(self, capsys, tmp_path, command, name, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, command, "--automaton", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr
+
     def test_missing_automaton_file(self, capsys):
         code, _, stderr = run(capsys, "analyze", "--automaton", "/no/such/file")
         assert code == 2

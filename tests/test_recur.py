@@ -76,7 +76,7 @@ class TestTransferMatrix:
         d = build(MaxLen(2, 2))
         cs = transfer_matrix(d)
         assert cs.size == d.state_count
-        assert sum(cs.w) == len(d.accepting)
+        assert sum(cs.w) == d.accepting.sum()
 
     def test_start_vector(self):
         d = build(MaxDistinct(2, 8))

@@ -57,6 +57,8 @@ class TestTransform:
             u = random_word(rng, 2, rng.randrange(8))
             v = random_word(rng, 2, rng.randrange(8))
             assert transform(d, u + v) == compose(transform(d, u), transform(d, v))
+            # the gather over all states against one run per state
+            assert transform(d, u).target == tuple(d.run(q, u) for q in range(d.state_count))
 
     def test_four_letter_seed_reversal_invariant(self):
         # the transformation of B_1 coincides with that of its reversal
