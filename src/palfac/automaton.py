@@ -8,10 +8,26 @@ package exclude it unless said otherwise.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from typing import Iterable
 
 import numpy as np
+
+# D(2,14) peaks at about 330 bytes per raw state through build_direct and
+# minimize, and about 635 through `palfac build --format json` on the raw
+# automaton, so 4e6 states stay near 2.5 GB: under half of a 7 GB machine
+DEFAULT_STATE_BUDGET = 4_000_000
+BUDGET_ENV = "PALFAC_STATE_BUDGET"
+
+
+class CapacityError(RuntimeError):
+    """Raised when a construction would exceed the state budget."""
+
+
+def state_budget() -> int:
+    env = os.environ.get(BUDGET_ENV)
+    return int(env) if env else DEFAULT_STATE_BUDGET
 
 
 class Dfa:
@@ -225,7 +241,9 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
     """Parse an automaton; partial transition tables are completed with a dead state.
 
     The JSON "alphabet" and "dead" fields, when present, must agree with
-    what the table gives.
+    what the table gives.  A grail table spans every state id and symbol
+    up to the largest named, so one with more entries than a binary
+    automaton at the state budget raises CapacityError before it is built.
     """
     if fmt == "json":
         payload = json.loads(text)
@@ -282,7 +300,12 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
     if k == 0:
         raise FormatError("no transitions; alphabet size unknown")
     n = max(states) + 1
+    complete = len(trans) == n * k  # otherwise state n completes the table
+    rows, budget = n + (not complete), state_budget()
+    if rows * k > 2 * budget:
+        raise CapacityError(f"a {rows} x {k} grail table exceeds twice the state budget "
+                            f"of {budget}")
     delta = [[trans.get((q, a), n) for a in range(k)] for q in range(n)]
-    if len(trans) < n * k:  # n is the dead state that completes the table
+    if not complete:
         delta.append([n] * k)
     return Dfa(delta, start, accepting)

@@ -21,26 +21,15 @@ construction to cross-check against.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automaton import Dfa
+# the state budget lives in automaton, whose imports are held to it too; re-exported here
+from .automaton import BUDGET_ENV, DEFAULT_STATE_BUDGET, CapacityError, Dfa, state_budget
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
-
-
-# D(2,14) peaks at about 330 bytes per raw state through build_direct and
-# minimize, and about 635 through `palfac build --format json` on the raw
-# automaton, so 4e6 states stay near 2.5 GB: under half of a 7 GB machine
-DEFAULT_STATE_BUDGET = 4_000_000
-BUDGET_ENV = "PALFAC_STATE_BUDGET"
-
-
-class CapacityError(RuntimeError):
-    """Raised when a construction would exceed the state budget."""
 
 
 class ConstraintSpec:
@@ -202,11 +191,6 @@ class MaxCountByParity(ConstraintSpec):
         if not self.count_empty:
             even -= 1
         return even <= self.even_cap and odd <= self.odd_cap
-
-
-def state_budget() -> int:
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_STATE_BUDGET
 
 
 def _check_spec(spec: ConstraintSpec) -> None:

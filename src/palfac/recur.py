@@ -23,6 +23,7 @@ a(n) ~ C n^(m-1) alpha^n, with C exact and the dominance certified.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Callable, Iterable
@@ -32,8 +33,7 @@ from typing import Sequence as SeqABC
 
 import numpy as np
 
-from .automaton import Dfa, stable_partition
-from .construct import CapacityError
+from .automaton import CapacityError, Dfa, stable_partition
 from .polys import (
     Polynomial,
     RootInterval,
@@ -64,8 +64,9 @@ __all__ = [
 ]
 
 _MAX_MINPOLY_STATES = 4000
-_BLOCK_ENTRIES = 1 << 22  # int64 entries per column block of the Horner matrix
-_INT64_LIMIT = 1 << 63
+_BLOCK_ENTRIES = 1 << 22  # capacity of a gather table, in entries
+_CACHE_ENTRIES = 1 << 16  # entries per column block of the Horner matrix: 512 KB, held in L2
+_RING = 1 << 64  # the certificate's first modulus: uint64 arithmetic wraps modulo it
 _PRECISION = Fraction(1, 10 ** 12)  # relative width of a constant; finest radius step
 
 
@@ -77,10 +78,10 @@ class CountingSystem:
     """Transfer matrix M with start vector v and acceptance vector w.
 
     M[i][j] is the number of letters moving state i to state j, and
-    a(n) = v M^n w counts accepted words of length n.  M is kept as an
-    (n, R) gather table: row i lists i's successors, j once per unit of
-    M[i][j], padded with the sentinel n, which indexes a zero entry
-    appended to every vector M acts on.  So (M y)[i] is the sum of
+    a(n) = v M^n w counts accepted words of length n.  M is kept as a
+    read-only (n, R) gather table: row i lists i's successors, j once per
+    unit of M[i][j], padded with the sentinel n, which indexes a zero
+    entry appended to every vector M acts on.  So (M y)[i] is the sum of
     y[table[i, s]] over s.  M materializes a dense copy.
     """
 
@@ -93,6 +94,7 @@ class CountingSystem:
         n = len(self.table)
         if self.table.ndim != 2 or ((self.table < 0) | (self.table > n)).any():
             raise ValueError("malformed transfer table")
+        self.table.flags.writeable = False  # validated once: the gathers rely on it
         if len(self.v) != n or len(self.w) != n:
             raise ValueError("vector lengths must match the matrix size")
 
@@ -197,29 +199,37 @@ def _offset(q: Polynomial, a: SeqABC) -> int:
 # matrix minimal polynomial
 
 def _gather_table(M) -> np.ndarray:
-    """The gather table of a CountingSystem or of a dense nonnegative integer matrix.
+    """The read-only gather table of a CountingSystem or of a dense nonnegative integer matrix.
 
-    A dense entry m becomes m gathers of its column.  Raises CapacityError
-    when the table would exceed _BLOCK_ENTRIES entries.
+    A dense entry m becomes m gathers of its column; the matrix is read
+    as int64 once.  A negative entry raises ValueError, and CapacityError
+    is raised when the table would exceed _BLOCK_ENTRIES entries, also
+    for an entry past int64.
     """
     if isinstance(M, CountingSystem):
         n, width = M.table.shape
     else:
-        A = np.array(M, dtype=object)
+        rows = M.tolist() if isinstance(M, np.ndarray) else M  # a uint64 cast would wrap
+        try:
+            A = np.array(rows, dtype=np.int64)
+        except OverflowError:  # an entry outside int64: only its sign is read
+            A = np.array(rows, dtype=object)
         n = len(A)
         if A.shape != (n, n):
             raise ValueError("matrix must be square")
         if (A < 0).any():
             raise ValueError("matrix entries must be nonnegative")
-        sums = A.sum(axis=1)
-        width = int(max(sums, default=0))
+        if A.dtype == object or A.max(initial=0) > _BLOCK_ENTRIES:
+            raise CapacityError(f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers")
+        sums = A.sum(axis=1)  # at most n * 2^22: no overflow
+        width = int(sums.max(initial=0))
     if n * width > _BLOCK_ENTRIES:
         raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
     if isinstance(M, CountingSystem):
         return M.table
     table = np.full((n, width), n, dtype=np.int64)
-    succ = np.repeat(np.tile(np.arange(n), n), A.ravel().astype(np.int64))
-    table[np.arange(width) < sums[:, None]] = succ
+    table[np.arange(width) < sums[:, None]] = np.repeat(np.tile(np.arange(n), n), A.ravel())
+    table.flags.writeable = False
     return table
 
 
@@ -319,40 +329,58 @@ def _lift(registers: Iterable[tuple[int, list[int]]], accept: Callable[[Polynomi
 
 
 def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
-    """Certified check that p(M) = 0, by a gather Horner modulo primes.
+    """Certified check that p(M) = 0, by a gather Horner modulo 2^64 and primes.
 
     M is nonnegative with row sums at most R, the table's width, so the
     entries of M^t are at most R^t and every entry of p(M) lies in
-    [-B, B] for B = sum|p_i| * R^deg.  Vanishing modulo primes whose
-    product exceeds 2B + 1 therefore proves exact vanishing.  The primes
-    are the fixed list just below 2^31.  Each Horner step
-    H <- M H + c I is a sum of R row gathers of H: O(n R) row operations
-    per step, with no dense product and no BLAS.  Residues are reduced
-    only when a tracked bound on the entries would reach 2^63.  The
-    columns of H are independent and are processed in blocks.
+    [-B, B] for B = sum|p_i| * R^deg.  The moduli are 2^64, then the
+    fixed primes just below 2^31: they are pairwise coprime, so vanishing
+    modulo moduli whose product exceeds 2B + 1 proves exact vanishing.
+    Each Horner step H <- M H + c I is a sum of R row gathers of H: O(n R)
+    row operations per step, with no dense product and no BLAS.  Modulo
+    2^64 a step is plain uint64 arithmetic, whose wraparound is the
+    reduction; modulo a prime, residues are reduced only when a tracked
+    bound on the entries would reach 2^64.  The columns of H are
+    independent and run in blocks of about _CACHE_ENTRIES entries, so H
+    and its two step buffers stay in a core's L2 cache for all deg steps.
+    The gathers skip the bounds check: table must hold only indices in
+    [0, n], as the read-only tables of CountingSystem and _gather_table do.
     """
     if p.is_zero():
         return False
-    n, R = table.shape
-    bound = sum(abs(c) for c in p.coeffs) * max(R, 1) ** p.degree
-    block = max(1, _BLOCK_ENTRIES // n)
+    n, width = table.shape
+    R = max(width, 1)
+    bound = sum(abs(c) for c in p.coeffs) * R ** p.degree
+    # row n of H stays zero: the padding of short table rows gathers it,
+    # and so does the all-padding column that stands for M = 0
+    gathers = np.full((R, n + 1), n, dtype=np.intp)
+    gathers[:width, :n] = table.T
+    block = max(1, _CACHE_ENTRIES // (n + 1))
     have = 1
-    for q in _primes_below(1 << 31):
+    for q in itertools.chain([_RING], _primes_below(1 << 31)):
+        coeffs = [np.uint64(c % q) for c in reversed(p.coeffs)]
         for lo in range(0, n, block):
             cols = np.arange(lo, min(n, lo + block))
             diag = (cols, np.arange(len(cols)))
-            # row n of H stays zero: the padding of short table rows gathers it
-            H = np.zeros((n + 1, len(cols)), dtype=np.int64)
-            H[diag] = p.lead % q
-            hb = q  # every entry of H lies in [0, hb)
-            for c in reversed(p.coeffs[:-1]):
-                if R * hb + q >= _INT64_LIMIT:
-                    H %= q
-                    hb = q
-                H = _apply(table, H)
-                H[diag] += c % q
-                hb = R * hb + q
-            if (H % q).any():
+            H = np.zeros((n + 1, len(cols)), dtype=np.uint64)
+            out, buf = np.empty_like(H), np.empty_like(H)
+            H[diag] = coeffs[0]
+            hb = q  # every entry of H lies in [0, hb); tracked for the primes only
+            for c in coeffs[1:]:
+                if q != _RING:  # modulo 2^64 the wraparound is the reduction
+                    if R * hb + q >= _RING:
+                        H %= np.uint64(q)
+                        hb = q
+                    hb = R * hb + q
+                np.take(H, gathers[0], axis=0, out=out, mode="clip")
+                for col in gathers[1:]:
+                    np.take(H, col, axis=0, out=buf, mode="clip")
+                    out += buf
+                out[diag] += c
+                H, out = out, H
+            if q != _RING:
+                H %= np.uint64(q)
+            if H.any():
                 return False
         have *= q
         if have > 2 * bound + 1:
@@ -368,16 +396,19 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     Each register reverses a connection polynomial with constant term 1,
     so every candidate is monic.  The longest registers are lifted by
     symmetric CRT (_lift), and a lift is accepted only after an exact
-    certificate that p(M) = 0 (see _verify_annihilates_matrix).  Every
-    eigenvalue of M has modulus at most R, the largest row sum, so
-    coefficient i of the minimal polynomial of degree d is at most
-    C(d, i) R^i <= (1 + R)^d; once the primes outgrow that bound without
-    a certified lift, InconclusiveError is raised.
+    certificate that p(M) = 0: a gather Horner modulo 2^64 and then the
+    primes below 2^31, over column blocks of about 2^16 entries (see
+    _verify_annihilates_matrix).  Every eigenvalue of M has modulus at
+    most R, the largest row sum, so coefficient i of the minimal
+    polynomial of degree d is at most C(d, i) R^i <= (1 + R)^d; once the
+    primes outgrow that bound without a certified lift, InconclusiveError
+    is raised.
 
     Accepts a CountingSystem or a square matrix of nonnegative integers
-    given as rows, which becomes a gather table; a negative entry raises
-    ValueError.  Raises CapacityError above _MAX_MINPOLY_STATES rows or
-    when the table exceeds _BLOCK_ENTRIES entries.
+    given as rows, which is read as int64 and becomes a gather table; a
+    negative entry raises ValueError.  Raises CapacityError above
+    _MAX_MINPOLY_STATES rows or when the table exceeds _BLOCK_ENTRIES
+    entries.
     """
     table = _gather_table(M)
     n, R = table.shape

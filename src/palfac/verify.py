@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Dfa
-from .construct import CapacityError, state_budget
+from .automaton import CapacityError, Dfa, state_budget
 from .words import Word
 
 __all__ = [

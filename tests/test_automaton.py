@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palfac.automaton import (
+    BUDGET_ENV,
+    CapacityError,
     Dfa,
     FormatError,
     export_dfa,
@@ -277,6 +279,17 @@ def test_grail_completes_partial_automaton():
     assert d.dead is not None
     assert d.accepts((0,))
     assert not d.accepts((0, 0))
+
+
+def test_grail_table_held_to_twice_the_state_budget(monkeypatch):
+    # a complete binary table over four states is 2 * 4 entries
+    monkeypatch.setenv(BUDGET_ENV, "4")
+    lines = ["(START) |- 0"] + [f"{q} {a} {min(q + 1, 3)}" for q in range(4) for a in range(2)]
+    assert import_dfa("\n".join(lines), "grail").state_count == 4
+    # five complete states, or four whose missing transition adds a dead state
+    for text in lines + ["4 0 4", "4 1 4"], lines[:-1]:
+        with pytest.raises(CapacityError):
+            import_dfa("\n".join(text), "grail")
 
 
 def test_grail_rejects_nondeterminism():

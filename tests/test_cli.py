@@ -337,6 +337,16 @@ class TestErrors:
         assert code == 3
         assert "capacity" in stderr
 
+    @pytest.mark.parametrize("line", ["0 1000000000 0", "0 0 999999999"])
+    def test_oversized_grail_table_is_capacity(self, capsys, tmp_path, line):
+        # one large symbol or state id would make a dense table of 10^9 entries
+        path = tmp_path / "wide.grail"
+        path.write_text(f"(START) |- 0\n{line}\n0 -| (FINAL)\n")
+        code, stdout, stderr = run(capsys, "minimize", "--automaton", str(path))
+        assert code == 3
+        assert stdout == ""
+        assert "capacity" in stderr
+
     def test_state_budget_leaves_environment_alone(self, capsys):
         before = dict(os.environ)
         for argv in (["build", "--family", "D", "--cap", "11"],

@@ -25,6 +25,7 @@ from palfac.construct import (
 from palfac.oracle import brute_count
 from palfac.polys import Polynomial, exact_div
 from palfac.recur import (
+    _CACHE_ENTRIES,
     _gather_table,
     _lift,
     _verify_annihilates_matrix,
@@ -249,13 +250,29 @@ class TestMatrixMinPoly:
         with pytest.raises(CapacityError):
             matrix_min_poly(CountingSystem(table, [1] + [0] * 4000, [1] * 4001))
 
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_min_poly([[1, -1], [0, 1]])
+    @pytest.mark.parametrize("entry, error", [
+        (-1, ValueError), (-2 ** 63, ValueError), (-2 ** 63 - 1, ValueError),
+        (-2 ** 64, ValueError),
+        (2 ** 22, CapacityError),  # a row sum of 2^22 + 1 gathers
+        (2 ** 62, CapacityError), (2 ** 63 - 1, CapacityError), (2 ** 63, CapacityError),
+        (2 ** 64, CapacityError), (2 ** 100, CapacityError),
+    ])
+    def test_dense_entry_errors(self, entry, error):
+        with pytest.raises(error):
+            matrix_min_poly([[1, entry], [0, 1]])
+        with pytest.raises(ValueError):  # the sign is checked first
+            matrix_min_poly([[-1, entry], [0, 1]])
 
-    def test_oversized_row_sum_rejected(self):
+    def test_unsigned_array_is_read_exactly(self):
         with pytest.raises(CapacityError):
-            matrix_min_poly([[2 ** 22, 1], [0, 1]])
+            matrix_min_poly(np.array([[1, 2 ** 63], [0, 1]], dtype=np.uint64))
+        assert matrix_min_poly(np.array([[1, 1], [0, 1]], dtype=np.uint8)) == P([1, -2, 1])
+
+    def test_tables_are_read_only(self):
+        cs = transfer_matrix(build(MaxLen(3, 2)))
+        for table in (cs.table, _gather_table(cs.M)):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
     def test_dense_entries_become_repeated_gathers(self):
         table = _gather_table([[0, 2, 1], [0, 0, 0], [3, 0, 0]])
@@ -610,15 +627,39 @@ class TestGatherCertificate:
 
     @needs_sympy
     def test_wide_rows_force_reduction(self):
-        # with 2^8 gathers a row, entries of H pass 2^63 by the sixth
-        # Horner step unless residues are reduced inside the loop
+        # with 2^8 gathers a row, entries of H pass 2^64 by the fifth
+        # Horner step modulo a prime unless residues are reduced inside the
+        # loop; the bound of about 2^96 takes the check past 2^64 to primes
         R = 2 ** 8
         M = [[R - 5 + i if j == i else int(j > i) for j in range(6)] for i in range(6)]
         mp = exact_min_poly(M)
         assert mp.degree == 6
+        assert sum(map(abs, mp.coeffs)) * R ** 6 > 2 ** 95
         assert certified(mp, M)
         assert not certified(mp + P([1]), M)
         assert not certified(mp + XP(1, -1), M)
+
+    def test_residue_modulo_the_ring_is_not_enough(self):
+        # mp + 2^64 X^i agrees with mp modulo 2^64, the first modulus
+        M = [[2, 1, 0], [0, 2, 0], [1, 0, 3]]
+        mp = P([-12, 16, -7, 1])  # (X - 2)^2 (X - 3)
+        assert certified(mp, M)
+        for i in range(mp.degree + 1):
+            for k in (1, -1, 3):
+                assert not certified(mp + XP(i, k << 64), M)
+
+    def test_every_column_block_is_checked(self):
+        # a 299-cycle and a state with a weight-2 self-loop: X^299 - 1
+        # kills every column but the last, which lands in the tail block
+        n = 300
+        M = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            M[i][(i + 1) % (n - 1)] = 1
+        M[n - 1][n - 1] = 2
+        assert n > _CACHE_ENTRIES // (n + 1)
+        cycle = XP(n - 1) - P([1])
+        assert certified(cycle * P([-2, 1]), M)
+        assert not certified(cycle, M)
 
     def test_rejection_survives_optimized_mode(self):
         code = (
