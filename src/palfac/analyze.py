@@ -3,9 +3,10 @@
 Everything here reads the minimized automaton as a directed graph: the
 infinite words in the language are the labels of infinite paths through
 live states.  Recurrence analysis classifies the possibilities (none,
-finitely many ultimately periodic words, or uncountably many including
-aperiodic ones) and produces explicit witnesses: enumerated periodic
-words in the finite case, a pair of noncommuting cycles otherwise.
+finitely or countably many ultimately periodic words, or uncountably
+many including aperiodic ones) and produces explicit witnesses:
+enumerated periodic words in the finite case, a pair of noncommuting
+cycles in the uncountable one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "Morphism",
     "NoInfiniteWords",
     "FinitelyManyPeriodic",
+    "CountablyManyPeriodic",
     "UncountablyManyAperiodic",
     "analyze",
     "recurrent_states",
@@ -54,11 +56,21 @@ class FinitelyManyPeriodic:
 
 
 @dataclass(frozen=True)
+class CountablyManyPeriodic:
+    """Infinitely many infinite words, all ultimately periodic.
+
+    Every cyclic component is a bare cycle, but one cycle reaches another,
+    so y x1^j z x2^omega is a word for every j.
+    """
+
+
+@dataclass(frozen=True)
 class UncountablyManyAperiodic:
     """A birecurrent state exists, so aperiodic infinite words abound."""
 
 
-Classification = NoInfiniteWords | FinitelyManyPeriodic | UncountablyManyAperiodic
+Classification = (NoInfiniteWords | FinitelyManyPeriodic | CountablyManyPeriodic
+                  | UncountablyManyAperiodic)
 
 
 @dataclass(frozen=True)
@@ -309,15 +321,17 @@ def enumerate_periodic(d: Dfa) -> list[tuple[Word, Word]]:
     approach paths is finite and complete.
     """
     adj = _live_graph(d)
-    return _periodic(d, adj, *_cyclic_components(adj))
-
-
-def _periodic(d: Dfa, adj, cyclic, comp_of, comps) -> list[tuple[Word, Word]]:
-    k = d.alphabet_size
+    cyclic, comp_of, comps = _cyclic_components(adj)
     for comp in cyclic:
         if not _is_simple_cycle(adj, comp):
             raise ValueError("automaton has branching cycles; enumeration would be infinite")
+    if _cycle_reaches_cycle(adj, cyclic, comp_of, comps):
+        raise ValueError("a cycle reaches another cycle; enumeration would be infinite")
+    return _periodic(d, adj, cyclic, comp_of)
 
+
+def _cycle_reaches_cycle(adj, cyclic, comp_of, comps) -> bool:
+    """Whether some cyclic component reaches another one."""
     # Tarjan emits components in reverse topological order, so successors
     # of comps[i] all have indices below i and are already resolved.
     cyclic_ids = {comp_of[comp[0]] for comp in cyclic}
@@ -328,10 +342,12 @@ def _periodic(d: Dfa, adj, cyclic, comp_of, comps) -> list[tuple[Word, Word]]:
                 ti = comp_of[t]
                 if ti != i and (ti in cyclic_ids or reaches_cycle[ti]):
                     reaches_cycle[i] = True
-    for ci in cyclic_ids:
-        if reaches_cycle[ci]:
-            raise ValueError("a cycle reaches another cycle; enumeration would be infinite")
+    return any(reaches_cycle[ci] for ci in cyclic_ids)
 
+
+def _periodic(d: Dfa, adj, cyclic, comp_of) -> list[tuple[Word, Word]]:
+    """enumerate_periodic, once its cycles are known to be bare and unchained."""
+    k = d.alphabet_size
     if not adj:
         return []
     cycle_states = {q for comp in cyclic for q in comp}
@@ -368,8 +384,10 @@ def analyze(d: Dfa) -> AnalysisReport:
         cls = NoInfiniteWords()
     elif wit is not None:
         cls = UncountablyManyAperiodic()
+    elif _cycle_reaches_cycle(adj, cyclic, comp_of, comps):
+        cls = CountablyManyPeriodic()
     else:
-        cls = FinitelyManyPeriodic(tuple(_periodic(d, adj, cyclic, comp_of, comps)))
+        cls = FinitelyManyPeriodic(tuple(_periodic(d, adj, cyclic, comp_of)))
     periodic = cls.words if isinstance(cls, FinitelyManyPeriodic) else ()
     return AnalysisReport(rec, wit, cls, periodic)
 

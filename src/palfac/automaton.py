@@ -237,14 +237,22 @@ class FormatError(ValueError):
     """Raised for malformed or nondeterministic automaton descriptions."""
 
 
-def import_dfa(text: str, fmt: str = "grail") -> Dfa:
+def _hold_to_budget(rows: int, k: int, budget: int) -> None:
+    if rows * k > 2 * budget:
+        raise CapacityError(f"a {rows} x {k} table exceeds twice the state budget of {budget}")
+
+
+def import_dfa(text: str, fmt: str = "grail", budget: int | None = None) -> Dfa:
     """Parse an automaton; partial transition tables are completed with a dead state.
 
     The JSON "alphabet" and "dead" fields, when present, must agree with
-    what the table gives.  A grail table spans every state id and symbol
-    up to the largest named, so one with more entries than a binary
-    automaton at the state budget raises CapacityError before it is built.
+    what the table gives.  A table with more entries than a binary
+    automaton at the state budget (state_budget() unless given) raises
+    CapacityError.  A grail table spans every state id and symbol up to
+    the largest named, so it is checked before it is built.
     """
+    if budget is None:
+        budget = state_budget()
     if fmt == "json":
         payload = json.loads(text)
         if not (isinstance(payload, dict) and "start" in payload
@@ -254,6 +262,7 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
         for key, value in (("alphabet", d.alphabet_size), ("dead", d.dead)):
             if key in payload and payload[key] != value:
                 raise FormatError(f"{key} is {payload[key]!r} but the table gives {value!r}")
+        _hold_to_budget(*d.delta.shape, budget)
         return d
     if fmt != "grail":
         raise ValueError(f"unknown format {fmt!r} (want grail or json)")
@@ -301,10 +310,7 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
         raise FormatError("no transitions; alphabet size unknown")
     n = max(states) + 1
     complete = len(trans) == n * k  # otherwise state n completes the table
-    rows, budget = n + (not complete), state_budget()
-    if rows * k > 2 * budget:
-        raise CapacityError(f"a {rows} x {k} grail table exceeds twice the state budget "
-                            f"of {budget}")
+    _hold_to_budget(n + (not complete), k, budget)
     delta = [[trans.get((q, a), n) for a in range(k)] for q in range(n)]
     if not complete:
         delta.append([n] * k)

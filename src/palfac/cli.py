@@ -15,6 +15,7 @@ import sys
 
 from .analyze import (
     CertificateError,
+    CountablyManyPeriodic,
     FinitelyManyPeriodic,
     NoInfiniteWords,
     analyze,
@@ -78,7 +79,7 @@ def _add_automaton_source(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state-budget", type=int, metavar="N",
-                   help=f"construction size limit (default via {BUDGET_ENV})")
+                   help=f"size limit on built and imported automata (default via {BUDGET_ENV})")
 
 
 def _read_allowed(path: str) -> list[Word]:
@@ -107,16 +108,16 @@ def _spec_from_args(args, parser: argparse.ArgumentParser):
     return family(args.alphabet, *values)
 
 
-def _load_dfa(path: str) -> Dfa:
+def _load_dfa(path: str, budget: int | None) -> Dfa:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     fmt = "json" if text.lstrip().startswith("{") else "grail"
-    return import_dfa(text, fmt)
+    return import_dfa(text, fmt, budget)
 
 
 def _dfa_from_args(args, parser: argparse.ArgumentParser, minimized: bool = True) -> Dfa:
     if getattr(args, "automaton", None):
-        d = _load_dfa(args.automaton)
+        d = _load_dfa(args.automaton, args.state_budget)
     else:
         d = build_direct(_spec_from_args(args, parser), args.state_budget)
     return minimize(d) if minimized else d
@@ -152,7 +153,7 @@ def cmd_build(args, parser) -> int:
 
 
 def cmd_minimize(args, parser) -> int:
-    d = _load_dfa(args.automaton)
+    d = _load_dfa(args.automaton, args.state_budget)
     m = minimize(d)
     _say(f"{d.state_count} states -> {m.state_count} ({m.live_state_count()} live)")
     _emit(export_dfa(m, args.format), args.out)
@@ -195,6 +196,8 @@ def cmd_analyze(args, parser) -> int:
         _say(f"infinite words ({len(report.periodic_words)}):")
         for y, x in report.periodic_words:
             _say(f"  {_omega(y, x)}")
+    elif isinstance(report.classification, CountablyManyPeriodic):
+        _say("classification: countably many infinite words, all ultimately periodic")
     else:
         q, x0, x1 = report.birecurrent
         _say("classification: uncountably many infinite words, aperiodic ones included")
@@ -320,6 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="minimize a serialized automaton")
     p.add_argument("--automaton", metavar="FILE", required=True)
+    _add_common(p)
     p.add_argument("--format", choices=["grail", "json", "dot"], default="grail")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_minimize)

@@ -15,13 +15,13 @@ one palindrome; it comes from the window's suffix palindromes (a
 bitmask of lengths) without a rescan, and what it does to a sid is
 worked out once.
 build_avoidance reaches the same languages for the AllowedSet family
-through a forbidden-factor keyword automaton, giving an independent
-construction to cross-check against.
+as the automaton of the minimal forbidden palindromes, read straight off
+its definition (states are the proper prefixes of the forbidden words),
+giving an independent construction to cross-check against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -361,55 +361,36 @@ def forbidden_set(allowed: Iterable[Word], alphabet_size: int) -> frozenset:
 def build_avoidance(forbidden: Iterable[Word], alphabet_size: int) -> Dfa:
     """DFA for the words having no member of `forbidden` as a factor.
 
-    Keyword-tree construction with failure links; nodes at or past a match
-    collapse into the single dead state.
+    Built from the definition of Crochemore, Mignosi and Restivo
+    ("Automata and forbidden words", 1998).  A live state is the longest
+    suffix of the input that is a proper prefix of a forbidden word; the
+    empty word is always one.  A letter appends, then drops letters from
+    the left until the state is such a prefix again, and an input with a
+    forbidden suffix goes to the dead state.  Live states are numbered
+    breadth-first from the empty word, and the dead state comes last.
     """
-    forbidden = sorted(set(forbidden))
-    if any(len(w) == 0 for w in forbidden):
+    forbidden = {w.symbols for w in forbidden}
+    if () in forbidden:
         # the empty word is a factor of everything: empty language
         return Dfa([[0] * alphabet_size], 0, [])
-
-    children: list[dict[int, int]] = [{}]
-    terminal = [False]
-    for w in forbidden:
-        node = 0
-        for c in w.symbols:
-            nxt = children[node].get(c)
-            if nxt is None:
-                nxt = len(children)
-                children[node][c] = nxt
-                children.append({})
-                terminal.append(False)
-            node = nxt
-        terminal[node] = True
-
-    # failure links and goto closure, breadth-first
-    n = len(children)
-    fail = [0] * n
-    goto = [[0] * alphabet_size for _ in range(n)]
-    queue = deque()
-    for c in range(alphabet_size):
-        child = children[0].get(c)
-        if child is None:
-            goto[0][c] = 0
-        else:
-            goto[0][c] = child
-            queue.append(child)
-    while queue:
-        node = queue.popleft()
-        terminal[node] = terminal[node] or terminal[fail[node]]
-        for c in range(alphabet_size):
-            child = children[node].get(c)
-            if child is None:
-                goto[node][c] = goto[fail[node]][c]
-            else:
-                fail[child] = goto[fail[node]][c]
-                goto[node][c] = child
-                queue.append(child)
-
-    # live nodes keep their order, and every terminal node becomes the dead state
-    live = ~np.array(terminal)
-    dead = np.count_nonzero(live)
-    number = np.where(live, np.cumsum(live) - 1, dead)
-    delta = number[np.array(goto, dtype=np.int64)[live]]
-    return Dfa(np.vstack([delta, np.full(alphabet_size, dead)]), 0, np.arange(dead))
+    prefixes = {w[:i] for w in forbidden for i in range(len(w))} | {()}
+    index = {(): 0}
+    states = [()]
+    rows = []
+    for u in states:
+        row = []
+        for a in range(alphabet_size):
+            v = u + (a,)
+            if any(v[i:] in forbidden for i in range(len(v))):
+                row.append(None)
+                continue
+            while v not in prefixes:
+                v = v[1:]
+            if v not in index:
+                index[v] = len(states)
+                states.append(v)
+            row.append(index[v])
+        rows.append(row)
+    dead = len(states)
+    rows = [[dead if t is None else t for t in row] for row in rows]
+    return Dfa(rows + [[dead] * alphabet_size], 0, range(dead))

@@ -19,6 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 
+_ROOT_WIDTH = Fraction(1, 10 ** 12)  # width of the interval largest_real_root certifies
+
+
 class NoRealRootError(ValueError):
     """Raised when a real root is requested of a polynomial without one."""
 
@@ -401,9 +404,8 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
 
 
-def largest_real_root(p: Polynomial,
-                      tolerance: Fraction = Fraction(1, 10 ** 12)) -> RootInterval:
-    """The largest real root, certified to an interval of width <= tolerance.
+def largest_real_root(p: Polynomial) -> RootInterval:
+    """The largest real root, certified to an interval of width <= _ROOT_WIDTH.
 
     Raises NoRealRootError when the polynomial has no real root.
     """
@@ -415,7 +417,7 @@ def largest_real_root(p: Polynomial,
         rest = p.shift_down(xm)
         if rest.degree >= 1:
             try:
-                sub = largest_real_root(rest, tolerance)
+                sub = largest_real_root(rest)
                 if sub.hi >= 0:
                     return sub
             except NoRealRootError:
@@ -435,7 +437,7 @@ def largest_real_root(p: Polynomial,
         raise NoRealRootError(f"{p} has no real root")
     # keep the rightmost root-containing half until the interval is tight;
     # a root at mid is the largest only when none lies in (mid, hi]
-    while hi - lo > tolerance:
+    while hi - lo > _ROOT_WIDTH:
         mid = (lo + hi) / 2
         at_mid = _sign_changes(chain, mid)
         if at_mid > at_hi:

@@ -78,36 +78,39 @@ class CountingSystem:
     """Transfer matrix M with start vector v and acceptance vector w.
 
     M[i][j] is the number of letters moving state i to state j, and
-    a(n) = v M^n w counts accepted words of length n.  M is kept as a
-    read-only (n, R) gather table: row i lists i's successors, j once per
+    a(n) = v M^n w counts accepted words of length n.  The constructor
+    takes an (n, R) gather table: row i lists i's successors, j once per
     unit of M[i][j], padded with the sentinel n, which indexes a zero
     entry appended to every vector M acts on.  So (M y)[i] is the sum of
-    y[table[i, s]] over s.  M materializes a dense copy.
+    y[table[i, s]] over s.  It keeps the table read-only as (n + 1, R),
+    with a sentinel row of n appended, so that M y keeps that zero entry.
+    M materializes a dense copy.
     """
 
     __slots__ = ("table", "v", "w")
 
     def __init__(self, table, v, w):
-        self.table = np.array(table, dtype=np.int64)
+        table = np.array(table, dtype=np.int64)
         self.v = tuple(int(x) for x in v)
         self.w = tuple(int(x) for x in w)
-        n = len(self.table)
-        if self.table.ndim != 2 or ((self.table < 0) | (self.table > n)).any():
+        n = len(table)
+        if table.ndim != 2 or ((table < 0) | (table > n)).any():
             raise ValueError("malformed transfer table")
-        self.table.flags.writeable = False  # validated once: the gathers rely on it
         if len(self.v) != n or len(self.w) != n:
             raise ValueError("vector lengths must match the matrix size")
+        self.table = np.vstack([table, np.full(table.shape[1], n)])
+        self.table.flags.writeable = False  # validated once: the gathers rely on it
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.table) - 1
 
     @property
     def M(self) -> list[list[int]]:
         """Dense matrix copy; built on demand."""
         n = self.size
         out = np.zeros((n, n + 1), dtype=np.int64)
-        np.add.at(out, (np.arange(n)[:, None], self.table), 1)
+        np.add.at(out, (np.arange(n)[:, None], self.table[:n]), 1)
         return out[:, :n].tolist()
 
 
@@ -119,11 +122,13 @@ def transfer_matrix(d: Dfa) -> CountingSystem:
 
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M y, for y (a vector or a matrix of columns) whose last row, like M y's, is zero."""
-    n, R = table.shape
-    if not R:
+    """M y, for y (a vector or a matrix of columns) whose last row, like M y's, is zero.
+
+    table is a gather table with its sentinel row, as CountingSystem and
+    _gather_table hold it.
+    """
+    if not table.shape[1]:
         return np.zeros_like(y)
-    table = np.vstack([table, np.full(R, n)])
     out = y[table[:, 0]]
     for col in table.T[1:]:
         out += y[col]
@@ -141,13 +146,12 @@ def _lumped(cs: CountingSystem) -> CountingSystem:
     over each block.  The sentinel's block, where every y_t is zero,
     becomes the quotient's sentinel.
     """
-    n, R = cs.table.shape
-    table = np.vstack([cs.table, np.full(R, n)])
+    n = cs.size
     w = cs.w + (0,)
     rank = {x: r for r, x in enumerate(sorted(set(w)))}  # exact: w may pass 2^63
     block = np.fromiter((rank[x] for x in w), dtype=np.int64, count=n + 1)
     block, count = stable_partition(block, len(rank),
-                                    lambda block: np.sort(block[table], axis=1).T)
+                                    lambda block: np.sort(block[cs.table], axis=1).T)
     # number the sentinel's block last
     last = count - 1
     sentinel = block[n]
@@ -157,7 +161,7 @@ def _lumped(cs: CountingSystem) -> CountingSystem:
     for i, vi in enumerate(cs.v):
         if vi and block[i] != last:
             v[block[i]] += vi
-    return CountingSystem(block[table[rep]], v, [w[i] for i in rep])
+    return CountingSystem(block[cs.table[rep]], v, [w[i] for i in rep])
 
 
 def sequence(cs: CountingSystem, n_max: int) -> list[int]:
@@ -201,13 +205,14 @@ def _offset(q: Polynomial, a: SeqABC) -> int:
 def _gather_table(M) -> np.ndarray:
     """The read-only gather table of a CountingSystem or of a dense nonnegative integer matrix.
 
-    A dense entry m becomes m gathers of its column; the matrix is read
-    as int64 once.  A negative entry raises ValueError, and CapacityError
-    is raised when the table would exceed _BLOCK_ENTRIES entries, also
-    for an entry past int64.
+    The table has n + 1 rows, the last the sentinel row (see
+    CountingSystem).  A dense entry m becomes m gathers of its column;
+    the matrix is read as int64 once.  A negative entry raises ValueError,
+    and CapacityError is raised when the table would exceed _BLOCK_ENTRIES
+    entries, also for an entry past int64.
     """
     if isinstance(M, CountingSystem):
-        n, width = M.table.shape
+        n, width = M.size, M.table.shape[1]
     else:
         rows = M.tolist() if isinstance(M, np.ndarray) else M  # a uint64 cast would wrap
         try:
@@ -227,8 +232,8 @@ def _gather_table(M) -> np.ndarray:
         raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
     if isinstance(M, CountingSystem):
         return M.table
-    table = np.full((n, width), n, dtype=np.int64)
-    table[np.arange(width) < sums[:, None]] = np.repeat(np.tile(np.arange(n), n), A.ravel())
+    table = np.full((n + 1, width), n, dtype=np.int64)
+    table[:n][np.arange(width) < sums[:, None]] = np.repeat(np.tile(np.arange(n), n), A.ravel())
     table.flags.writeable = False
     return table
 
@@ -271,7 +276,7 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
 
 def _min_poly_mod(table, p, rng):
     """Monic candidate (ascending coefficients mod p) from one random projection."""
-    n = len(table)
+    n = len(table) - 1
     u = [rng.randrange(p) for _ in range(n)]
     x = [rng.randrange(p) for _ in range(n)]
     terms: list[int] = []
@@ -344,17 +349,19 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
     independent and run in blocks of about _CACHE_ENTRIES entries, so H
     and its two step buffers stay in a core's L2 cache for all deg steps.
     The gathers skip the bounds check: table must hold only indices in
-    [0, n], as the read-only tables of CountingSystem and _gather_table do.
+    [0, n], with its sentinel row, as the read-only tables of
+    CountingSystem and _gather_table do.
     """
     if p.is_zero():
         return False
-    n, width = table.shape
+    n, width = len(table) - 1, table.shape[1]
     R = max(width, 1)
     bound = sum(abs(c) for c in p.coeffs) * R ** p.degree
-    # row n of H stays zero: the padding of short table rows gathers it,
-    # and so does the all-padding column that stands for M = 0
+    # row n of H stays zero: the sentinel row and the padding of short
+    # table rows gather it, and so does the all-padding column that stands
+    # for M = 0
     gathers = np.full((R, n + 1), n, dtype=np.intp)
-    gathers[:width, :n] = table.T
+    gathers[:width] = table.T
     block = max(1, _CACHE_ENTRIES // (n + 1))
     have = 1
     for q in itertools.chain([_RING], _primes_below(1 << 31)):
@@ -411,7 +418,7 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     entries.
     """
     table = _gather_table(M)
-    n, R = table.shape
+    n, R = len(table) - 1, table.shape[1]
     if n == 0:
         raise ValueError("empty matrix")
     if n > _MAX_MINPOLY_STATES:

@@ -6,6 +6,7 @@ the empty word counts as an *even* palindrome throughout the package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -91,21 +92,10 @@ class Word:
 
     def primitive_root(self) -> "Word":
         """The shortest x with self = x^d."""
-        s = self.symbols
-        n = len(s)
-        if n == 0:
-            return self
-        fail = [0] * n
-        j = 0
-        for i in range(1, n):
-            while j and s[i] != s[j]:
-                j = fail[j - 1]
-            if s[i] == s[j]:
-                j += 1
-            fail[i] = j
-        p = n - fail[-1]
-        if n % p == 0:
-            return _valid_word(s[:p], self.alphabet_size)
+        s, n = self.symbols, len(self.symbols)
+        for p in range(1, n):
+            if n % p == 0 and s[:p] * (n // p) == s:
+                return _valid_word(s[:p], self.alphabet_size)
         return self
 
 
@@ -216,33 +206,13 @@ def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     return PalFacSet(pals | {_valid_word((), k)})
 
 
-def enumerate_palindromes(alphabet_size: int, max_length: int,
-                          parity: str | None = None) -> list[Word]:
-    """All palindromes over the alphabet up to max_length, length-then-lex.
-
-    parity may be "even", "odd", or None for both.  The empty word is even.
-    """
-    if parity not in (None, "even", "odd"):
-        raise ValueError(f"parity must be 'even', 'odd', or None, not {parity!r}")
+def enumerate_palindromes(alphabet_size: int, max_length: int) -> list[Word]:
+    """All palindromes over the alphabet up to max_length, length-then-lex."""
     if alphabet_size < 0:
         raise ValueError(f"alphabet size must be nonnegative, not {alphabet_size}")
-    out = []
-    for length in range(max_length + 1):
-        if parity == "even" and length % 2:
-            continue
-        if parity == "odd" and length % 2 == 0:
-            continue
-        half = (length + 1) // 2
-        for idx in range(alphabet_size ** half):
-            digits = []
-            x = idx
-            for _ in range(half):
-                digits.append(x % alphabet_size)
-                x //= alphabet_size
-            digits.reverse()  # lex order over the first half
-            mirror = digits[:length // 2][::-1]
-            out.append(_valid_word(tuple(digits) + tuple(mirror), alphabet_size))
-    return out
+    return [_valid_word(half + half[:length // 2][::-1], alphabet_size)
+            for length in range(max_length + 1)
+            for half in itertools.product(range(alphabet_size), repeat=(length + 1) // 2)]
 
 
 def minimal_elements(words: Iterable[Word]) -> list[Word]:

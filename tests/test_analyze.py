@@ -4,6 +4,7 @@ import pytest
 
 from palfac.analyze import (
     AnalysisReport,
+    CountablyManyPeriodic,
     FinitelyManyPeriodic,
     Morphism,
     NoInfiniteWords,
@@ -16,7 +17,7 @@ from palfac.analyze import (
     verify_ultimately_periodic,
     witness_morphisms,
 )
-from palfac.automaton import minimize
+from palfac.automaton import import_dfa, minimize
 from palfac.construct import (
     AllowedSet,
     MaxCountByParity,
@@ -30,6 +31,8 @@ from palfac.words import Word, palindromic_factors
 
 W = Word.from_digits
 EMPTY = Word(())
+# 0*1*: the 0-loop reaches the 1-loop, so 0^j 1^omega is a word for every j
+ZERO_STAR_ONE_STAR = "(START) |- 0\n0 0 0\n0 1 1\n1 1 1\n0 -| (FINAL)\n1 -| (FINAL)\n"
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +127,14 @@ class TestClassify:
         assert isinstance(classify(build(MaxLen(2, 4))), FinitelyManyPeriodic)
         assert isinstance(classify(build(MaxDistinct(2, 11))), UncountablyManyAperiodic)
 
+    def test_chained_cycles_are_countable(self):
+        d = minimize(import_dfa(ZERO_STAR_ONE_STAR))
+        rep = analyze(d)
+        assert rep.classification == classify(d) == CountablyManyPeriodic()
+        assert rep.birecurrent is None
+        assert rep.periodic_words == ()
+        assert rep.recurrent_states == {d.start, d.delta[d.start, 1]}
+
     def test_finite_classification_carries_words(self):
         cls = classify(build(MaxDistinct(2, 9)))
         assert isinstance(cls, FinitelyManyPeriodic)
@@ -201,6 +212,10 @@ class TestEnumeratePeriodic:
     def test_rejects_branching_cycles(self):
         with pytest.raises(ValueError):
             enumerate_periodic(build(MaxDistinct(3, 5)))
+
+    def test_rejects_chained_cycles(self):
+        with pytest.raises(ValueError):
+            enumerate_periodic(import_dfa(ZERO_STAR_ONE_STAR))
 
 
 def _normalized(y: str, x: str) -> tuple[Word, Word]:

@@ -97,6 +97,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(stdout)["classification"] == "NoInfiniteWords"
 
+    def test_chained_cycles_are_countable(self, capsys, tmp_path):
+        # 0*1*: every infinite word 0^j 1^omega is ultimately periodic
+        path = tmp_path / "chain.grail"
+        path.write_text("(START) |- 0\n0 0 0\n0 1 1\n1 1 1\n0 -| (FINAL)\n1 -| (FINAL)\n")
+        code, stdout, stderr = run(capsys, "analyze", "--automaton", str(path))
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["classification"] == "CountablyManyPeriodic"
+        assert payload["periodic_words"] == []
+        assert payload["birecurrent_witness"] is None
+        assert "countably many infinite words" in stderr
+
 
 class TestCount:
     def test_b_file_shape(self, capsys):
@@ -343,6 +355,19 @@ class TestErrors:
         path = tmp_path / "wide.grail"
         path.write_text(f"(START) |- 0\n{line}\n0 -| (FINAL)\n")
         code, stdout, stderr = run(capsys, "minimize", "--automaton", str(path))
+        assert code == 3
+        assert stdout == ""
+        assert "capacity" in stderr
+
+    @pytest.mark.parametrize("fmt", ["grail", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "minimize"])
+    def test_state_budget_flag_holds_imports(self, capsys, tmp_path, command, fmt):
+        # a 40-state binary chain is a table of 80 entries, over twice a budget of 5
+        path = tmp_path / f"chain40.{fmt}"
+        path.write_text(export_dfa(Dfa([[min(q + 1, 39)] * 2 for q in range(40)], 0, [39]), fmt))
+        assert run(capsys, command, "--automaton", str(path))[0] == 0
+        code, stdout, stderr = run(capsys, command, "--automaton", str(path),
+                                   "--state-budget", "5")
         assert code == 3
         assert stdout == ""
         assert "capacity" in stderr

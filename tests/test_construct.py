@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,31 @@ def test_avoidance_small_example():
     assert dfa_counts(small, 5) == [1, 2, 2, 2, 2, 2]
 
 
+def _random_forbidden(rng, k):
+    """A few words over k letters, with one member that contains another."""
+    words = {tuple(rng.randrange(k) for _ in range(rng.randint(1, 5)))
+             for _ in range(rng.randint(1, 4))}
+    pad = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 2))) for _ in range(2)]
+    words.add(pad[0] + rng.choice(sorted(words)) + pad[1])
+    return words
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_avoidance_against_brute_force(k):
+    # the empty set, the empty word, and random sets, which overlap and are
+    # not minimal; every word up to length 8 against a factor scan
+    rng = random.Random(k)
+    for symbols in [set(), {()}, {(), (0,)}] + [_random_forbidden(rng, k) for _ in range(30)]:
+        dfa = build_avoidance([Word(f, k) for f in symbols], k)
+        delta, accepting = dfa.delta.tolist(), dfa.accepting.tolist()
+        level = [((), dfa.start)]
+        while level:
+            for w, q in level:
+                assert accepting[q] == (not any(bytes(f) in bytes(w) for f in symbols)), \
+                    (symbols, w)
+            level = [(w + (a,), delta[q][a]) for w, q in level if len(w) < 8 for a in range(k)]
+
+
 def test_avoidance_agrees_with_direct_on_allowed_sets():
     cases = [
         AllowedSet(2, enumerate_palindromes(2, 2)),
@@ -238,7 +264,6 @@ def test_avoidance_agrees_with_direct_on_allowed_sets():
 
 
 def test_languages_are_factorial():
-    import random
     rng = random.Random(20)
     for spec in (MaxDistinct(2, 5), MaxLenByParity(2, 2, 5),
                  MaxCountByParity(2, 3, 3)):

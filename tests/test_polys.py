@@ -237,11 +237,6 @@ class TestRealRoots:
         r = largest_real_root(P(coeffs))
         assert (r.lo, r.hi) == (lo, hi)
 
-    def test_tolerance_parameter(self):
-        r = largest_real_root(P([-2, 0, 1]), tolerance=Fraction(1, 10 ** 20))
-        assert r.width <= Fraction(1, 10 ** 20)
-        assert abs(float(r) - 2 ** 0.5) < 1e-15
-
 
 class TestRootsOutside:
     def test_against_numpy(self):

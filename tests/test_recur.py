@@ -98,7 +98,8 @@ class TestTransferMatrix:
     def test_table_is_the_transition_table(self):
         d = build(MaxLen(3, 2))
         cs = transfer_matrix(d)
-        assert cs.table.tolist() == [list(row) for row in d.delta]
+        n, k = d.delta.shape
+        assert cs.table.tolist() == [list(row) for row in d.delta] + [[n] * k]
 
     def test_sentinel_pads_short_rows(self):
         # state 0 reads one letter into 1 and one nowhere; state 1 none
@@ -276,7 +277,7 @@ class TestMatrixMinPoly:
 
     def test_dense_entries_become_repeated_gathers(self):
         table = _gather_table([[0, 2, 1], [0, 0, 0], [3, 0, 0]])
-        assert table.tolist() == [[1, 1, 2], [3, 3, 3], [0, 0, 0]]
+        assert table.tolist() == [[1, 1, 2], [3, 3, 3], [0, 0, 0], [3, 3, 3]]
 
     def test_lift_past_two_primes(self):
         # the constant term 1000 * 1001 * ... * 1007 needs 80 bits: three 31-bit primes

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -73,6 +74,16 @@ def test_factor_and_conjugates_and_root():
     assert w.primitive_root() == w
 
 
+def test_primitive_root_is_the_shortest_root():
+    # the root of w has the length of the shortest rotation fixing w: uv = vu
+    # exactly when u and v are powers of one word; every word up to length 8
+    for k in (1, 2, 3):
+        for n in range(0, 9 if k < 3 else 7):
+            for s in itertools.product(range(k), repeat=n):
+                p = next((p for p in range(1, n + 1) if s[p:] + s[:p] == s), 0)
+                assert Word(s, k).primitive_root().symbols == s[:p]
+
+
 def test_palfac_small_cases():
     pf = palindromic_factors(Word.from_digits("0011"))
     names = sorted(str(w) for w in pf)
@@ -142,13 +153,17 @@ def test_eertree_parity_counts():
 def test_enumerate_palindromes():
     pals = enumerate_palindromes(2, 3)
     assert [str(w) for w in pals] == ["", "0", "1", "00", "11", "000", "010", "101", "111"]
-    evens = enumerate_palindromes(2, 4, parity="even")
-    assert [str(w) for w in evens] == ["", "00", "11", "0000", "0110", "1001", "1111"]
-    odds = enumerate_palindromes(3, 1, parity="odd")
-    assert [str(w) for w in odds] == ["0", "1", "2"]
     for w in enumerate_palindromes(3, 5):
         assert w.is_palindrome()
     assert len(enumerate_palindromes(2, 5)) == 1 + 2 + 2 + 4 + 4 + 8
+
+
+def test_enumerate_palindromes_filters_all_words():
+    for k in range(0, 4):
+        for n in range(0, 7):
+            every = [Word(w, k) for m in range(n + 1)
+                     for w in itertools.product(range(k), repeat=m)]
+            assert enumerate_palindromes(k, n) == sorted(w for w in every if w.is_palindrome())
 
 
 def test_minimal_elements():
