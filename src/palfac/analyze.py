@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automaton import Dfa, minimize
+from .automaton import CapacityError, Dfa, minimize
 from .construct import ConstraintSpec, build_direct, window_bound
 from .words import Word, palindromic_factors
 
@@ -358,7 +358,8 @@ def _periodic(d: Dfa, adj, cyclic, comp_of) -> list[tuple[Word, Word]]:
     while stack:
         steps += 1
         if steps > _ENUMERATION_LIMIT:
-            raise RuntimeError("periodic word enumeration exceeded its budget")
+            raise CapacityError(
+                f"periodic word enumeration exceeded its budget of {_ENUMERATION_LIMIT} steps")
         q, prefix = stack.pop()
         if q in cycle_states:
             label = _cycle_label(adj, members_of[comp_of[q]], q)

@@ -47,6 +47,9 @@ class ConstraintSpec:
     # whether `admits` reads the counts, so the construction must remember
     # which palindromes a word has already shown
     counted = False
+    # whether renaming the letters by any bijection keeps `admits` and
+    # `satisfied_by` unchanged, so the oracle may count one word per orbit
+    letter_symmetric = False
     cli_flags: tuple[str, ...] = ()
 
     def window_bound(self) -> int:
@@ -88,9 +91,16 @@ class AllowedSet(ConstraintSpec):
         for w in allowed:
             if not w.is_palindrome():
                 raise ValueError(f"allowed set contains non-palindrome {w!r}")
+        symbols = frozenset(w.symbols for w in allowed)
+        # the transposition (0 1) and the cycle (0 1 ... k-1) generate every
+        # permutation of the letters, so closure under both is closure under all
+        letters = list(range(alphabet_size))
+        swap, cycle = letters[1::-1] + letters[2:], letters[1:] + letters[:1]
+        symmetric = all(tuple(g[c] for c in s) in symbols for s in symbols for g in (swap, cycle))
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "allowed", allowed)
-        object.__setattr__(self, "_symbols", frozenset(w.symbols for w in allowed))
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "letter_symmetric", symmetric)
 
     def window_bound(self) -> int:
         return max((len(w) for w in self.allowed), default=0) + 2
@@ -109,6 +119,7 @@ class MaxDistinct(ConstraintSpec):
     cap: int
 
     counted = True
+    letter_symmetric = True
     cli_flags = ("cap",)
 
     def window_bound(self) -> int:
@@ -127,6 +138,7 @@ class MaxLen(ConstraintSpec):
     alphabet_size: int
     cap: int
 
+    letter_symmetric = True
     cli_flags = ("cap",)
 
     def window_bound(self) -> int:
@@ -146,6 +158,7 @@ class MaxLenByParity(ConstraintSpec):
     even_cap: int
     odd_cap: int
 
+    letter_symmetric = True
     cli_flags = ("cap", "odd_cap")
 
     def window_bound(self) -> int:
@@ -172,6 +185,7 @@ class MaxCountByParity(ConstraintSpec):
     count_empty: bool = True
 
     counted = True
+    letter_symmetric = True
     cli_flags = ("cap", "odd_cap", "count_empty")
 
     def window_bound(self) -> int:

@@ -8,6 +8,14 @@ independent check on the constructions.  The search prunes with
 the family's own admissibility rule, as the construction does;
 brute_count_unpruned reads only the separate whole-word predicate, so it
 checks that rule too.
+
+A bijection of the alphabet maps palindromes to palindromes of the same
+length, so a family that reads only the lengths and counts of its
+palindromic factors accepts a word exactly when it accepts each renaming
+of its letters.  For such a letter-symmetric spec the search visits one
+word per orbit, the one whose letters first appear in the order 0, 1,
+2, ..., and counts it with the orbit's size; the construction uses no
+such symmetry, so the two stay independent.
 """
 
 from __future__ import annotations
@@ -37,22 +45,41 @@ def satisfies(spec: ConstraintSpec, w: Word) -> bool:
 def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     """Pruned DFS over accepted words of length <= max_depth.
 
-    visit(depth, word) runs once per accepted word, lexicographically
+    visit(depth, word, weight) runs once per accepted word, lexicographically
     within each branch, where word[:depth] holds its letters (the list is
-    reused, so copy what must outlive the call); returning False aborts
-    the whole search.  Every letter tried costs one evaluation of budget.
+    reused, so copy what must outlive the call) and weight is the number
+    of accepted words it stands for; returning False aborts the whole
+    search.
+
+    A letter-symmetric spec accepts a word exactly when it accepts every
+    renaming of its letters, so the accepted words fall into orbits of the
+    symmetric group on letters.  The search then visits only each orbit's
+    canonical word, whose letters first appear in the order 0, 1, 2, ...:
+    after d letters of which j are distinct it tries 0..min(j, k-1) only,
+    and a word with j distinct letters stands for the k!/(k-j)! words that
+    rename them injectively.  Prefixes of canonical words are canonical, so
+    no orbit is missed.  Any other spec counts every letter as used from
+    the start, which makes each word its own orbit of weight 1.
+
+    Every letter tried costs the evaluations the full search would spend
+    on the words it stands for: the orbit's weight for a letter already
+    used, and weight * (k-j) for the fresh letter j, which stands for all
+    k-j unused ones.  A canonical word thus pays weight * k, as its orbit
+    does letter by letter, so the budget runs out exactly where the full
+    search's would.
 
     The palindromic tree lives in flat lists indexed by depth and node.
     Nodes 0 and 1 are the imaginary (length -1) and empty roots; each
     letter adds at most one node, so nodes form a stack of at most
     max_depth + 2.  After d letters, last[d] is the longest suffix
-    palindrome and made[d] the slot of nxt (node * k + letter) that the
-    d-th letter filled, or -1; undoing that letter clears the slot.
+    palindrome, made[d] the slot of nxt (node * k + letter) that the
+    d-th letter filled, or -1 (undoing that letter clears the slot),
+    used[d] the number of distinct letters and orbit[d] the weight.
     """
     if not satisfies(spec, Word(())):
         return
     word = [0] * max_depth
-    if not visit(0, word) or max_depth == 0:
+    if not visit(0, word, 1) or max_depth == 0:
         return
     k = spec.alphabet_size
     admits = spec.admits
@@ -61,14 +88,17 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     nxt = [0] * ((max_depth + 2) * k)  # 0 = no child: node 0 is nobody's child
     last = [1] * (max_depth + 1)
     made = [-1] * (max_depth + 1)
+    used = [0 if getattr(spec, "letter_symmetric", False) else k] * (max_depth + 1)
+    orbit = [1] * (max_depth + 1)
     tried = [0] * (max_depth + 1)  # next letter to try after d letters
+    stop = [min(used[0] + 1, k)] + [0] * max_depth  # letters to try after d letters
     top = 2  # nodes in use
     even = odd = 0  # nonempty palindromic factors by parity
     evaluations = 0
     d = 0
     while True:
         c = tried[d]
-        if c == k:
+        if c == stop[d]:
             if d == 0:
                 return
             slot = made[d]
@@ -82,7 +112,12 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
             d -= 1
             continue
         tried[d] = c + 1
-        evaluations += 1
+        fresh = used[d]
+        weight = orbit[d]
+        if c == fresh:
+            weight *= k - fresh
+            fresh += 1
+        evaluations += weight
         if evaluations > budget:
             raise CapacityError(f"oracle evaluation budget {budget} exceeded")
         word[d] = c
@@ -124,28 +159,46 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
             made[d + 1] = slot
         d += 1
         last[d] = node
-        if not visit(d, word):
+        used[d] = fresh
+        orbit[d] = weight
+        if not visit(d, word, weight):
             return
-        tried[d] = 0 if d < max_depth else k
+        tried[d] = 0
+        stop[d] = min(fresh + 1, k) if d < max_depth else 0
 
 
 def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
                 budget: int = DEFAULT_EVAL_BUDGET) -> OracleResult:
-    """Exact number of length-n words satisfying the constraint."""
-    count = 0
-    witnesses: list[Word] = []
+    """Exact number of length-n words satisfying the constraint.
 
-    def visit(depth: int, word: list[int]) -> bool:
+    The witnesses are the first max_witnesses accepted words in
+    lexicographic order.  The search yields one word per orbit, the least
+    one, so the orbits of the first max_witnesses it yields are expanded
+    and sorted: a word's least renaming is accepted and no larger, so the
+    first accepted words all lie in those orbits.
+    """
+    k = spec.alphabet_size
+    count = 0
+    canonical: list[tuple[int, ...]] = []
+
+    def visit(depth: int, word: list[int], weight: int) -> bool:
         nonlocal count
         if depth == n:
-            count += 1
-            if len(witnesses) < max_witnesses:
-                witnesses.append(Word(word[:depth], spec.alphabet_size))
+            count += weight
+            if len(canonical) < max_witnesses:
+                canonical.append(tuple(word[:depth]))
         return True
 
     _search(spec, n, visit, budget)
+    if not max_witnesses:
+        return OracleResult(n=n, count=count)
+    witnesses = canonical
+    if getattr(spec, "letter_symmetric", False):
+        # a canonical word's orbit: the injective renamings of its j letters 0..j-1
+        witnesses = sorted(tuple(g[c] for c in w) for w in canonical
+                           for g in itertools.permutations(range(k), max(w, default=-1) + 1))
     return OracleResult(n=n, count=count,
-                        witnesses=tuple(witnesses) if max_witnesses else None)
+                        witnesses=tuple(Word(w, k) for w in witnesses[:max_witnesses]))
 
 
 def brute_count_profile(spec: ConstraintSpec, n_max: int,
@@ -153,8 +206,8 @@ def brute_count_profile(spec: ConstraintSpec, n_max: int,
     """Counts for every length 0..n_max from a single search."""
     counts = [0] * (n_max + 1)
 
-    def visit(depth: int, word: list[int]) -> bool:
-        counts[depth] += 1
+    def visit(depth: int, word: list[int], weight: int) -> bool:
+        counts[depth] += weight
         return True
 
     _search(spec, n_max, visit, budget)
@@ -180,7 +233,7 @@ def longest_word(spec: ConstraintSpec, budget: int = DEFAULT_EVAL_BUDGET) -> int
     longest = -1
     infinite = False
 
-    def visit(depth: int, word: list[int]) -> bool:
+    def visit(depth: int, word: list[int], weight: int) -> bool:
         nonlocal longest, infinite
         if depth >= threshold:
             infinite = True

@@ -260,6 +260,19 @@ class TestVerifyOracle:
         assert len(lines) == 5
         assert all(len(w) == 5 and set(w) <= {"0", "1"} for w in lines[1:])
 
+    @pytest.mark.parametrize("argv,want", [
+        # the first words of an orbit need not be its canonical word (002100)
+        (["--alphabet", "3", "--cap", "5", "--length", "6", "--list", "12"],
+         "6 54\n001200\n001201\n002100\n002102\n010210\n011201\n012001\n012010\n"
+         "012011\n012012\n012201\n020120\n"),
+        (["--alphabet", "4", "--cap", "5", "--length", "5", "--list", "8"],
+         "5 240\n00120\n00130\n00210\n00230\n00310\n00320\n01021\n01031\n"),
+    ], ids=["D(3,5)", "D(4,5)"])
+    def test_oracle_witnesses_are_the_first_accepted_words(self, capsys, argv, want):
+        code, stdout, _ = run(capsys, "oracle", "--family", "D", *argv)
+        assert code == 0
+        assert stdout == want
+
 
 class TestReproduce:
     def test_section_and_group_filter(self, capsys):
@@ -347,6 +360,17 @@ class TestErrors:
         code, _, stderr = run(
             capsys, "build", "--family", "D", "--cap", "11", "--state-budget", "100")
         assert code == 3
+        assert "capacity" in stderr
+
+    def test_periodic_word_enumeration_limit_is_capacity(self, capsys, tmp_path):
+        # 2^20 approach paths to one cycle: states 0..19 step on both letters, 20 loops on 0
+        path = tmp_path / "chain21.grail"
+        path.write_text("(START) |- 0\n"
+                        + "".join(f"{q} {a} {q + 1}\n" for q in range(20) for a in (0, 1))
+                        + "20 0 20\n" + "".join(f"{q} -| (FINAL)\n" for q in range(21)))
+        code, stdout, stderr = run(capsys, "analyze", "--automaton", str(path))
+        assert code == 3
+        assert stdout == ""
         assert "capacity" in stderr
 
     @pytest.mark.parametrize("line", ["0 1000000000 0", "0 0 999999999"])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,7 +119,7 @@ def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
         depth = min(depth, 5)
     recording = _Recording(spec)
     visited = []
-    _search(recording, depth, lambda d, word: visited.append(tuple(word[:d])) or True,
+    _search(recording, depth, lambda d, word, weight: visited.append(tuple(word[:d])) or True,
             budget=10 ** 6)
 
     # reference: w + c gains the palindromes of its naive factor set that w
@@ -142,3 +144,50 @@ def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
         expand(())
     assert recording.calls == want_calls
     assert visited == want_visits
+
+
+def test_letter_symmetry_of_allowed_sets():
+    assert AllowedSet(4, enumerate_palindromes(4, 1)).letter_symmetric
+    assert AllowedSet(3, enumerate_palindromes(3, 2)).letter_symmetric
+    assert not AllowedSet(2, [Word.from_digits(t) for t in ("", "0", "00", "1")]).letter_symmetric
+    # closed under the cycle (0 1 2) but not under the transposition (0 1)
+    assert not AllowedSet(3, [Word.from_digits(t) for t in ("", "010", "121", "202")]).letter_symmetric
+
+
+class _Full:
+    """A spec's proxy that keeps the oracle from counting by orbits."""
+
+    letter_symmetric = False
+
+    def __init__(self, spec):
+        self.alphabet_size = spec.alphabet_size
+        self.admits = spec.admits
+        self.satisfied_by = spec.satisfied_by
+
+
+@st.composite
+def _allowed_sets(draw):
+    k = draw(st.integers(1, 4))
+    pals = enumerate_palindromes(k, 3 if k < 4 else 2)
+    allowed = draw(st.sets(st.sampled_from(pals)))
+    if draw(st.booleans()):
+        allowed = {Word(tuple(g[c] for c in w.symbols), k)
+                   for w in allowed for g in itertools.permutations(range(k))}
+    return AllowedSet(k, allowed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_specs(), _allowed_sets()), st.integers(0, 8))
+def test_orbit_search_matches_the_full_search(spec, depth):
+    k = spec.alphabet_size
+    depth = min(depth, {1: 8, 2: 8, 3: 6, 4: 4}[k])
+    full = _Full(spec)
+    profile = brute_count_profile(full, depth)
+    assert brute_count_profile(spec, depth) == profile
+    # the full search tries k letters after every accepted word shorter than depth
+    need = k * sum(profile[:depth])
+    for s in (spec, full):
+        assert brute_count_profile(s, depth, budget=need) == profile
+        if need:
+            with pytest.raises(CapacityError):
+                brute_count_profile(s, depth, budget=need - 1)
