@@ -14,9 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
-# D(2,14) peaks at about 330 bytes per raw state through build_direct and
-# minimize, and about 635 through `palfac build --format json` on the raw
-# automaton, so 4e6 states stay near 2.5 GB: under half of a 7 GB machine
+# D(2,14) (705,836 raw states) peaks at 197 MB, about 293 bytes per raw
+# state, through build_direct and minimize (2.1-2.3 s + 1.4 s), and at
+# 427 MB, about 635 bytes, through `palfac build --format json` on the raw
+# automaton (5.8-6.1 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
+# 2.5 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
 

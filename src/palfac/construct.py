@@ -8,12 +8,13 @@ build_direct runs a breadth-first closure over (window, bookkeeping)
 states, where the window keeps just enough recent symbols that every
 first occurrence of a palindromic factor in a not-yet-rejected word is
 visible as a suffix of window+letter.  Each state is a single int: the
-window in base k+1 and, for counted families, a sid numbering the set
-of palindromes seen so far.  A letter adds at most one new palindromic
+window as one bit lane per letter, marking the positions that hold that
+letter, and above it, for counted families, a sid numbering the set of
+palindromes seen so far.  A letter adds at most one new palindromic
 factor, the longest suffix palindrome, so a transition looks up that
-one palindrome; it comes from the window's suffix palindromes (a
-bitmask of lengths) without a rescan, and what it does to a sid is
-worked out once.
+one palindrome; its length comes from the window's suffix palindromes
+(a bitmask of lengths) and the letter's lane by a shift and an and,
+without a rescan, and what it does to a sid is worked out once.
 build_avoidance reaches the same languages for the AllowedSet family
 as the automaton of the minimal forbidden palindromes, read straight off
 its definition (states are the proper prefixes of the forbidden words),
@@ -225,20 +226,23 @@ def window_bound(spec: ConstraintSpec) -> int:
 def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
-    A state is one int, sid * span + window.  The window holds the last
-    `bound` symbols in base k+1, one digit s+1 per symbol s, so appending
-    a is window*(k+1) + a+1 and truncating is a reduction mod span =
-    (k+1)**bound.  For counted families sid numbers the set of nonempty
+    A state is one int, sid << k*width | window.  The window holds the
+    last `bound` symbols as k bit lanes of width = bound + 1, one per
+    letter: bit j of lane b is set when the symbol j + 1 places from the
+    end is b.  Appending a shifts every lane up one place and sets bit 0
+    of lane a, and the top bit of each lane, which keep clears, drops the
+    oldest symbol.  For counted families sid numbers the set of nonempty
     palindromes the word has shown, held as a bitmask in which each
     palindrome gets its bit the first time any word shows it; otherwise
     sid is 0.  A letter adds at most one new palindromic factor, the
     longest suffix palindrome of the word (Droubay, Justin and Pirillo
     2001): the shorter ones are its suffixes, hence its prefixes, so they
     ended earlier in the word.  So a transition looks up one palindrome,
-    the longest suffix palindrome of window+letter, and what it does to a
-    sid (the next sid, or dead) is worked out once per (sid, palindrome).
-    Live states are numbered in discovery order starting from 0; the dead
-    state, if the language is proper, gets the final number.
+    the longest suffix palindrome of window+letter, coded as the low bits
+    of its lanes, and what it does to a sid (the next sid, or dead) is
+    worked out once per (sid, palindrome).  Live states are numbered in
+    discovery order starting from 0; the dead state, if the language is
+    proper, gets the final number.
     """
     k = spec.alphabet_size
     bound = window_bound(spec)
@@ -251,19 +255,24 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     if not admits((), 1, 0):
         return Dfa([[0] * k], 0, [])
 
-    base = k + 1
-    powers = [base ** i for i in range(bound + 2)]
-    span = powers[bound]
+    width = bound + 1
+    lanes = k * width
+    # low[L]: bits 0..L-1 of every lane, the last L symbols
+    low = [sum(((1 << L) - 1) << (b * width) for b in range(k)) for L in range(width + 1)]
+    keep = low[bound]
+    letters = [(a * width, 1 << a * width) for a in range(k)]
     window_lengths = (2 << bound) - 1  # the suffix lengths a window holds
-    # bit L of suffix_lengths[w] is set when w's suffix of length L is a
-    # palindrome (L = 0 included): the suffix of length L+2 of w.a is one
-    # exactly when w's suffix of length L is and the symbol before it is a
-    suffix_lengths = {0: 1}
-    pal_bit: dict[int, int] = {}   # palindrome code -> its bit
+    # bit L of suffix_lengths[state] is set when the window's suffix of
+    # length L is a palindrome (L = 0 included): the suffix of length L+2
+    # of w.a is one exactly when w's suffix of length L is and the symbol
+    # before it, bit L of lane a, is a
+    suffix_lengths = [1]
+    # palindrome code -> (its bit, its symbols oldest first)
+    pals: dict[int, tuple[int, tuple[int, ...]]] = {}
     even_bits = 0
     masks = [0]                    # sid -> seen bitmask
     sid_of = {0: 0}
-    # sid -> {palindrome code: the next sid times span, or -1 for dead}
+    # sid -> {palindrome code: the next sid << lanes, or -1 for dead}
     moves: list[dict[int, int]] = [{}]
 
     index = {0: 0}
@@ -274,41 +283,38 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     qi = 0
     while qi < len(states):
         key = states[qi]
+        lengths_here = suffix_lengths[qi]
         qi += 1
-        sid, window = divmod(key, span)
-        here = key - window
+        window = key & keep
+        sid = key >> lanes
+        here = key ^ window
         move = moves[sid]
-        # the window's suffix palindrome lengths, split by the digit before
-        # each (0 when the suffix is the whole window)
-        before = [0] * base
-        m = suffix_lengths[window]
-        while m:
-            low = m & -m
-            before[window // powers[low.bit_length() - 1] % base] |= low
-            m ^= low
-        shifted = window * base
-        for a in range(1, base):
-            lengths = before[a] << 2 | 3
+        shifted = window << 1
+        for shift, letter in letters:
+            lengths = (lengths_here & (window >> shift)) << 2 | 3
             longest = lengths.bit_length() - 1
-            ext = shifted + a
-            code = ext % powers[longest]
+            ext = shifted | letter
+            code = ext & low[longest]
             to = move.get(code)
             if to is None:
-                bit = pal_bit.get(code)
-                if bit is None:
-                    bit = pal_bit[code] = 1 << len(pal_bit)
+                pal = pals.get(code)
+                if pal is None:
+                    symbols = tuple(b for j in range(longest - 1, -1, -1) for b in range(k)
+                                    if code >> (b * width + j) & 1)
+                    pal = pals[code] = (1 << len(pals), symbols)
                     if longest % 2 == 0:
-                        even_bits |= bit
+                        even_bits |= pal[0]
+                bit, symbols = pal
                 seen = masks[sid]
                 if not counted:
-                    to = here if admits(_digits(code, base, longest), 0, 0) else -1
+                    to = here if admits(symbols, 0, 0) else -1
                 elif seen & bit:
                     to = here
                 else:
                     seen |= bit
                     ev = 1 + (seen & even_bits).bit_count()
                     od = seen.bit_count() + 1 - ev
-                    if not admits(_digits(code, base, longest), ev, od):
+                    if not admits(symbols, ev, od):
                         to = -1
                     else:
                         to = sid_of.get(seen)
@@ -316,14 +322,13 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
                             to = sid_of[seen] = len(masks)
                             masks.append(seen)
                             moves.append({})
-                        to *= span
+                        to <<= lanes
                 move[code] = to
             if to < 0:
                 used_dead = True
                 flat.append(-1)
                 continue
-            new_window = ext % span
-            nxt = to + new_window
+            nxt = to | ext & keep
             ti = index.get(nxt)
             if ti is None:
                 ti = len(states)
@@ -332,7 +337,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
                         f"state budget {budget} exceeded while building {spec!r}")
                 index[nxt] = ti
                 states.append(nxt)
-                suffix_lengths[new_window] = lengths & window_lengths
+                suffix_lengths.append(lengths & window_lengths)
             flat.append(ti)
 
     n = len(states)
@@ -345,15 +350,6 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     del flat
     table[table < 0] = n
     return Dfa(table, 0, np.arange(n))
-
-
-def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
-    """The symbols of a window code of the given length, oldest first."""
-    out = []
-    for _ in range(length):
-        code, d = divmod(code, base)
-        out.append(d - 1)
-    return tuple(reversed(out))
 
 
 def forbidden_set(allowed: Iterable[Word], alphabet_size: int) -> frozenset:

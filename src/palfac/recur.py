@@ -191,9 +191,14 @@ def window_apply(q: Polynomial, a: SeqABC, i: int) -> int:
     return sum(c * a[i + j] for j, c in enumerate(q.coeffs))
 
 
-def _offset(q: Polynomial, a: SeqABC) -> int:
-    """Smallest n0 from which q annihilates every available window of a."""
-    for i in range(len(a) - q.degree - 1, -1, -1):
+def _offset(q: Polynomial, a: SeqABC, below: int | None = None) -> int:
+    """Smallest n0 from which q annihilates every available window of a.
+
+    With `below`, the caller vouches for the windows from that index on,
+    and only the ones before it are scanned.
+    """
+    top = len(a) - q.degree if below is None else below
+    for i in range(top - 1, -1, -1):
         if window_apply(q, a, i) != 0:
             return i + 1
     return 0
@@ -519,8 +524,10 @@ def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
     if q is None:
         raise InconclusiveError("no integral recurrence of the register's length fits the terms")
     q = q.primitive()
-    q = q.shift_down(q.x_multiplicity())
-    n0 = _offset(q, a)
+    s = q.x_multiplicity()
+    # the lift annihilates every window, so q = lift / X^s does from index s on
+    q = q.shift_down(s)
+    n0 = _offset(q, a, below=s)
     if n < 2 * q.degree + n0:
         raise InconclusiveError(f"degree {q.degree} from n0 = {n0} is not determined by {n} terms")
     return q, n0

@@ -146,6 +146,11 @@ def test_exclusive_count_convention_shifts_cap():
 def test_capacity_budget():
     with pytest.raises(CapacityError):
         build_direct(MaxDistinct(2, 12), budget=50)
+    # the budget counts live states: exactly enough builds, one fewer raises
+    for spec, live in ((MaxDistinct(2, 11), 6045), (MaxLen(2, 5), 119)):
+        assert build_direct(spec, budget=live).live_state_count() == live
+        with pytest.raises(CapacityError):
+            build_direct(spec, budget=live - 1)
 
 
 def test_default_budget_fits_in_half_the_memory():
@@ -186,7 +191,23 @@ DELTA_DIGESTS = [
      "af7460841dbf2c32c259cfbac4cae9bb0158f8283d7cba454a7ed254448df73b"),
     ("S(4)", AllowedSet(4, [Word((), 4)] + [Word((c,), 4) for c in range(4)]), 42,
      "fc8b0d94a087a8652a8f6562c7b17409de3c4f145b43357856474007f29c3907"),
+    ("D(3,5)", MaxDistinct(3, 5), 494,
+     "c4d91549b39b83fff8c99106cc85640f4ec9881391fd8ddc1050471b9cdc2ddc"),
+    ("MaxCountByParity(2,4,3)", MaxCountByParity(2, 4, 3), 66,
+     "b009c3520c0894719cc6755a83ed45456cb54222a04a4404f48ff1f8397654c7"),
+    ("R(3,0,3)", MaxLenByParity(3, 0, 3), 83,
+     "6a001cc49d6c83c2e015ac7b458da55b91de719c3d968d32bae824f8b4c43202"),
+    # a window of 71 symbols: the state keys pass 2^64
+    ("E(1,70)", MaxLen(1, 70), 72,
+     "8b46be9b0290831558e1e958b785cb031fcb757771d4440421412fc156a76a79"),
+    # not closed under renaming letters
+    ("S(3;010,121)", AllowedSet(3, [W(t) for t in ("", "0", "1", "2", "010", "121")]), 39,
+     "d6ba1a2582b81b8f001757eafce8a9595c925ffc60783f826d5fda63bb8cd588"),
 ]
+
+
+def _delta_digest(dfa):
+    return hashlib.sha256(" ".join(str(t) for row in dfa.delta for t in row).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("spec,states,digest", [row[1:] for row in DELTA_DIGESTS],
@@ -194,8 +215,7 @@ DELTA_DIGESTS = [
 def test_construction_numbering_is_pinned(spec, states, digest):
     dfa = build_direct(spec)
     assert dfa.state_count == states
-    table = " ".join(str(t) for row in dfa.delta for t in row)
-    assert hashlib.sha256(table.encode()).hexdigest() == digest
+    assert _delta_digest(dfa) == digest
 
 
 def test_forbidden_set_published_examples():

@@ -744,3 +744,5 @@ class TestRoutesDifferential:
         q, n0 = minimal_recurrence(a)
         assert q.degree <= gen.degree
         assert all(window_apply(q, a, i) == 0 for i in range(n0, len(a) - q.degree))
+        # n0 is the least such index
+        assert n0 == 0 or window_apply(q, a, n0 - 1) != 0
