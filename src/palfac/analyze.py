@@ -2,10 +2,13 @@
 
 Everything here reads the minimized automaton as a directed graph: the
 infinite words in the language are the labels of infinite paths through
-live states.  Recurrence analysis classifies the possibilities (none,
-finitely or countably many ultimately periodic words, or uncountably
-many including aperiodic ones) and produces explicit witnesses:
-enumerated periodic words in the finite case, a pair of noncommuting
+live states.  One Tarjan pass (`_graph`) gives the strongly connected
+components of the reachable live states, and every query reads them.
+Recurrence analysis classifies the possibilities (none, finitely or
+countably many ultimately periodic words, or uncountably many including
+aperiodic ones) and produces explicit witnesses: enumerated periodic
+words in the finite case, whose approach paths are walked only through
+states from which a cycle is reachable, and a pair of noncommuting
 cycles in the uncountable one.
 """
 
@@ -129,165 +132,126 @@ class Morphism:
 # ---------------------------------------------------------------------------
 # graph structure
 
-def _live_graph(d: Dfa):
-    """Reachable live states and their transitions, dead state dropped."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    if d.start == d.dead:
-        return adj
-    delta = d.delta.tolist()
-    stack = [d.start]
-    adj[d.start] = []
-    while stack:
-        q = stack.pop()
-        edges = []
-        for a, t in enumerate(delta[q]):
-            if t == d.dead:
-                continue
-            edges.append((a, t))
-            if t not in adj:
-                adj[t] = []
-                stack.append(t)
-        adj[q] = edges
-    return adj
+def _graph(d: Dfa):
+    """One iterative Tarjan pass over the live states reachable from the start.
 
-
-def _sccs(adj) -> list[list[int]]:
-    """Strongly connected components, iterative Tarjan, reverse topological order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
+    Returns (edges, comp, comps, inner), the lists indexed by state:
+    edges[q] holds the (letter, target) pairs of q in letter order with the
+    dead state dropped, comp[q] the id of q's strongly connected component,
+    comps the components' members in reverse topological order (every edge
+    enters a component of equal or lower id), and inner[q] the edges of q
+    that stay inside its component.  Dead and unreachable states have no
+    edges (None) and component -1.  q lies on a cycle exactly when inner[q]
+    is nonempty, and a cyclic component is a bare cycle when each of its
+    states has one inner edge.
+    """
+    n, dead = d.state_count, d.dead
+    edges: list = [None] * n
+    comp = [-1] * n
     comps: list[list[int]] = []
+    inner: list = [None] * n
+    if d.start == dead:
+        return edges, comp, comps, inner
+    delta = d.delta.tolist()
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    work = [(d.start, 0)]
     counter = 0
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            q, ei = work.pop()
-            if ei == 0:
-                index[q] = low[q] = counter
-                counter += 1
-                stack.append(q)
-                on_stack.add(q)
-            edges = adj[q]
-            advanced = False
-            while ei < len(edges):
-                t = edges[ei][1]
-                ei += 1
-                if t not in index:
-                    work.append((q, ei))
-                    work.append((t, 0))
-                    advanced = True
-                    break
-                if t in on_stack:
-                    low[q] = min(low[q], index[t])
-            if advanced:
-                continue
+    while work:
+        q, i = work.pop()
+        if i == 0:
+            index[q] = low[q] = counter
+            counter += 1
+            stack.append(q)
+            edges[q] = [(a, t) for a, t in enumerate(delta[q]) if t != dead]
+        out = edges[q]
+        while i < len(out):
+            t = out[i][1]
+            i += 1
+            if index[t] < 0:
+                work.append((q, i))
+                work.append((t, 0))
+                break
+            # a visited state outside every finished component is on the stack
+            if comp[t] < 0 and index[t] < low[q]:
+                low[q] = index[t]
+        else:  # every successor of q is visited: q is finished
             if low[q] == index[q]:
-                comp = []
+                c = len(comps)
+                members = []
                 while True:
                     s = stack.pop()
-                    on_stack.discard(s)
-                    comp.append(s)
+                    comp[s] = c
+                    members.append(s)
                     if s == q:
                         break
-                comps.append(comp)
+                for s in members:
+                    inner[s] = [(a, t) for a, t in edges[s] if comp[t] == c]
+                comps.append(members)
             if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[q])
-    return comps
+                p = work[-1][0]
+                if low[q] < low[p]:
+                    low[p] = low[q]
+    return edges, comp, comps, inner
 
 
-def _cyclic_components(adj):
-    """SCCs owning at least one internal edge, i.e. carrying a cycle."""
-    comps = _sccs(adj)
-    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-    cyclic = []
-    for i, comp in enumerate(comps):
-        members = set(comp)
-        internal = any(t in members for q in comp for _, t in adj[q])
-        if internal:
-            cyclic.append(sorted(comp))
-    return cyclic, comp_of, comps
+def _path(edges, src, dst) -> tuple[int, ...]:
+    """Letters of a shortest path src -> dst along `edges` (breadth first)."""
+    back = {src: None}
+    queue = [src]
+    for q in queue:
+        if q == dst:
+            letters = []
+            while back[q] is not None:
+                q, a = back[q]
+                letters.append(a)
+            return tuple(reversed(letters))
+        for a, t in edges[q]:
+            if t not in back:
+                back[t] = (q, a)
+                queue.append(t)
+    raise AssertionError(f"no path from {src} to {dst} along the given edges")
 
 
 def recurrent_states(d: Dfa) -> set[int]:
     """Live states lying on a cycle (their SCC has an internal edge)."""
-    adj = _live_graph(d)
-    cyclic, _, _ = _cyclic_components(adj)
-    return {q for comp in cyclic for q in comp}
-
-
-def _in_scc_edges(adj, members, q):
-    return [(a, t) for a, t in adj[q] if t in members]
-
-
-def _is_simple_cycle(adj, comp) -> bool:
-    members = set(comp)
-    return all(len(_in_scc_edges(adj, members, q)) == 1 for q in comp)
-
-
-def _path_within(adj, members, src, dst) -> tuple[int, ...]:
-    """Letters of a shortest path src -> dst using only edges into members."""
-    if src == dst:
-        return ()
-    parent: dict[int, tuple[int, int]] = {}
-    queue = [src]
-    seen = {src}
-    while queue:
-        nxt = []
-        for q in queue:
-            for a, t in _in_scc_edges(adj, members, q):
-                if t in seen:
-                    continue
-                seen.add(t)
-                parent[t] = (q, a)
-                if t == dst:
-                    letters = []
-                    s = t
-                    while s != src:
-                        s, a2 = parent[s][0], parent[s][1]
-                        letters.append(a2)
-                    return tuple(reversed(letters))
-                nxt.append(t)
-        queue = nxt
-    raise AssertionError(f"no path from {src} to {dst} within the given states")
+    inner = _graph(d)[3]
+    return {q for q, e in enumerate(inner) if e}
 
 
 def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
     """A state with two noncommuting cycles, or None when none exists.
 
     None means every cyclic component is a bare cycle, so infinite paths
-    cannot branch.  Otherwise the smallest branching state is taken and
-    one shortest cycle is extracted per outgoing in-component letter;
-    the two shortest become the witness.  Their first letters differ,
-    which already rules out commuting.
+    cannot branch.  Otherwise, of the components that branch, the one
+    holding the smallest state is taken, and in it the smallest branching
+    state; one shortest cycle is extracted per outgoing in-component
+    letter, and the two shortest become the witness.  Their first letters
+    differ, which already rules out commuting.
     """
-    adj = _live_graph(d)
-    cyclic, _, _ = _cyclic_components(adj)
-    return _witness(d, adj, cyclic)
+    _, _, comps, inner = _graph(d)
+    return _witness(d, comps, inner)
 
 
-def _witness(d: Dfa, adj, cyclic) -> tuple[int, Word, Word] | None:
+def _witness(d: Dfa, comps, inner) -> tuple[int, Word, Word] | None:
+    branching = []
+    for members in comps:
+        forks = [q for q in members if len(inner[q]) > 1]
+        if forks:
+            branching.append((min(members), min(forks)))
+    if not branching:
+        return None
+    _, q = min(branching)
+    cycles = sorted(((a,) + _path(inner, t, q) for a, t in inner[q]),
+                    key=lambda c: (len(c), c))
     k = d.alphabet_size
-    for comp in sorted(cyclic):
-        members = set(comp)
-        branching = [q for q in comp if len(_in_scc_edges(adj, members, q)) >= 2]
-        if not branching:
-            continue
-        q = min(branching)
-        cycles = []
-        for a, t in sorted(_in_scc_edges(adj, members, q)):
-            cycles.append((a,) + _path_within(adj, members, t, q))
-        cycles.sort(key=lambda c: (len(c), c))
-        x0, x1 = Word(cycles[0], k), Word(cycles[1], k)
-        if d.run(q, x0) != q or d.run(q, x1) != q:
-            raise CertificateError(f"witness cycles {x0}, {x1} do not return to state {q}")
-        if x0 + x1 == x1 + x0:
-            raise CertificateError(f"witness cycles {x0}, {x1} commute")
-        return q, x0, x1
-    return None
+    x0, x1 = Word(cycles[0], k), Word(cycles[1], k)
+    if d.run(q, x0) != q or d.run(q, x1) != q:
+        raise CertificateError(f"witness cycles {x0}, {x1} do not return to state {q}")
+    if x0 + x1 == x1 + x0:
+        raise CertificateError(f"witness cycles {x0}, {x1} commute")
+    return q, x0, x1
 
 
 def _normalize_periodic(y: tuple, x: tuple) -> tuple[tuple, tuple]:
@@ -300,58 +264,28 @@ def _normalize_periodic(y: tuple, x: tuple) -> tuple[tuple, tuple]:
     return tuple(y), tuple(x)
 
 
-def _cycle_label(adj, members, s) -> tuple[int, ...]:
-    """Letters around a simple cycle starting and ending at s."""
-    letters = []
-    q = s
-    while True:
-        ((a, t),) = _in_scc_edges(adj, members, q)
-        letters.append(a)
-        q = t
-        if q == s:
-            return tuple(letters)
-
-
 def enumerate_periodic(d: Dfa) -> list[tuple[Word, Word]]:
     """All infinite words in the language, as (preperiod, period) pairs.
 
     Valid only when every cyclic component is a bare cycle and no cycle
     can reach another: then each infinite path consists of an acyclic
     approach followed by one cycle forever, so the enumeration of
-    approach paths is finite and complete.
+    approach paths is finite and complete.  A finite language gives [].
     """
-    adj = _live_graph(d)
-    cyclic, comp_of, comps = _cyclic_components(adj)
-    for comp in cyclic:
-        if not _is_simple_cycle(adj, comp):
-            raise ValueError("automaton has branching cycles; enumeration would be infinite")
-    if _cycle_reaches_cycle(adj, cyclic, comp_of, comps):
+    cls = analyze(d).classification
+    if isinstance(cls, UncountablyManyAperiodic):
+        raise ValueError("automaton has branching cycles; enumeration would be infinite")
+    if isinstance(cls, CountablyManyPeriodic):
         raise ValueError("a cycle reaches another cycle; enumeration would be infinite")
-    return _periodic(d, adj, cyclic, comp_of)
+    return list(cls.words) if isinstance(cls, FinitelyManyPeriodic) else []
 
 
-def _cycle_reaches_cycle(adj, cyclic, comp_of, comps) -> bool:
-    """Whether some cyclic component reaches another one."""
-    # Tarjan emits components in reverse topological order, so successors
-    # of comps[i] all have indices below i and are already resolved.
-    cyclic_ids = {comp_of[comp[0]] for comp in cyclic}
-    reaches_cycle = [False] * len(comps)
-    for i, comp in enumerate(comps):
-        for q in comp:
-            for _, t in adj[q]:
-                ti = comp_of[t]
-                if ti != i and (ti in cyclic_ids or reaches_cycle[ti]):
-                    reaches_cycle[i] = True
-    return any(reaches_cycle[ci] for ci in cyclic_ids)
+def _periodic(d: Dfa, edges, comp, inner, cycle_ahead) -> list[tuple[Word, Word]]:
+    """The infinite words, once every cycle is known to be bare and unchained.
 
-
-def _periodic(d: Dfa, adj, cyclic, comp_of) -> list[tuple[Word, Word]]:
-    """enumerate_periodic, once its cycles are known to be bare and unchained."""
-    k = d.alphabet_size
-    if not adj:
-        return []
-    cycle_states = {q for comp in cyclic for q in comp}
-    members_of = {comp_of[comp[0]]: set(comp) for comp in cyclic}
+    The walk enters only states from which a cycle is reachable, so every
+    approach path it counts against the limit ends on a cycle.
+    """
     found: set[tuple[tuple, tuple]] = set()
     steps = 0
     stack: list[tuple[int, tuple]] = [(d.start, ())]
@@ -361,12 +295,20 @@ def _periodic(d: Dfa, adj, cyclic, comp_of) -> list[tuple[Word, Word]]:
             raise CapacityError(
                 f"periodic word enumeration exceeded its budget of {_ENUMERATION_LIMIT} steps")
         q, prefix = stack.pop()
-        if q in cycle_states:
-            label = _cycle_label(adj, members_of[comp_of[q]], q)
-            found.add(_normalize_periodic(prefix, label))
+        if inner[q]:
+            label = []
+            s = q
+            while True:
+                ((a, s),) = inner[s]
+                label.append(a)
+                if s == q:
+                    break
+            found.add(_normalize_periodic(prefix, tuple(label)))
             continue
-        for a, t in sorted(adj[q], reverse=True):
-            stack.append((t, prefix + (a,)))
+        for a, t in reversed(edges[q]):
+            if cycle_ahead[comp[t]]:
+                stack.append((t, prefix + (a,)))
+    k = d.alphabet_size
     ordered = sorted(found, key=lambda p: (len(p[0]) + len(p[1]), p))
     return [(Word(y, k), Word(x, k)) for y, x in ordered]
 
@@ -377,18 +319,28 @@ def classify(d: Dfa) -> Classification:
 
 def analyze(d: Dfa) -> AnalysisReport:
     """Full recurrence report for a minimized automaton, from one graph pass."""
-    adj = _live_graph(d)
-    cyclic, comp_of, comps = _cyclic_components(adj)
-    rec = frozenset(q for comp in cyclic for q in comp)
-    wit = _witness(d, adj, cyclic)
+    edges, comp, comps, inner = _graph(d)
+    rec = frozenset(q for q, e in enumerate(inner) if e)
+    wit = _witness(d, comps, inner)
     if not rec:
         cls = NoInfiniteWords()
     elif wit is not None:
         cls = UncountablyManyAperiodic()
-    elif _cycle_reaches_cycle(adj, cyclic, comp_of, comps):
-        cls = CountablyManyPeriodic()
     else:
-        cls = FinitelyManyPeriodic(tuple(_periodic(d, adj, cyclic, comp_of)))
+        # cycle_ahead[c]: a cycle is reachable from comps[c], its own included;
+        # the successors of comps[c] lie in comps[:c], so they are resolved first
+        cycle_ahead: list[bool] = []
+        chained = False
+        for c, members in enumerate(comps):
+            onward = any(cycle_ahead[comp[t]] for q in members for _, t in edges[q]
+                         if comp[t] != c)
+            cyclic = bool(inner[members[0]])
+            chained = chained or (cyclic and onward)
+            cycle_ahead.append(cyclic or onward)
+        if chained:
+            cls = CountablyManyPeriodic()
+        else:
+            cls = FinitelyManyPeriodic(tuple(_periodic(d, edges, comp, inner, cycle_ahead)))
     periodic = cls.words if isinstance(cls, FinitelyManyPeriodic) else ()
     return AnalysisReport(rec, wit, cls, periodic)
 

@@ -13,6 +13,7 @@ caps, 8 count-by-parity caps) so subsets can be run selectively, and a
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +24,9 @@ from .analyze import (
     FinitelyManyPeriodic,
     NoInfiniteWords,
     UncountablyManyAperiodic,
-    _live_graph,
+    _graph,
     _normalize_periodic,
-    _path_within,
+    _path,
     birecurrent_witness,
     classify,
     enumerate_periodic,
@@ -218,18 +219,11 @@ D211_VALUES = (
 )
 
 
-def _prod(factors) -> Polynomial:
-    out = P([1])
-    for f in factors:
-        out = out * f
-    return out
-
-
-D211_ANNIHILATOR = _prod([
+D211_ANNIHILATOR = math.prod([
     P([-1, 1]), P([1, 1]), P([1, 1, 1]), P([1, -1, 1]),
     P([-1, -1, 0, 0, 0, 0, 0, 1]), P([1, 1, 1, 1, 1, 1, 1]),
     P([-1, 0, -1, 0, 0, 0, 0, 0, 1]),
-])
+], start=P([1]))
 
 # label, spec, annihilator, index range over which the windows must vanish
 ANNIHILATORS = [
@@ -300,13 +294,6 @@ SIGMA4_FORBIDDEN = frozenset(
         "202", "212", "232", "303", "313", "323",
     )
 )
-
-
-def _parity_census(w: Word) -> tuple[int, int]:
-    """(even, odd) counts of nonempty distinct palindromic factors."""
-    pals = [p for p in palindromic_factors(w) if len(p) > 0]
-    even = sum(1 for p in pals if len(p) % 2 == 0)
-    return even, len(pals) - even
 
 
 def _narayana(terms: int) -> list[int]:
@@ -449,8 +436,7 @@ def _add_classification_rows() -> None:
             if wit is None:
                 return False, "two cycles at one live state", "no witness"
             q, x0, x1 = wit
-            live = _live_graph(d)
-            prefix = Word(_path_within(live, live, d.start, q), d.alphabet_size)
+            prefix = Word(_path(_graph(d)[0], d.start, q), d.alphabet_size)
             if d.run(d.start, prefix) != q:
                 return False, "witness state reachable", "unreachable witness state"
             if d.run(q, x0) != q or d.run(q, x1) != q or x0 + x1 == x1 + x0:
@@ -461,7 +447,8 @@ def _add_classification_rows() -> None:
             w = prefix
             for b in thue_morse(48):
                 w = w + (x1 if b else x0)
-            evens, odds = _parity_census(w)
+            evens, odds = palindromic_factors(w).counts_by_parity()
+            evens -= 1  # the empty word
             if evens > e or odds > o:
                 return False, f"<= {e} even and <= {o} odd factors", \
                     f"{evens} even, {odds} odd in the mixed word"
@@ -566,7 +553,7 @@ def _add_annihilator_rows() -> None:
 def _add_min_poly_rows() -> None:
     for label, spec, factors, section in MIN_POLYS:
         def fn(seed, spec=spec, factors=factors):
-            want = _prod(factors)
+            want = math.prod(factors, start=P([1]))
             got = _min_poly(spec, seed)
             return got == want, list(want.coeffs), list(got.coeffs)
         _row(f"c5 {label} matrix minimal polynomial", "matrix-polynomials", section)(fn)

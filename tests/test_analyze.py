@@ -1,6 +1,7 @@
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from palfac.analyze import (
     AnalysisReport,
@@ -9,6 +10,7 @@ from palfac.analyze import (
     Morphism,
     NoInfiniteWords,
     UncountablyManyAperiodic,
+    _graph,
     analyze,
     birecurrent_witness,
     classify,
@@ -17,7 +19,7 @@ from palfac.analyze import (
     verify_ultimately_periodic,
     witness_morphisms,
 )
-from palfac.automaton import import_dfa, minimize
+from palfac.automaton import Dfa, import_dfa, minimize
 from palfac.construct import (
     AllowedSet,
     MaxCountByParity,
@@ -33,6 +35,15 @@ W = Word.from_digits
 EMPTY = Word(())
 # 0*1*: the 0-loop reaches the 1-loop, so 0^j 1^omega is a word for every j
 ZERO_STAR_ONE_STAR = "(START) |- 0\n0 0 0\n0 1 1\n1 1 1\n0 -| (FINAL)\n1 -| (FINAL)\n"
+# the binary words of length at most 20: 21 states in a chain and the dead state
+UP_TO_TWENTY = ("(START) |- 0\n"
+                + "".join(f"{q} {a} {q + 1}\n" for q in range(20) for a in (0, 1))
+                + "".join(f"{q} -| (FINAL)\n" for q in range(21)))
+# one infinite word, 1(0)^omega, beside the 2^20 dead-end paths 0{0,1}^20:
+# 0 goes to the chain 1..21 on 0 and to the 0-loop 22 on 1
+ONE_WORD = ("(START) |- 0\n0 0 1\n0 1 22\n22 0 22\n"
+            + "".join(f"{q} {a} {q + 1}\n" for q in range(1, 21) for a in (0, 1))
+            + "".join(f"{q} -| (FINAL)\n" for q in range(23)))
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +228,21 @@ class TestEnumeratePeriodic:
         with pytest.raises(ValueError):
             enumerate_periodic(import_dfa(ZERO_STAR_ONE_STAR))
 
+    def test_finite_language_has_no_words(self):
+        # 2^21 paths, none of which reaches a cycle
+        d = import_dfa(UP_TO_TWENTY)
+        assert d.state_count == 22
+        assert classify(d) == NoInfiniteWords()
+        assert enumerate_periodic(d) == []
+
+    @pytest.mark.parametrize("minimized", [False, True])
+    def test_dead_end_approach_paths_are_not_walked(self, minimized):
+        d = import_dfa(ONE_WORD)
+        d = minimize(d) if minimized else d
+        words = [(W("1"), W("0"))]
+        assert enumerate_periodic(d) == words
+        assert analyze(d).classification == FinitelyManyPeriodic(tuple(words))
+
 
 def _normalized(y: str, x: str) -> tuple[Word, Word]:
     ys, xs = list(y), list(x)
@@ -361,3 +387,69 @@ def _path_to(d, q) -> Word:
         s, a = parents[s]
         letters.append(a)
     return Word(reversed(letters), d.alphabet_size)
+
+
+@st.composite
+def graph_dfas(draw):
+    """Complete DFAs over 1..3 letters with up to 12 states.
+
+    Every state but an optional sink accepts.  The sink rejects and loops
+    on every letter, so it is the dead state, and it is sometimes the
+    start.  Transitions favour self-loops and the sink.  In half the
+    tables the other edges go only to later states, so the components are
+    single states joined by cross edges, and the states before the start
+    are unreachable.
+    """
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    sink = draw(st.none() | st.integers(0, n - 1))
+    start = draw(st.integers(0, n - 1))
+    if sink is not None and draw(st.integers(0, 9)) == 0:
+        start = sink
+    forward = draw(st.booleans())
+    onward = [st.integers(q if forward else 0, n - 1) for q in range(n)]
+    delta = [[draw(st.sampled_from([q, n - 1 if sink is None else sink])
+                   | onward[q]) for _ in range(k)] for q in range(n)]
+    if sink is not None:
+        delta[sink] = [sink] * k
+    return Dfa(delta, start, [q for q in range(n) if q != sink])
+
+
+def _closure(d) -> list[set[int]]:
+    """after[q]: the states a nonempty path of live states leads to from q."""
+    n = d.state_count
+    step = [{t for t in d.delta[q].tolist() if t != d.dead} for q in range(n)]
+    after = [set(s) for s in step]
+    changed = True
+    while changed:
+        changed = False
+        for q in range(n):
+            more = set().union(*(step[t] for t in after[q])) - after[q]
+            if more:
+                after[q] |= more
+                changed = True
+    return after
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_dfas())
+# the search from 0 finishes 1, then 2 meets 1 again: a cross edge into a
+# finished component, which must not pull 2 into 0's component
+@example(Dfa([[1, 2], [3, 3], [1, 3], [3, 3]], 0, [0, 1, 2]))
+def test_graph_components_are_the_mutual_reachability_classes(d):
+    edges, comp, comps, inner = _graph(d)
+    after = _closure(d)
+    reached = set() if d.start == d.dead else {d.start} | after[d.start]
+    assert {q for q in range(d.state_count) if comp[q] >= 0} == reached
+    assert sorted(q for members in comps for q in members) == sorted(reached)
+    for c, members in enumerate(comps):
+        assert all(comp[q] == c for q in members)
+    for p in reached:
+        assert edges[p] == [(a, t) for a, t in enumerate(d.delta[p].tolist()) if t != d.dead]
+        assert inner[p] == [(a, t) for a, t in edges[p] if comp[t] == comp[p]]
+        # every edge enters a component of equal or lower index
+        assert all(comp[t] <= comp[p] for _, t in edges[p])
+        for q in reached:
+            mutual = p == q or (q in after[p] and p in after[q])
+            assert (comp[p] == comp[q]) == mutual
+    assert recurrent_states(d) == {q for q in reached if q in after[q]}

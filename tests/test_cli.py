@@ -5,16 +5,19 @@ reads capsys; exit codes follow the 0/1/2/3 scheme (success, failed
 check, usage, capacity).
 """
 
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
+from palfac.analyze import spec_dfa
 from palfac.automaton import Dfa, export_dfa, import_dfa, minimize
 from palfac.cli import main
 from palfac.construct import MaxDistinct, MaxLen, build_direct
 from palfac.recur import AsymptoticFit, sequence, transfer_matrix
+from palfac.reproduce import STATE_COUNTS
 
 
 def run(capsys, *argv):
@@ -26,6 +29,10 @@ def run(capsys, *argv):
 def load(text):
     fmt = "json" if text.lstrip().startswith("{") else "grail"
     return import_dfa(text, fmt)
+
+
+ANALYZE_SPECS = {label: spec for label, spec, *_ in STATE_COUNTS}
+ANALYZE_SPECS.update({"D(2,12)": MaxDistinct(2, 12), "D(2,13)": MaxDistinct(2, 13)})
 
 
 class TestBuildMinimizeExport:
@@ -108,6 +115,65 @@ class TestAnalyze:
         assert payload["periodic_words"] == []
         assert payload["birecurrent_witness"] is None
         assert "countably many infinite words" in stderr
+
+    def test_one_word_beside_dead_end_paths(self, capsys, tmp_path):
+        # 0 goes to the 0-loop 22 on 1, and on 0 into 2^20 paths through
+        # the chain 1..21 that end without a cycle
+        path = tmp_path / "one_word.grail"
+        path.write_text("(START) |- 0\n0 0 1\n0 1 22\n22 0 22\n"
+                        + "".join(f"{q} {a} {q + 1}\n" for q in range(1, 21) for a in (0, 1))
+                        + "".join(f"{q} -| (FINAL)\n" for q in range(23)))
+        code, stdout, stderr = run(capsys, "analyze", "--automaton", str(path))
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["classification"] == "FinitelyManyPeriodic"
+        assert payload["periodic_words"] == [{"preperiod": "1", "period": "0"}]
+        assert "1(0)^w" in stderr
+
+    @pytest.mark.parametrize("label", list(ANALYZE_SPECS))
+    def test_payload_is_pinned(self, capsys, tmp_path, label):
+        path = tmp_path / "min.json"
+        path.write_text(export_dfa(spec_dfa(ANALYZE_SPECS[label]), "json"))
+        code, stdout, _ = run(capsys, "analyze", "--automaton", str(path))
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == ANALYZE_DIGESTS[label]
+
+
+# sha256 of the `palfac analyze` JSON payload (recurrent states sorted): pins
+# the witness choice and the order of the periodic words, not just the class
+ANALYZE_DIGESTS = {
+    "D(2,8)": "cc957c5993bfcb0abef20e59f27f369e271fa44fb0a4ef38c20b0428d0e6252f",
+    "D(2,9)": "963bbefa89503aef1244a261511eb4d2210304a4a1389e5282886238d9791885",
+    "D(2,10)": "cbb841232bd58b4efdca2ae23fac813da870c40c2fe7ce9870e9c36ec8daecb9",
+    "D(2,11)": "61e41be3fef8f6f238cdfecef41be7b8092ec234cf54cba26db9af35b1004837",
+    "D(3,3)": "79222c26e09578bcf9f2aac6fc8e499bebe0b19e731901ac35bdeae289910600",
+    "D(3,4)": "37d4f9708ec3f6956ac6ff1bac403f565fb7516432d0421f0a7bb62dbe2102fd",
+    "D(3,5)": "9637297266872d8d9b61dcf98d9afbd45bde66b359b04da26ee1df082bae441f",
+    "E(2,5)": "b9451d8008b6725c8237e864d8b7f8b69908f86810bb0536887900a782746ebb",
+    "E(3,1)": "58539a97b573c2ec0167c6fbd213702042dcb9f2d7d737a3f6de49bd0eda662a",
+    "E(3,2)": "f3c04b2a711144cf6b0d5ebe75e82d923da15f5fcf4a2072e2780a932a77c210",
+    "R(2,2,5)": "3ebc8018f4874746b45dbca93c85e038c48cd90b80ec05d2fde667cb5f3644a3",
+    "R(2,6,3)": "05da0feb554d899919796d7ce03bdd34c456d2560b26b9975ac136862d8680d6",
+    "R(3,0,3)": "c3024dfb5c8abf2936dc5a41e37fe7d6eb0eb70250bfe9d779d6d0870ce33d12",
+    "T(2,3,9)": "71127cd9facafe3c8b654fe6dcc90e20948b0dda13f28dc8d5733cbceb60ad74",
+    "T(2,3,8)": "e85473983926804ba2996762841ecd26e45562617bb1d4414e3fd35306699084",
+    "T(2,4,7)": "aa8f6bc50f845fe701fadc37a40d9ab2771c8291b925e9c1a4e4c9123db6dda5",
+    "T(2,4,6)": "9e2f34fe08f92c791ea660bf2e730038b20bab9d760241ba8617a11cc6615562",
+    "T(2,5,5)": "d6b6369f799f033e0e9c1c20bcfa8ebf8c80fc9ec6291587f7a4d412f37a11ee",
+    "T(2,5,4)": "624db78e6370427c46472316e6790ce979b0e53914e5cd2b9b7323d98f031727",
+    "T(2,6,5)": "b8653628661b50cdee8a632901da485e99c1c14247b781a00342593d361a84fd",
+    "T(2,6,4)": "9581605415951b3d8301b96b8e82b0ceab946c0734c3d830a42335b987aacbcb",
+    "T(2,7,4)": "00f1f175c7170a9388a2d82cfa49e5ca1f08595e4da0ce320994f7929ca252ba",
+    "T(2,8,4)": "9ffde9fa264da9e8f19016f6e33a19bcab95b9ec19eff6155871f19387d5ed1e",
+    "T(2,3,10)": "fc7bca4d1ef954430414eb68e522eaa8ed30235515fab39549be3e1de50e4c12",
+    "T(2,4,8)": "e16ddf07e3ea9094f81a07064430b2b74d357c6502dbce40eb1d3cf24c0bd512",
+    "T(2,5,6)": "39a7c3617f942621cc957abf603f171a4ec4093ac36e54eee3ef1adee42a1e39",
+    "T(2,7,5)": "434e65200ab39170edad2c9d089da55377d7513517598adcd3b54fe4782eaaaa",
+    "T(2,9,4)": "4bb71e768fe472f0872fa956a28c35cd97f9af48a914817e5f53a5fc04f4e2d6",
+    "T(3,1,5)": "13e293d7fd9aa1c9e1679fade6847ebb6f18553a0b966f5b808c59b020a99e4f",
+    "D(2,12)": "5852c6fe1e523b7262d4a8f31c326e01ef36606fd7adbb8ea626a7c6e943777d",
+    "D(2,13)": "91195d09811561d8cf2d229d0db0cb257de8d79007385e79caa661b8a0a72bd5",
+}
 
 
 class TestCount:
