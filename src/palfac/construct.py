@@ -23,6 +23,8 @@ giving an independent construction to cross-check against.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -262,11 +264,10 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     keep = low[bound]
     letters = [(a * width, 1 << a * width) for a in range(k)]
     window_lengths = (2 << bound) - 1  # the suffix lengths a window holds
-    # bit L of suffix_lengths[state] is set when the window's suffix of
+    # bit L of a state's entry in suffix_lengths is set when the window's suffix of
     # length L is a palindrome (L = 0 included): the suffix of length L+2
     # of w.a is one exactly when w's suffix of length L is and the symbol
     # before it, bit L of lane a, is a
-    suffix_lengths = [1]
     # palindrome code -> (its bit, its symbols oldest first)
     pals: dict[int, tuple[int, tuple[int, ...]]] = {}
     even_bits = 0
@@ -276,15 +277,16 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     moves: list[dict[int, int]] = [{}]
 
     index = {0: 0}
-    states = [0]
-    flat: list[int] = []  # row-major transitions, -1 for the dead state
+    # the breadth-first frontier, states found but not yet expanded, in
+    # the order of their ids; each is popped as it is expanded
+    states = deque([0])
+    suffix_lengths = deque([1])
+    flat = array("i")  # row-major transitions, -1 for the dead state
     used_dead = False
 
-    qi = 0
-    while qi < len(states):
-        key = states[qi]
-        lengths_here = suffix_lengths[qi]
-        qi += 1
+    while states:
+        key = states.popleft()
+        lengths_here = suffix_lengths.popleft()
         window = key & keep
         sid = key >> lanes
         here = key ^ window
@@ -331,7 +333,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
             nxt = to | ext & keep
             ti = index.get(nxt)
             if ti is None:
-                ti = len(states)
+                ti = len(index)
                 if ti >= budget:
                     raise CapacityError(
                         f"state budget {budget} exceeded while building {spec!r}")
@@ -340,14 +342,13 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
                 suffix_lengths.append(lengths & window_lengths)
             flat.append(ti)
 
-    n = len(states)
+    n = len(index)
     # the search's tables go before the transitions become a table: they
     # are most of the construction's memory peak
-    del index, states, suffix_lengths, moves, sid_of, masks
+    del index, moves, sid_of, masks
     if used_dead:
         flat.extend([-1] * k)
-    table = np.array(flat, dtype=np.int32).reshape(-1, k)
-    del flat
+    table = np.frombuffer(flat, dtype=np.intc).reshape(-1, k)  # a view: no copy
     table[table < 0] = n
     return Dfa(table, 0, np.arange(n))
 

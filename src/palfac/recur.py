@@ -84,7 +84,7 @@ class CountingSystem:
     entry appended to every vector M acts on.  So (M y)[i] is the sum of
     y[table[i, s]] over s.  It keeps the table read-only as (n + 1, R),
     with a sentinel row of n appended, so that M y keeps that zero entry.
-    M materializes a dense copy.
+    M materializes a dense copy, one row at a time.
     """
 
     __slots__ = ("table", "v", "w")
@@ -107,11 +107,20 @@ class CountingSystem:
 
     @property
     def M(self) -> list[list[int]]:
-        """Dense matrix copy; built on demand."""
+        """Dense matrix copy as rows of Python ints; built on demand.
+
+        Each row is counted straight from its table row, so the working
+        memory beyond the rows returned is one row.
+        """
         n = self.size
-        out = np.zeros((n, n + 1), dtype=np.int64)
-        np.add.at(out, (np.arange(n)[:, None], self.table[:n]), 1)
-        return out[:, :n].tolist()
+        out = []
+        for succ in self.table[:n]:
+            row = [0] * (n + 1)  # entry n counts the sentinel padding
+            for j in succ.tolist():
+                row[j] += 1
+            del row[n]
+            out.append(row)
+        return out
 
 
 def transfer_matrix(d: Dfa) -> CountingSystem:
@@ -211,34 +220,56 @@ def _gather_table(M) -> np.ndarray:
     """The read-only gather table of a CountingSystem or of a dense nonnegative integer matrix.
 
     The table has n + 1 rows, the last the sentinel row (see
-    CountingSystem).  A dense entry m becomes m gathers of its column;
-    the matrix is read as int64 once.  A negative entry raises ValueError,
-    and CapacityError is raised when the table would exceed _BLOCK_ENTRIES
-    entries, also for an entry past int64.
+    CountingSystem).  A dense matrix, a sequence of rows or an ndarray, is
+    read in row blocks of about _CACHE_ENTRIES entries, each as int64 (an
+    ndarray through Python ints, which a cast of uint64 would wrap), and
+    each block's nonzero entries become its rows' gathers: an entry m is m
+    gathers of its column.  So no n x n copy is made.  A ragged or
+    non-square matrix, or a negative entry anywhere, raises ValueError;
+    only once every row has passed is CapacityError raised, when the table
+    would exceed _BLOCK_ENTRIES entries, also for an entry past int64.
     """
     if isinstance(M, CountingSystem):
         n, width = M.size, M.table.shape[1]
-    else:
-        rows = M.tolist() if isinstance(M, np.ndarray) else M  # a uint64 cast would wrap
+        if n * width > _BLOCK_ENTRIES:
+            raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
+        return M.table
+    n = len(M)
+    step = max(1, _CACHE_ENTRIES // max(n, 1))
+    sums = np.zeros(n, dtype=np.int64)  # row sums: each row's count of gathers
+    width = 0
+    blocks = []  # each block's gathers, row-major
+    full = None  # the CapacityError to raise once the signs are all checked
+    for lo in range(0, n, step):
+        rows = M[lo:lo + step]
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         try:
             A = np.array(rows, dtype=np.int64)
         except OverflowError:  # an entry outside int64: only its sign is read
             A = np.array(rows, dtype=object)
-        n = len(A)
-        if A.shape != (n, n):
+        if A.shape != (len(rows), n):
             raise ValueError("matrix must be square")
         if (A < 0).any():
             raise ValueError("matrix entries must be nonnegative")
+        if full:
+            continue
         if A.dtype == object or A.max(initial=0) > _BLOCK_ENTRIES:
-            raise CapacityError(f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers")
-        sums = A.sum(axis=1)  # at most n * 2^22: no overflow
-        width = int(sums.max(initial=0))
-    if n * width > _BLOCK_ENTRIES:
-        raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
-    if isinstance(M, CountingSystem):
-        return M.table
+            full = f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers"
+            continue
+        sums[lo:lo + step] = block_sums = A.sum(axis=1)  # at most n * 2^22: no overflow
+        width = max(width, int(block_sums.max()))
+        if n * width > _BLOCK_ENTRIES:
+            full = f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries"
+            continue
+        r, c = np.nonzero(A)
+        blocks.append(np.repeat(c, A[r, c]))
+    if full:
+        raise CapacityError(full)
     table = np.full((n + 1, width), n, dtype=np.int64)
-    table[:n][np.arange(width) < sums[:, None]] = np.repeat(np.tile(np.arange(n), n), A.ravel())
+    for lo, gathers in zip(range(0, n, step), blocks):
+        part = table[:n][lo:lo + step]  # a view: the gathers land in table
+        part[np.arange(width) < sums[lo:lo + step, None]] = gathers
     table.flags.writeable = False
     return table
 
@@ -417,8 +448,9 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     is raised.
 
     Accepts a CountingSystem or a square matrix of nonnegative integers
-    given as rows, which is read as int64 and becomes a gather table; a
-    negative entry raises ValueError.  Raises CapacityError above
+    given as rows, which becomes a gather table read in row blocks, with
+    no n x n copy (see _gather_table); a negative entry raises
+    ValueError.  Raises CapacityError above
     _MAX_MINPOLY_STATES rows or when the table exceeds _BLOCK_ENTRIES
     entries.
     """

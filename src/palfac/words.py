@@ -81,8 +81,9 @@ class Word:
         return self.symbols == self.symbols[::-1]
 
     def is_factor_of(self, other: "Word") -> bool:
-        # symbols are small non-negative ints, so bytes gives a C substring scan
-        return bytes(self.symbols) in bytes(other.symbols)
+        # one character per symbol gives a C substring scan for any symbol
+        # below 0x110000, past the 256 that bytes would hold
+        return "".join(map(chr, self.symbols)) in "".join(map(chr, other.symbols))
 
     def conjugates(self) -> list["Word"]:
         """All rotations of the word, in rotation order."""

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -674,12 +675,24 @@ class TestGatherCertificate:
             "bad = good + P([1])\n"
             "print(_verify_annihilates_matrix(good, cs.table),"
             " _verify_annihilates_matrix(bad, cs.table))\n"
+            # the dense read's checks: capacity, non-square, ragged, and a late
+            # negative entry after an early capacity overflow
+            "from palfac.recur import _gather_table\n"
+            "M = [[0] * 300 for _ in range(300)]\n"
+            "M[0][1] = 2 ** 22 + 1\n"
+            "for M in (M, M[1:], [M[0], M[0][1:]] + M[2:], M[:-1] + [[0] * 299 + [-1]]):\n"
+            "    try:\n"
+            "        _gather_table(M)\n"
+            "        print('read')\n"
+            "    except Exception as e:\n"
+            "        print(type(e).__name__)\n"
         )
         import palfac
         src = str(Path(palfac.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["True", "False", "CapacityError", "ValueError",
+                                      "ValueError", "ValueError"]
 
 
 dfas = st.integers(1, 7).flatmap(lambda n: st.tuples(
@@ -719,6 +732,97 @@ class TestGatherTable:
         n, table, _ = system
         cs = CountingSystem(table, [1] + [0] * (n - 1), [1] * n)
         assert matrix_min_poly(cs) == matrix_min_poly(cs.M)
+
+
+def _cycles_matrix(top=3):
+    """A 302 x 302 matrix that the dense read takes in two row blocks, the last partial.
+
+    Sixty 5-cycles, a third of them plain and the rest with a closing
+    edge of weight 2 or 3 and a self-loop of weight 1 or 2, so the minimal
+    polynomial has low degree; row 300 is all zero and row 301, which no
+    state enters, holds the entry top.
+    """
+    n = 302
+    M = [[0] * n for _ in range(n)]
+    for b in range(60):
+        t, first = b % 3, 5 * b
+        for j in range(4):
+            M[first + j][first + j + 1] = 1
+        M[first + 4][first] = 1 + t
+        M[first][first] += t
+    M[301][7] = top
+    return M
+
+
+class TestDenseRead:
+    def test_row_blocks_match_a_per_row_read(self):
+        small, big = _cycles_matrix(), _cycles_matrix(top=300)
+        n = len(small)
+        step = _CACHE_ENTRIES // n
+        assert n > 256 and n > step and n % step  # several blocks, the last partial
+        v, w = [1] + [0] * (n - 1), [1] * n
+        for M, inputs in ((small, (small, np.array(small, dtype=np.uint8))),
+                          (big, (big, np.array(big, dtype=np.uint64)))):
+            cs = _dense_system(M, v, w)
+            assert cs.M == M
+            for dense in inputs:
+                assert _gather_table(dense).tolist() == cs.table.tolist()
+        cs = _dense_system(small, v, w)
+        assert matrix_min_poly(np.array(small, dtype=np.uint8)) == matrix_min_poly(cs)
+        assert matrix_min_poly(small) == matrix_min_poly(cs)
+
+    def test_late_negative_entry_wins_over_an_early_capacity_error(self):
+        M = _cycles_matrix()
+        M[0][1] = 2 ** 22 + 1
+        with pytest.raises(CapacityError):
+            _gather_table(M)
+        M[-1][-1] = -1
+        with pytest.raises(ValueError):
+            _gather_table(M)
+        M[0][1] = 2 ** 64
+        with pytest.raises(ValueError):
+            _gather_table(M)
+
+    @pytest.mark.parametrize("M", [[[0, 1], [1]], [[0, 1, 0], [1, 0, 0]], [[0], [1]],
+                                   np.zeros((2, 3), dtype=np.uint8), np.zeros(2)])
+    def test_ragged_or_non_square_rejected(self, M):
+        with pytest.raises(ValueError):
+            _gather_table(M)
+
+    def _traced(self, read):
+        """read()'s result, with the traced peak and size of what it returns, in bytes.
+
+        numpy reports its buffers to tracemalloc, so the numbers repeat exactly.
+        """
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = read()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return out, peak - base, kept - base
+
+    def _sparse_system(self, n=1500):
+        return CountingSystem([[(i + 1) % n, (7 * i + 3) % n, (7 * i + 3) % n] for i in range(n)],
+                              [1] + [0] * (n - 1), [1] * n)
+
+    def test_dense_copy_needs_no_more_than_its_rows(self):
+        cs = self._sparse_system()
+        M, peak, size = self._traced(lambda: cs.M)
+        assert peak <= 1.1 * size
+        assert M[0][:4] == [0, 1, 0, 2]
+
+    def test_dense_read_has_no_quadratic_temporary(self):
+        cs = self._sparse_system()
+        M = cs.M
+        table, peak, _ = self._traced(lambda: _gather_table(M))
+        assert peak < len(M) ** 2
+        assert (table == np.sort(cs.table, axis=1)).all()
 
 
 class TestRoutesDifferential:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from palfac.construct import forbidden_set
 from palfac.words import (
     Word,
     palindromic_factors,
@@ -171,6 +172,17 @@ def test_minimal_elements():
     out = minimal_elements(pool)
     assert sorted(str(w) for w in out) == ["00", "101", "11"]
     # 000 contains 00; 0110 contains 11
+
+
+def test_factor_order_past_byte_symbols():
+    k = 300
+    w = Word((299, 0, 256, 44), k)
+    assert Word((0, 256), k).is_factor_of(w)
+    assert not Word((256, 0), k).is_factor_of(w)
+    assert not Word((0, 0), k).is_factor_of(Word((256,), k))  # no encoding collision
+    # over 300 letters the minimal forbidden palindromes are the letters
+    assert forbidden_set([Word(())], k) == {Word((a,), k) for a in range(k)}
+    assert minimal_elements([Word((299, 299), k), Word((299,), k)]) == [Word((299,), k)]
 
 
 def test_minimal_elements_is_antichain():
