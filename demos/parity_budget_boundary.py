@@ -16,7 +16,7 @@ six times the step-3 Fibonacci numbers 1,1,1,2,3,4,6,9,... shifted by
 one position forward.
 """
 
-from palfac.analyze import birecurrent_witness, classify
+from palfac.analyze import analyze
 from palfac.automaton import minimize
 from palfac.construct import MaxCountByParity, MaxLenByParity, build_direct
 from palfac.recur import sequence, transfer_matrix
@@ -34,13 +34,13 @@ print("classification across a slice of the cap grid (even cap, odd cap):")
 for even_cap, odd_cap in [(4, 5), (4, 6), (5, 4), (5, 5), (6, 4), (6, 5)]:
     spec = MaxCountByParity(2, even_cap, odd_cap, count_empty=False)
     d = minimize(build_direct(spec))
-    kind = type(classify(d)).__name__
+    kind = type(analyze(d).classification).__name__
     print(f"  ({even_cap},{odd_cap}): {d.live_state_count():4d} live states, {kind}")
 print()
 
 spec = MaxCountByParity(2, 4, 6, count_empty=False)
 d = minimize(build_direct(spec))
-q, x0, x1 = birecurrent_witness(d)
+q, x0, x1 = analyze(d).birecurrent
 print(f"caps (4,6): cycles {x0} and {x1} close at state {q}")
 
 w = x0

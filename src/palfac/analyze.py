@@ -3,13 +3,13 @@
 Everything here reads the minimized automaton as a directed graph: the
 infinite words in the language are the labels of infinite paths through
 live states.  One Tarjan pass (`_graph`) gives the strongly connected
-components of the reachable live states, and every query reads them.
-Recurrence analysis classifies the possibilities (none, finitely or
-countably many ultimately periodic words, or uncountably many including
-aperiodic ones) and produces explicit witnesses: enumerated periodic
-words in the finite case, whose approach paths are walked only through
-states from which a cycle is reachable, and a pair of noncommuting
-cycles in the uncountable one.
+components of the reachable live states, and `analyze` reads every field
+of its report from them.  Recurrence analysis classifies the
+possibilities (none, finitely or countably many ultimately periodic
+words, or uncountably many including aperiodic ones) and produces
+explicit witnesses: enumerated periodic words in the finite case, whose
+approach paths are walked only through states from which a cycle is
+reachable, and a pair of noncommuting cycles in the uncountable one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .automaton import CapacityError, Dfa, minimize
-from .construct import ConstraintSpec, build_direct, window_bound
+from .construct import ConstraintSpec, build_direct
 from .words import Word, palindromic_factors
 
 __all__ = [
@@ -30,10 +30,6 @@ __all__ = [
     "CountablyManyPeriodic",
     "UncountablyManyAperiodic",
     "analyze",
-    "recurrent_states",
-    "birecurrent_witness",
-    "classify",
-    "enumerate_periodic",
     "witness_morphisms",
     "verify_ultimately_periodic",
     "spec_dfa",
@@ -53,9 +49,10 @@ class NoInfiniteWords:
 
 @dataclass(frozen=True)
 class FinitelyManyPeriodic:
-    """All infinite words are ultimately periodic; `words` lists them all."""
+    """Finitely many infinite words, all ultimately periodic.
 
-    words: tuple[tuple[Word, Word], ...]
+    The report's `periodic_words` lists them all.
+    """
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,14 @@ Classification = (NoInfiniteWords | FinitelyManyPeriodic | CountablyManyPeriodic
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The recurrence report of one automaton.
+
+    recurrent_states holds the live states that lie on a cycle, birecurrent
+    a state with two noncommuting cycles (q, x0, x1) or None, and
+    periodic_words the (preperiod, period) pair of every infinite word
+    when the classification is FinitelyManyPeriodic, and () otherwise.
+    """
+
     recurrent_states: frozenset
     birecurrent: tuple[int, Word, Word] | None
     classification: Classification
@@ -214,13 +219,7 @@ def _path(edges, src, dst) -> tuple[int, ...]:
     raise AssertionError(f"no path from {src} to {dst} along the given edges")
 
 
-def recurrent_states(d: Dfa) -> set[int]:
-    """Live states lying on a cycle (their SCC has an internal edge)."""
-    inner = _graph(d)[3]
-    return {q for q, e in enumerate(inner) if e}
-
-
-def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
+def _witness(d: Dfa, comps, inner) -> tuple[int, Word, Word] | None:
     """A state with two noncommuting cycles, or None when none exists.
 
     None means every cyclic component is a bare cycle, so infinite paths
@@ -230,11 +229,6 @@ def birecurrent_witness(d: Dfa) -> tuple[int, Word, Word] | None:
     letter, and the two shortest become the witness.  Their first letters
     differ, which already rules out commuting.
     """
-    _, _, comps, inner = _graph(d)
-    return _witness(d, comps, inner)
-
-
-def _witness(d: Dfa, comps, inner) -> tuple[int, Word, Word] | None:
     branching = []
     for members in comps:
         forks = [q for q in members if len(inner[q]) > 1]
@@ -264,23 +258,7 @@ def _normalize_periodic(y: tuple, x: tuple) -> tuple[tuple, tuple]:
     return tuple(y), tuple(x)
 
 
-def enumerate_periodic(d: Dfa) -> list[tuple[Word, Word]]:
-    """All infinite words in the language, as (preperiod, period) pairs.
-
-    Valid only when every cyclic component is a bare cycle and no cycle
-    can reach another: then each infinite path consists of an acyclic
-    approach followed by one cycle forever, so the enumeration of
-    approach paths is finite and complete.  A finite language gives [].
-    """
-    cls = analyze(d).classification
-    if isinstance(cls, UncountablyManyAperiodic):
-        raise ValueError("automaton has branching cycles; enumeration would be infinite")
-    if isinstance(cls, CountablyManyPeriodic):
-        raise ValueError("a cycle reaches another cycle; enumeration would be infinite")
-    return list(cls.words) if isinstance(cls, FinitelyManyPeriodic) else []
-
-
-def _periodic(d: Dfa, edges, comp, inner, cycle_ahead) -> list[tuple[Word, Word]]:
+def _periodic(d: Dfa, edges, comp, inner, cycle_ahead) -> tuple[tuple[Word, Word], ...]:
     """The infinite words, once every cycle is known to be bare and unchained.
 
     The walk enters only states from which a cycle is reachable, so every
@@ -310,11 +288,7 @@ def _periodic(d: Dfa, edges, comp, inner, cycle_ahead) -> list[tuple[Word, Word]
                 stack.append((t, prefix + (a,)))
     k = d.alphabet_size
     ordered = sorted(found, key=lambda p: (len(p[0]) + len(p[1]), p))
-    return [(Word(y, k), Word(x, k)) for y, x in ordered]
-
-
-def classify(d: Dfa) -> Classification:
-    return analyze(d).classification
+    return tuple((Word(y, k), Word(x, k)) for y, x in ordered)
 
 
 def analyze(d: Dfa) -> AnalysisReport:
@@ -322,6 +296,7 @@ def analyze(d: Dfa) -> AnalysisReport:
     edges, comp, comps, inner = _graph(d)
     rec = frozenset(q for q, e in enumerate(inner) if e)
     wit = _witness(d, comps, inner)
+    periodic: tuple[tuple[Word, Word], ...] = ()
     if not rec:
         cls = NoInfiniteWords()
     elif wit is not None:
@@ -340,8 +315,8 @@ def analyze(d: Dfa) -> AnalysisReport:
         if chained:
             cls = CountablyManyPeriodic()
         else:
-            cls = FinitelyManyPeriodic(tuple(_periodic(d, edges, comp, inner, cycle_ahead)))
-    periodic = cls.words if isinstance(cls, FinitelyManyPeriodic) else ()
+            cls = FinitelyManyPeriodic()
+            periodic = _periodic(d, edges, comp, inner, cycle_ahead)
     return AnalysisReport(rec, wit, cls, periodic)
 
 
@@ -375,21 +350,23 @@ def verify_ultimately_periodic(y: Word, x: Word, spec: ConstraintSpec) -> tuple[
     Appends copies of the period until the palindromic factor set of the
     prefix repeats across consecutive steps, past the horizon where any
     admissible palindrome could still be incomplete.  The count includes
-    the empty word.  Rejection of any prefix stops early, since the
-    languages are closed under taking factors.
+    the empty word.  Each prefix is judged by the spec's whole-word rule
+    on its palindromic factor set, without the automaton, so the check is
+    independent of the construction.  Rejection of any prefix stops
+    early, since the languages are closed under taking factors.
     """
     if len(x) == 0:
         raise ValueError("period must be nonempty")
-    d = spec_dfa(spec)
-    horizon = window_bound(spec)
+    horizon = spec.window_bound()
     j_min = (len(y) + horizon) // len(x) + 2
     w = tuple(y)
     xs = tuple(x)
     prev: frozenset | None = None
     for j in range(1, j_min + 3):
         w = w + xs
-        pal = palindromic_factors(w).palindromes
-        if not d.accepts(w):
+        pf = palindromic_factors(w)
+        pal = pf.palindromes
+        if not spec.satisfied_by(pf):
             return False, len(pal)
         if j >= j_min and pal == prev:
             return True, len(pal)

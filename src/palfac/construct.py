@@ -43,7 +43,8 @@ class ConstraintSpec:
     (the construction and the oracle prune with it), and `satisfied_by`
     judges a whole factor set (the unpruned reference).  `window_bound`
     sizes the construction's window, and `cli_flags` names the command
-    line values that follow the alphabet size in the constructor.
+    line values that follow the alphabet size in the constructor.  A spec
+    checks its parameters when it is constructed.
     """
 
     alphabet_size: int
@@ -54,6 +55,14 @@ class ConstraintSpec:
     # `satisfied_by` unchanged, so the oracle may count one word per orbit
     letter_symmetric = False
     cli_flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("cap", "even_cap", "odd_cap"):
+            value = getattr(self, name, None)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.alphabet_size < 1:
+            raise ValueError("alphabet must have at least one symbol")
 
     def window_bound(self) -> int:
         """Length of recent-symbol window that makes the direct construction exact.
@@ -104,6 +113,7 @@ class AllowedSet(ConstraintSpec):
         object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "_symbols", symbols)
         object.__setattr__(self, "letter_symmetric", symmetric)
+        self.__post_init__()
 
     def window_bound(self) -> int:
         return max((len(w) for w in self.allowed), default=0) + 2
@@ -210,21 +220,6 @@ class MaxCountByParity(ConstraintSpec):
         return even <= self.even_cap and odd <= self.odd_cap
 
 
-def _check_spec(spec: ConstraintSpec) -> None:
-    for name in ("cap", "even_cap", "odd_cap"):
-        value = getattr(spec, name, None)
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if spec.alphabet_size < 1:
-        raise ValueError("alphabet must have at least one symbol")
-
-
-def window_bound(spec: ConstraintSpec) -> int:
-    """The spec's construction window, after checking its parameters."""
-    _check_spec(spec)
-    return spec.window_bound()
-
-
 def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
@@ -247,7 +242,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     proper, gets the final number.
     """
     k = spec.alphabet_size
-    bound = window_bound(spec)
+    bound = spec.window_bound()
     admits = spec.admits
     counted = spec.counted
     if budget is None:

@@ -22,16 +22,16 @@ from typing import Callable, Iterator
 
 from .analyze import (
     FinitelyManyPeriodic,
+    Morphism,
     NoInfiniteWords,
     UncountablyManyAperiodic,
     _graph,
     _normalize_periodic,
     _path,
-    birecurrent_witness,
-    classify,
-    enumerate_periodic,
+    analyze,
     spec_dfa,
     verify_ultimately_periodic,
+    witness_morphisms,
 )
 from .automaton import export_dfa, import_dfa, isomorphic, minimize
 from .construct import (
@@ -336,26 +336,26 @@ def _add_state_count_rows() -> None:
 def _add_classification_rows() -> None:
     @_row("c2 D(2,8) finite language", "classification", 5)
     def d8(seed):
-        finite = isinstance(classify(spec_dfa(MaxDistinct(2, 8))), NoInfiniteWords)
+        finite = analyze(spec_dfa(MaxDistinct(2, 8))).classification == NoInfiniteWords()
         longest = longest_word(MaxDistinct(2, 8))
         return finite and longest == 8, "finite, longest 8", \
             f"{'finite' if finite else 'infinite'}, longest {longest}"
 
     @_row("c2 D(2,9) periodic words", "classification", 5)
     def d9(seed):
-        got = set(enumerate_periodic(spec_dfa(MaxDistinct(2, 9))))
+        got = set(analyze(spec_dfa(MaxDistinct(2, 9))).periodic_words)
         want = {(Word((), 2), x)
                 for x in W("001011").conjugates() + W("001101").conjugates()}
         return got == want, "12 conjugate words", f"{len(got)} words"
 
     @_row("c2 D(2,10) no birecurrence", "classification", 5)
     def d10_wit(seed):
-        wit = birecurrent_witness(spec_dfa(MaxDistinct(2, 10)))
+        wit = analyze(spec_dfa(MaxDistinct(2, 10))).birecurrent
         return wit is None, "no witness", "no witness" if wit is None else str(wit)
 
     @_row("c2 D(2,10) word census", "classification", 5)
     def d10_words(seed):
-        words = enumerate_periodic(spec_dfa(MaxDistinct(2, 10)))
+        words = analyze(spec_dfa(MaxDistinct(2, 10))).periodic_words
         by_count: dict[int, int] = {}
         for y, x in words:
             ok, npal = verify_ultimately_periodic(y, x, MaxDistinct(2, 10))
@@ -377,7 +377,7 @@ def _add_classification_rows() -> None:
 
     @_row("c2 E(2,4) periodic words", "classification", 6)
     def e4(seed):
-        got = set(enumerate_periodic(spec_dfa(MaxLen(2, 4))))
+        got = set(analyze(spec_dfa(MaxLen(2, 4))).periodic_words)
         want = _word_set(
             [("", base[i:] + base[:i])
              for base in ("001011", "001101") for i in range(6)]
@@ -387,7 +387,7 @@ def _add_classification_rows() -> None:
 
     for label, spec in [("E(3,1)", MaxLen(3, 1)), ("D(3,4)", MaxDistinct(3, 4))]:
         def abc(seed, spec=spec):
-            got = set(enumerate_periodic(spec_dfa(spec)))
+            got = set(analyze(spec_dfa(spec)).periodic_words)
             want = {(Word((), 3), Word(p, 3)) for p in product(range(3), repeat=3)
                     if len(set(p)) == 3}
             return got == want, "the 6 words (abc)^w", f"{len(got)} words"
@@ -398,7 +398,7 @@ def _add_classification_rows() -> None:
             d = spec_dfa(spec)
             u = W(x0, d.alphabet_size)
             v = W(x1, d.alphabet_size)
-            found = birecurrent_witness(d) is not None
+            found = analyze(d).birecurrent is not None
             closing = [q for q in range(d.state_count) if q != d.dead
                        and d.run(q, u) == q and d.run(q, v) == q]
             return found and bool(closing), "witness found, listed pair closes", \
@@ -409,19 +409,20 @@ def _add_classification_rows() -> None:
     for e, o, y, x in T_PERIODIC:
         if (e, o) not in T_REFUTED:
             def t_row(seed, e=e, o=o, y=y, x=x):
-                d = spec_dfa(_t(e, o))
-                cls = classify(d)
-                if not isinstance(cls, FinitelyManyPeriodic):
-                    return False, "periodic with example listed", type(cls).__name__
+                report = analyze(spec_dfa(_t(e, o)))
+                if not isinstance(report.classification, FinitelyManyPeriodic):
+                    return False, "periodic with example listed", \
+                        type(report.classification).__name__
                 pair = _normalized(W(y) if y else Word((), 2), W(x))
-                listed = pair in set(cls.words)
+                words = report.periodic_words
+                listed = pair in set(words)
                 return listed, "periodic with example listed", \
-                    f"{len(cls.words)} words, example {'listed' if listed else 'missing'}"
+                    f"{len(words)} words, example {'listed' if listed else 'missing'}"
             _row(f"c2 T(2,{e},{o}) example word", "classification", 8)(t_row)
             continue
 
         def t_ref(seed, e=e, o=o):
-            cls = classify(spec_dfa(_t(e, o)))
+            cls = analyze(spec_dfa(_t(e, o))).classification
             got = type(cls).__name__
             return isinstance(cls, FinitelyManyPeriodic), \
                 "FinitelyManyPeriodic per the reference table", \
@@ -432,7 +433,7 @@ def _add_classification_rows() -> None:
         def t_cert(seed, e=e, o=o, y=y, x=x):
             spec = _t(e, o)
             d = spec_dfa(spec)
-            wit = birecurrent_witness(d)
+            wit = analyze(d).birecurrent
             if wit is None:
                 return False, "two cycles at one live state", "no witness"
             q, x0, x1 = wit
@@ -444,9 +445,7 @@ def _add_classification_rows() -> None:
                     "cycle check failed"
             # automaton-free refutation: an aperiodic mixing pattern of the
             # two cycles keeps the palindromic factor census within caps
-            w = prefix
-            for b in thue_morse(48):
-                w = w + (x1 if b else x0)
+            w = prefix + witness_morphisms(q, x0, x1)[0].apply(thue_morse(48))
             evens, odds = palindromic_factors(w).counts_by_parity()
             evens -= 1  # the empty word
             if evens > e or odds > o:
@@ -457,7 +456,7 @@ def _add_classification_rows() -> None:
             if not ok_example:
                 return False, "reference example word in the language", \
                     "example word rejected"
-            shifted = classify(spec_dfa(_t(e - 1, o)))
+            shifted = analyze(spec_dfa(_t(e - 1, o))).classification
             if isinstance(shifted, UncountablyManyAperiodic):
                 return False, f"even cap {e - 1} free of aperiodic words", \
                     "shifted language also aperiodic"
@@ -647,8 +646,8 @@ def _add_stabilization_rows() -> None:
 
     @_row("c9 S(4) image of the parity word", "stabilization", 6)
     def h_image(seed):
-        h = {0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)}
-        image = Word((c for a in thue_morse(1000) for c in h[a]), 4)
+        h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
+        image = h.apply(thue_morse(1000))
         got = set(palindromic_factors(image))
         want = {Word((), 4)} | {Word((c,), 4) for c in range(4)}
         return got == want, "exactly the five allowed palindromes", \

@@ -5,6 +5,7 @@ certificate rows prove wrong; they are strict xfails so the suite stays
 green while the discrepancy stays visible and any drift trips an XPASS.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ import palfac
 from palfac.reproduce import row_descriptors
 
 ROWS = row_descriptors()
+# sha256 of the full registry's stdout: every row's name, verdict and values
+REGISTRY_DIGEST = "44a855db9716aab0df8bb3d5999c606ad78706a72c0858e22043b99bb1f55c8e"
 
 
 def _param(name, fn, known):
@@ -56,12 +59,14 @@ def test_rows_hold_under_optimized_python():
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
             for flags in ([], ["-O"])]
-    rows = []
+    rows, digests = [], []
     for run in runs:
         stdout, stderr = run.communicate()
         assert run.returncode == 0, stderr
         rows.append([json.loads(line) for line in stdout.splitlines()])
+        digests.append(hashlib.sha256(stdout.encode()).hexdigest())
     plain, optimized = rows
+    assert digests[0] == REGISTRY_DIGEST
     assert [row["name"] for row in plain] == [name for name, *_ in ROWS]
     assert plain == optimized
     verdicts = {}

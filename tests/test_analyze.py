@@ -3,6 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import palfac.analyze
 from palfac.analyze import (
     AnalysisReport,
     CountablyManyPeriodic,
@@ -12,10 +13,6 @@ from palfac.analyze import (
     UncountablyManyAperiodic,
     _graph,
     analyze,
-    birecurrent_witness,
-    classify,
-    enumerate_periodic,
-    recurrent_states,
     verify_ultimately_periodic,
     witness_morphisms,
 )
@@ -71,17 +68,17 @@ def common_closing_states(d, x0, x1):
 class TestRecurrentStates:
     def test_none_when_language_finite(self):
         d = build(MaxDistinct(2, 8))
-        assert recurrent_states(d) == set()
+        assert analyze(d).recurrent_states == set()
 
     def test_twelve_for_nine_binary_palindromes(self):
-        assert len(recurrent_states(build(MaxDistinct(2, 9)))) == 12
+        assert len(analyze(build(MaxDistinct(2, 9))).recurrent_states) == 12
 
     def test_six_for_four_ternary_palindromes(self):
-        assert len(recurrent_states(build(MaxDistinct(3, 4)))) == 6
+        assert len(analyze(build(MaxDistinct(3, 4))).recurrent_states) == 6
 
     def test_each_state_lies_on_a_cycle(self):
         d = build(MaxLen(2, 4))
-        for q in recurrent_states(d):
+        for q in analyze(d).recurrent_states:
             # some nonempty word of length <= state count returns to q
             seen = {q}
             frontier = {d.delta[q][a] for a in range(2) if d.delta[q][a] != d.dead}
@@ -94,7 +91,7 @@ class TestRecurrentStates:
 
     def test_finite_language_shorter_than_state_count(self):
         d = build(MaxDistinct(2, 8))
-        assert recurrent_states(d) == set()
+        assert analyze(d).recurrent_states == set()
         assert longest_word(MaxDistinct(2, 8)) == 8
         assert 8 < d.live_state_count()
 
@@ -103,14 +100,14 @@ class TestBirecurrentWitness:
     def test_absent_for_periodic_only_automata(self):
         for spec in (MaxDistinct(2, 9), MaxDistinct(2, 10), MaxLen(2, 4),
                      MaxDistinct(3, 4), MaxLen(3, 1)):
-            assert birecurrent_witness(build(spec)) is None
+            assert analyze(build(spec)).birecurrent is None
 
     def test_witness_closes_two_noncommuting_cycles(self):
         for spec in (MaxDistinct(3, 5), MaxLen(3, 2), MaxLen(2, 5),
                      MaxLenByParity(2, 2, 5), MaxLenByParity(2, 6, 3),
                      MaxLenByParity(3, 0, 3), sigma4_singles()):
             d = build(spec)
-            q, x0, x1 = birecurrent_witness(d)
+            q, x0, x1 = analyze(d).birecurrent
             assert d.run(q, x0) == q
             assert d.run(q, x1) == q
             assert x0 + x1 != x1 + x0
@@ -134,22 +131,23 @@ class TestBirecurrentWitness:
 
 class TestClassify:
     def test_trichotomy_examples(self):
-        assert isinstance(classify(build(MaxDistinct(2, 8))), NoInfiniteWords)
-        assert isinstance(classify(build(MaxLen(2, 4))), FinitelyManyPeriodic)
-        assert isinstance(classify(build(MaxDistinct(2, 11))), UncountablyManyAperiodic)
+        for spec, kind in ((MaxDistinct(2, 8), NoInfiniteWords),
+                           (MaxLen(2, 4), FinitelyManyPeriodic),
+                           (MaxDistinct(2, 11), UncountablyManyAperiodic)):
+            assert isinstance(analyze(build(spec)).classification, kind)
 
     def test_chained_cycles_are_countable(self):
         d = minimize(import_dfa(ZERO_STAR_ONE_STAR))
         rep = analyze(d)
-        assert rep.classification == classify(d) == CountablyManyPeriodic()
+        assert rep.classification == CountablyManyPeriodic()
         assert rep.birecurrent is None
         assert rep.periodic_words == ()
         assert rep.recurrent_states == {d.start, d.delta[d.start, 1]}
 
-    def test_finite_classification_carries_words(self):
-        cls = classify(build(MaxDistinct(2, 9)))
-        assert isinstance(cls, FinitelyManyPeriodic)
-        assert len(cls.words) == 12
+    def test_only_the_finite_classification_lists_words(self):
+        assert analyze(build(MaxDistinct(2, 9))).classification == FinitelyManyPeriodic()
+        for spec in (MaxDistinct(2, 8), MaxDistinct(2, 11)):
+            assert analyze(build(spec)).periodic_words == ()
 
     def test_report_aggregates(self):
         rep = analyze(build(MaxDistinct(2, 9)))
@@ -158,23 +156,10 @@ class TestClassify:
         assert rep.birecurrent is None
         assert len(rep.periodic_words) == 12
 
-    @pytest.mark.parametrize("spec", [
-        MaxDistinct(2, 8), MaxDistinct(2, 9), MaxDistinct(2, 11), MaxDistinct(3, 4),
-        MaxLen(2, 4), MaxLenByParity(3, 0, 3), MaxCountByParity(2, 3, 5, count_empty=False),
-    ])
-    def test_report_matches_the_separate_queries(self, spec):
-        d = build(spec)
-        rep = analyze(d)
-        assert rep.recurrent_states == recurrent_states(d)
-        assert rep.birecurrent == birecurrent_witness(d)
-        assert rep.classification == classify(d)
-        if isinstance(rep.classification, FinitelyManyPeriodic):
-            assert list(rep.periodic_words) == enumerate_periodic(d)
-
     def test_monotone_in_the_cap(self):
         seen_aperiodic = False
         for cap in (8, 9, 10, 11):
-            aperiodic = isinstance(classify(build(MaxDistinct(2, cap))),
+            aperiodic = isinstance(analyze(build(MaxDistinct(2, cap))).classification,
                                    UncountablyManyAperiodic)
             assert not (seen_aperiodic and not aperiodic)
             seen_aperiodic = seen_aperiodic or aperiodic
@@ -182,20 +167,20 @@ class TestClassify:
 
 class TestEnumeratePeriodic:
     def test_nine_binary_palindromes(self):
-        words = enumerate_periodic(build(MaxDistinct(2, 9)))
+        words = analyze(build(MaxDistinct(2, 9))).periodic_words
         expect = {(EMPTY, x) for x in conjugates("001011") | conjugates("001101")}
         assert set(words) == expect
 
     def test_four_ternary_palindromes(self):
-        words = enumerate_periodic(build(MaxDistinct(3, 4)))
+        words = analyze(build(MaxDistinct(3, 4))).periodic_words
         periods = {str(x) for y, x in words}
         assert all(len(y) == 0 for y, x in words)
         assert periods == {"012", "021", "102", "120", "201", "210"}
-        assert enumerate_periodic(build(MaxLen(3, 1))) == \
-            enumerate_periodic(build(MaxDistinct(3, 4)))
+        assert analyze(build(MaxLen(3, 1))).periodic_words == \
+            analyze(build(MaxDistinct(3, 4))).periodic_words
 
     def test_twenty_binary_maxlen_four(self):
-        words = set(enumerate_periodic(build(MaxLen(2, 4))))
+        words = set(analyze(build(MaxLen(2, 4))).periodic_words)
         assert len(words) == 20
         expect = {(EMPTY, x) for x in conjugates("001011") | conjugates("001101")}
         for y in ("0", "00", "111", "1111"):
@@ -205,14 +190,14 @@ class TestEnumeratePeriodic:
         assert words == expect
 
     def test_fifty_two_with_ten_binary_palindromes(self):
-        words = enumerate_periodic(build(MaxDistinct(2, 10)))
+        words = analyze(build(MaxDistinct(2, 10))).periodic_words
         assert len(words) == 52
         for x in ("0001011", "0001101", "0010111", "0011101"):
             assert all((EMPTY, c) in set(words) for c in conjugates(x))
 
     def test_periods_primitive_and_preperiods_trimmed(self):
         for spec in (MaxDistinct(2, 10), MaxLen(2, 4)):
-            for y, x in enumerate_periodic(build(spec)):
+            for y, x in analyze(build(spec)).periodic_words:
                 assert len(x) >= 1
                 for p in range(1, len(x)):
                     if len(x) % p == 0:
@@ -220,28 +205,21 @@ class TestEnumeratePeriodic:
                 if len(y):
                     assert y[-1] != x[-1]
 
-    def test_rejects_branching_cycles(self):
-        with pytest.raises(ValueError):
-            enumerate_periodic(build(MaxDistinct(3, 5)))
-
-    def test_rejects_chained_cycles(self):
-        with pytest.raises(ValueError):
-            enumerate_periodic(import_dfa(ZERO_STAR_ONE_STAR))
-
     def test_finite_language_has_no_words(self):
         # 2^21 paths, none of which reaches a cycle
         d = import_dfa(UP_TO_TWENTY)
         assert d.state_count == 22
-        assert classify(d) == NoInfiniteWords()
-        assert enumerate_periodic(d) == []
+        rep = analyze(d)
+        assert rep.classification == NoInfiniteWords()
+        assert rep.periodic_words == ()
 
     @pytest.mark.parametrize("minimized", [False, True])
     def test_dead_end_approach_paths_are_not_walked(self, minimized):
         d = import_dfa(ONE_WORD)
         d = minimize(d) if minimized else d
-        words = [(W("1"), W("0"))]
-        assert enumerate_periodic(d) == words
-        assert analyze(d).classification == FinitelyManyPeriodic(tuple(words))
+        rep = analyze(d)
+        assert rep.periodic_words == ((W("1"), W("0")),)
+        assert rep.classification == FinitelyManyPeriodic()
 
 
 def _normalized(y: str, x: str) -> tuple[Word, Word]:
@@ -266,13 +244,31 @@ class TestVerifyUltimatelyPeriodic:
     def test_all_enumerated_words_verify(self):
         spec = MaxDistinct(2, 10)
         sizes = []
-        for y, x in enumerate_periodic(build(spec)):
+        for y, x in analyze(build(spec)).periodic_words:
             accepted, size = verify_ultimately_periodic(y, x, spec)
             assert accepted
             assert size <= 10
             sizes.append(size)
         assert sizes.count(10) == 40
         assert sizes.count(9) == 12
+
+    def test_runs_without_the_automaton(self, monkeypatch):
+        # the check judges words by the spec's whole-word rule, so it stays
+        # independent of the automaton whose enumeration it confirms
+        spec = MaxDistinct(2, 10)
+        words = analyze(build(spec)).periodic_words
+
+        def no_automaton(spec):
+            raise AssertionError("verify_ultimately_periodic built an automaton")
+
+        monkeypatch.setattr(palfac.analyze, "spec_dfa", no_automaton)
+        counts: dict[int, int] = {}
+        for y, x in words:
+            accepted, size = verify_ultimately_periodic(y, x, spec)
+            assert accepted
+            counts[size] = counts.get(size, 0) + 1
+        assert len(words) == 52
+        assert counts == {10: 40, 9: 12}
 
     def test_empty_period_rejected(self):
         with pytest.raises(ValueError):
@@ -317,7 +313,7 @@ class TestWitnessMorphisms:
 
     def test_translated_image_of_thue_morse_accepted(self):
         d = build(MaxDistinct(2, 11))
-        q, x0, x1 = birecurrent_witness(d)
+        q, x0, x1 = analyze(d).birecurrent
         h, _ = witness_morphisms(q, x0, x1)
         image = h.apply(thue_morse(2000))
         assert d.accepts(image)
@@ -350,20 +346,20 @@ class TestWitnessMorphisms:
 class TestParityCountRows:
     def test_periodic_row_contains_published_word(self):
         spec = MaxCountByParity(2, 5, 4, count_empty=False)
-        cls = classify(build(spec))
-        assert isinstance(cls, FinitelyManyPeriodic)
-        assert (EMPTY, W("001011")) in set(cls.words)
+        rep = analyze(build(spec))
+        assert isinstance(rep.classification, FinitelyManyPeriodic)
+        assert (EMPTY, W("001011")) in set(rep.periodic_words)
 
     def test_aperiodic_row_witness(self):
         spec = MaxCountByParity(2, 9, 4, count_empty=False)
         d = build(spec)
-        assert isinstance(classify(d), UncountablyManyAperiodic)
+        assert isinstance(analyze(d).classification, UncountablyManyAperiodic)
         assert common_closing_states(d, W("001011"), W("0011001011"))
 
     def test_ternary_row_witness(self):
         spec = MaxCountByParity(3, 1, 5, count_empty=False)
         d = build(spec)
-        assert isinstance(classify(d), UncountablyManyAperiodic)
+        assert isinstance(analyze(d).classification, UncountablyManyAperiodic)
         assert common_closing_states(d, W("01012"), W("012"))
 
 
@@ -452,4 +448,4 @@ def test_graph_components_are_the_mutual_reachability_classes(d):
         for q in reached:
             mutual = p == q or (q in after[p] and p in after[q])
             assert (comp[p] == comp[q]) == mutual
-    assert recurrent_states(d) == {q for q in reached if q in after[q]}
+    assert {q for q, e in enumerate(inner) if e} == {q for q in reached if q in after[q]}

@@ -394,6 +394,16 @@ class TestErrors:
             main(["build", "--family", "S", "--allowed", str(tmp_path / "missing.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--cap", "-1", "--length", "3"],
+        ["--alphabet", "0", "--cap", "3", "--length", "2"],
+    ], ids=["negative cap", "empty alphabet"])
+    def test_oracle_rejects_bad_spec_parameters(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "oracle", "--family", "D", *argv)
+        assert code == 2
+        assert stdout == ""
+        assert "error" in stderr
+
     @pytest.mark.parametrize("command", ["minimize", "count"])
     @pytest.mark.parametrize("name, text", [
         ("accepting past the states", '{"delta": [[0, 1], [1, 1]], "start": 0, "accepting": [0, 99]}'),

@@ -12,8 +12,7 @@ import palfac
 from palfac.automaton import isomorphic, minimize
 from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
                               MaxCountByParity, MaxDistinct, MaxLen, MaxLenByParity,
-                              build_avoidance, build_direct, forbidden_set,
-                              window_bound)
+                              build_avoidance, build_direct, forbidden_set)
 from palfac.oracle import brute_count_profile, brute_count_unpruned
 from palfac.words import Word, enumerate_palindromes
 
@@ -40,31 +39,37 @@ def W(text):
 
 class TestWindowBound:
     def test_max_distinct(self):
-        assert window_bound(MaxDistinct(2, 11)) == 21
-        assert window_bound(MaxDistinct(2, 1)) == 1
+        assert MaxDistinct(2, 11).window_bound() == 21
+        assert MaxDistinct(2, 1).window_bound() == 1
 
     def test_max_len(self):
-        assert window_bound(MaxLen(2, 0)) == 1
-        assert window_bound(MaxLen(2, 5)) == 6
+        assert MaxLen(2, 0).window_bound() == 1
+        assert MaxLen(2, 5).window_bound() == 6
 
     def test_max_len_by_parity(self):
-        assert window_bound(MaxLenByParity(2, 2, 5)) == 7
-        assert window_bound(MaxLenByParity(3, 0, 3)) == 5
+        assert MaxLenByParity(2, 2, 5).window_bound() == 7
+        assert MaxLenByParity(3, 0, 3).window_bound() == 5
 
     def test_max_count_by_parity(self):
-        assert window_bound(MaxCountByParity(2, 5, 4)) == 9
-        assert window_bound(MaxCountByParity(3, 1, 5)) == 10
-        assert window_bound(MaxCountByParity(3, 1, 5, count_empty=False)) == 10
+        assert MaxCountByParity(2, 5, 4).window_bound() == 9
+        assert MaxCountByParity(3, 1, 5).window_bound() == 10
+        assert MaxCountByParity(3, 1, 5, count_empty=False).window_bound() == 10
 
     def test_allowed_set(self):
-        assert window_bound(AllowedSet(2, enumerate_palindromes(2, 2))) == 4
-        assert window_bound(AllowedSet(4, [Word(())])) == 2
+        assert AllowedSet(2, enumerate_palindromes(2, 2)).window_bound() == 4
+        assert AllowedSet(4, [Word(())]).window_bound() == 2
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
-            window_bound(MaxDistinct(2, -1))
+            MaxDistinct(2, -1)
         with pytest.raises(ValueError):
-            window_bound(MaxLenByParity(2, -2, 3))
+            MaxLenByParity(2, -2, 3)
+
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError):
+            MaxDistinct(0, 3)
+        with pytest.raises(ValueError):
+            AllowedSet(0, [])
 
 
 # instances small enough for the brute-force oracle, covering all families
