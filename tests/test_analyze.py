@@ -156,6 +156,30 @@ class TestClassify:
         assert rep.birecurrent is None
         assert len(rep.periodic_words) == 12
 
+    @pytest.mark.parametrize("spec", [
+        MaxDistinct(2, 8), MaxDistinct(2, 9), MaxDistinct(2, 11), MaxDistinct(3, 4),
+        MaxLen(2, 4), MaxLenByParity(3, 0, 3), MaxCountByParity(2, 3, 5, count_empty=False),
+    ])
+    def test_report_fields_agree(self, spec):
+        # the four fields come from one pass: check them against one another,
+        # and the periodic words against the spec's whole-word rule
+        d = build(spec)
+        rep = analyze(d)
+        cls = rep.classification
+        assert (not rep.recurrent_states) == isinstance(cls, NoInfiniteWords)
+        assert (rep.birecurrent is not None) == isinstance(cls, UncountablyManyAperiodic)
+        assert bool(rep.periodic_words) == isinstance(cls, FinitelyManyPeriodic)
+        if rep.birecurrent is not None:
+            q, x0, x1 = rep.birecurrent
+            assert q in rep.recurrent_states
+            assert d.run(q, x0) == q == d.run(q, x1)
+        for y, x in rep.periodic_words:
+            assert verify_ultimately_periodic(y, x, spec)[0]
+            q = d.run(d.start, y)
+            for _ in range(d.state_count):
+                q = d.run(q, x)
+            assert q in rep.recurrent_states
+
     def test_monotone_in_the_cap(self):
         seen_aperiodic = False
         for cap in (8, 9, 10, 11):

@@ -71,6 +71,17 @@ class TestWindowBound:
         with pytest.raises(ValueError):
             AllowedSet(0, [])
 
+    @pytest.mark.parametrize("make", [
+        lambda: MaxLen(2, -1),
+        lambda: MaxLenByParity(2, 3, -1),
+        lambda: MaxCountByParity(2, -1, 3),
+        lambda: MaxCountByParity(2, 3, -1, count_empty=False),
+    ], ids=["MaxLen cap", "MaxLenByParity odd cap", "MaxCountByParity even cap",
+            "MaxCountByParity odd cap"])
+    def test_every_cap_is_checked(self, make):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            make()
+
 
 # instances small enough for the brute-force oracle, covering all families
 ORACLE_SPECS = [
