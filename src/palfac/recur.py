@@ -29,6 +29,7 @@ import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence as SeqABC
 
 import numpy as np
@@ -289,20 +290,23 @@ def _berlekamp_massey(s: list[int], p: int) -> list[int]:
     """Connection polynomial c (ascending, c[0]=1) of the shortest LFSR mod p.
 
     Satisfies s[n] + c[1] s[n-1] + ... + c[L] s[n-L] = 0 for L <= n < len(s).
+    Each discrepancy is one dot product of c with the reversed window,
+    reduced once.
     """
+    r = s[::-1]  # s[n - i] is r[N - 1 - n + i]
+    N = len(s)
     c, b = [1], [1]
     L, m, bb = 0, 1, 1
-    for n in range(len(s)):
-        d = s[n]
-        for i in range(1, L + 1):
-            d = (d + c[i] * s[n - i]) % p
+    for n in range(N):
+        d = sum(map(mul, c, r[N - 1 - n:N - n + L])) % p
         if d == 0:
             m += 1
             continue
-        coef = d * pow(bb, p - 2, p) % p
-        old, c = c, c + [0] * (len(b) + m - len(c))
-        for i, bi in enumerate(b):
-            c[i + m] = (c[i + m] - coef * bi) % p
+        coef = p - d * pow(bb, -1, p) % p  # c <- c - (d / bb) X^m b
+        old = c
+        if len(c) < len(b) + m:
+            c = c + [0] * (len(b) + m - len(c))
+        c = c[:m] + [(x + coef * y) % p for x, y in zip(c[m:], b)] + c[m + len(b):]
         if 2 * L <= n:
             L, b, bb, m = n + 1 - L, old, d, 1
         else:
@@ -369,21 +373,68 @@ def _lift(registers: Iterable[tuple[int, list[int]]], accept: Callable[[Polynomi
     return None
 
 
+def _spanning_columns(table: np.ndarray) -> np.ndarray:
+    """Columns G of M whose Krylov spaces together span every unit vector; ascending.
+
+    (M e_j)[i] = M[i][j], so M e_j is a positive combination of the unit
+    vectors of j's predecessors, the rows i whose gathers include j.  Let
+    K be an M-invariant subspace holding e_g for every g in G (over Q, or
+    modulo a prime above every entry of M).  If e_j lies in K and so do
+    the unit vectors of all but one predecessor i of j, then M[i][j] e_i,
+    the rest of M e_j, lies in K, and so does e_i.  The closure runs
+    that rule to a fixpoint with a worklist and a count of each state's
+    predecessors not yet popped; whenever it stops short of every state,
+    the highest-numbered state not yet derived is added to G as a seed.
+    """
+    n = len(table) - 1
+    succ = [set(row) - {n} for row in table[:n].tolist()]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    unknown = list(map(len, pred))  # predecessors not yet popped
+    known = [False] * n
+    seeds = []
+    for seed in range(n - 1, -1, -1):
+        if known[seed]:
+            continue
+        seeds.append(seed)
+        known[seed] = True
+        work = [seed]
+        while work:
+            j = work.pop()
+            for k in succ[j]:
+                unknown[k] -= 1
+            for k in itertools.chain(succ[j], (j,)):
+                # a count of 1 may be a predecessor derived but not yet popped
+                if known[k] and unknown[k] == 1:
+                    i = next((i for i in pred[k] if not known[i]), None)
+                    if i is not None:
+                        known[i] = True
+                        work.append(i)
+    return np.array(seeds[::-1], dtype=np.intp)
+
+
 def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
     """Certified check that p(M) = 0, by a gather Horner modulo 2^64 and primes.
 
+    Only the columns G of _spanning_columns are evaluated, and that
+    suffices: the kernel of p(M) is M-invariant, since p(M) commutes with
+    M, so once p(M) e_g = 0 for every g in G, the kernel holds every
+    M^t e_g, whose span holds every unit vector: p(M) = 0.
     M is nonnegative with row sums at most R, the table's width, so the
     entries of M^t are at most R^t and every entry of p(M) lies in
     [-B, B] for B = sum|p_i| * R^deg.  The moduli are 2^64, then the
     fixed primes just below 2^31: they are pairwise coprime, so vanishing
     modulo moduli whose product exceeds 2B + 1 proves exact vanishing.
-    Each Horner step H <- M H + c I is a sum of R row gathers of H: O(n R)
-    row operations per step, with no dense product and no BLAS.  Modulo
-    2^64 a step is plain uint64 arithmetic, whose wraparound is the
-    reduction; modulo a prime, residues are reduced only when a tracked
-    bound on the entries would reach 2^64.  The columns of H are
-    independent and run in blocks of about _CACHE_ENTRIES entries, so H
-    and its two step buffers stay in a core's L2 cache for all deg steps.
+    Each Horner step H <- M H + c I is a sum of R row gathers of H, so
+    the check costs O(deg nnz |G|) per modulus, nnz = n R the table's
+    entries, with no dense product and no BLAS.  Modulo 2^64 a step is
+    plain uint64 arithmetic, whose wraparound is the reduction; modulo a
+    prime, residues are reduced only when a tracked bound on the entries
+    would reach 2^64.  The columns of H are independent and run in blocks
+    of about _CACHE_ENTRIES entries, so H and its two step buffers stay
+    in a core's L2 cache for all deg steps.
     The gathers skip the bounds check: table must hold only indices in
     [0, n], with its sentinel row, as the read-only tables of
     CountingSystem and _gather_table do.
@@ -398,12 +449,13 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
     # for M = 0
     gathers = np.full((R, n + 1), n, dtype=np.intp)
     gathers[:width] = table.T
+    spanning = _spanning_columns(table)
     block = max(1, _CACHE_ENTRIES // (n + 1))
     have = 1
     for q in itertools.chain([_RING], _primes_below(1 << 31)):
         coeffs = [np.uint64(c % q) for c in reversed(p.coeffs)]
-        for lo in range(0, n, block):
-            cols = np.arange(lo, min(n, lo + block))
+        for lo in range(0, len(spanning), block):
+            cols = spanning[lo:lo + block]
             diag = (cols, np.arange(len(cols)))
             H = np.zeros((n + 1, len(cols)), dtype=np.uint64)
             out, buf = np.empty_like(H), np.empty_like(H)
@@ -440,7 +492,9 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     so every candidate is monic.  The longest registers are lifted by
     symmetric CRT (_lift), and a lift is accepted only after an exact
     certificate that p(M) = 0: a gather Horner modulo 2^64 and then the
-    primes below 2^31, over column blocks of about 2^16 entries (see
+    primes below 2^31, over column blocks of about 2^16 entries, on only
+    the columns G of _spanning_columns, whose Krylov spaces span all the
+    others, at a cost of O(deg nnz |G|) per modulus (see
     _verify_annihilates_matrix).  Every eigenvalue of M has modulus at
     most R, the largest row sum, so coefficient i of the minimal
     polynomial of degree d is at most C(d, i) R^i <= (1 + R)^d; once the

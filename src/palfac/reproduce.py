@@ -266,7 +266,8 @@ MIN_POLYS = [
 # label, spec, annihilator route, alpha, multiplicity, leading constant,
 # parity-split constant or None, section; the constants hold to one unit in
 # their last digit.  D(2,12) takes the sequence route: its matrix route
-# spends about 15 s in the 2,271-state certificate.
+# spends about 0.35 s (Python 3.11, 2-core VM) in the 2,271-state
+# certificate, which evaluates 359 spanning columns.
 ASYMPTOTICS = [
     ("D(2,11)", MaxDistinct(2, 11), "lda", 1.112775684279, 1, "20.665", None, 5),
     ("D(2,12)", MaxDistinct(2, 12), "hankel", 1.112775684279, 2, "2.0820185", None, 5),

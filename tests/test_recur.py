@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -27,8 +28,10 @@ from palfac.oracle import brute_count
 from palfac.polys import Polynomial, exact_div
 from palfac.recur import (
     _CACHE_ENTRIES,
+    _berlekamp_massey,
     _gather_table,
     _lift,
+    _spanning_columns,
     _verify_annihilates_matrix,
     CountingSystem,
     InconclusiveError,
@@ -652,16 +655,30 @@ class TestGatherCertificate:
 
     def test_every_column_block_is_checked(self):
         # a 299-cycle and a state with a weight-2 self-loop: X^299 - 1
-        # kills every column but the last, which lands in the tail block
+        # kills every column but the last; the closure needs only the
+        # cycle's last column and the loop's, one block between them
         n = 300
         M = [[0] * n for _ in range(n)]
         for i in range(n - 1):
             M[i][(i + 1) % (n - 1)] = 1
         M[n - 1][n - 1] = 2
         assert n > _CACHE_ENTRIES // (n + 1)
+        assert _spanning_columns(_gather_table(M)).tolist() == [n - 2, n - 1]
         cycle = XP(n - 1) - P([1])
         assert certified(cycle * P([-2, 1]), M)
         assert not certified(cycle, M)
+
+    def test_tail_block_of_the_spanning_columns_is_checked(self):
+        # on a diagonal each state is its own only predecessor, so every
+        # column is a seed; X - 1 kills all but the last, in the tail block
+        n = 300
+        M = [[int(i == j) for j in range(n)] for i in range(n)]
+        M[n - 1][n - 1] = 2
+        spanning = _spanning_columns(_gather_table(M)).tolist()
+        block = _CACHE_ENTRIES // (n + 1)
+        assert spanning == list(range(n)) and n % block
+        assert certified(P([-1, 1]) * P([-2, 1]), M)
+        assert not certified(P([-1, 1]), M)
 
     def test_rejection_survives_optimized_mode(self):
         code = (
@@ -693,6 +710,202 @@ class TestGatherCertificate:
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.split() == ["True", "False", "CapacityError", "ValueError",
                                       "ValueError", "ValueError"]
+
+
+def first_dependency(vectors):
+    """The monic polynomial c of least degree with sum c_t vectors[t] = 0, over Q.
+
+    vectors yields integer vectors; elimination keeps each reduced
+    vector with its pivot and its combination of the vectors so far.
+    """
+    rows = []  # (reduced vector, pivot, combination, ascending)
+    for d, v in enumerate(vectors):
+        v, comb = [Fraction(x) for x in v], [Fraction(0)] * d + [Fraction(1)]
+        for r, col, rc in rows:
+            if v[col]:
+                f = v[col] / r[col]
+                v = [a - f * b for a, b in zip(v, r)]
+                comb = [a - f * b for a, b in itertools.zip_longest(comb, rc, fillvalue=0)]
+        if not any(v):
+            assert all(c.denominator == 1 for c in comb)
+            return P([int(c) for c in comb])
+        rows.append((v, next(i for i, x in enumerate(v) if x), comb))
+
+
+def krylov(M, y):
+    """y, M y, M^2 y, ... as lists of Python ints."""
+    while True:
+        yield y
+        y = [sum(m * x for m, x in zip(row, y)) for row in M]
+
+
+def matrix_powers(M):
+    """I, M, M^2, ... flattened row by row."""
+    n = len(M)
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        yield [x for row in A for x in row]
+        A = [[sum(A[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def krylov_rank(M, cols, q=2 ** 61 - 1):
+    """Rank modulo the prime q of M^t e_g for g in cols and t < n, by elimination."""
+    n = len(M)
+    rows = []  # (reduced vector, its pivot), the pivot entry 1
+    for g in cols:
+        for y in itertools.islice(krylov(M, [int(i == g) for i in range(n)]), n):
+            v = [x % q for x in y]
+            for r, col in rows:
+                if v[col]:
+                    f = v[col]
+                    v = [(a - f * b) % q for a, b in zip(v, r)]
+            col = next((i for i, x in enumerate(v) if x), None)
+            if col is not None:
+                inv = pow(v[col], -1, q)
+                rows.append(([x * inv % q for x in v], col))
+    return len(rows)
+
+
+def table_matrix(table):
+    """The dense matrix of a gather table without its sentinel row."""
+    n = len(table)
+    return CountingSystem(table, [0] * n, [0] * n).M
+
+
+# a DFA with a dead state n, which every letter keeps and any state may
+# enter, and an unreachable state n + 1, which no letter enters
+dfa_matrices = st.integers(1, 6).flatmap(lambda n: st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(0, n), min_size=k, max_size=k), min_size=n, max_size=n),
+    st.lists(st.integers(0, n), min_size=k, max_size=k)))).map(
+    lambda t: table_matrix(t[0] + [[len(t[0])] * len(t[1]), t[1]]))
+
+# nonnegative matrices with entries above 1 and a set of zero columns
+zero_column_matrices = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1)))).map(
+    lambda t: [[0 if j in t[1] else x for j, x in enumerate(row)] for row in t[0]])
+
+
+class TestSpanningColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(dfa_matrices, zero_column_matrices), st.data())
+    def test_columns_span_and_the_certificate_is_exact(self, M, data):
+        n = len(M)
+        spanning = _spanning_columns(_gather_table(M)).tolist()
+        assert spanning == sorted(set(spanning)) and spanning
+        assert krylov_rank(M, spanning) == n
+        mp = first_dependency(matrix_powers(M))
+        i = data.draw(st.integers(0, mp.degree))
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        # a column's own minimal polynomial kills that column, and maybe no other
+        local = [first_dependency(krylov(M, [int(r == j) for r in range(n)])) for j in range(n)]
+        drawn = P(data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8)))
+        for p in [mp, mp + XP(i, delta), drawn] + local:
+            assert certified(p, M) == (not p.is_zero() and not any(map(any, exact_eval(p, M))))
+
+    def test_a_predecessor_is_derived_only_as_the_last_unknown(self):
+        # column 2 is e_0 + e_1 + 2 e_2, and 0 and 1 swap, so p = (X - 1)(X - 2)
+        # kills e_2 and e_0 + e_1 but not e_0: a closure that derived 0 or 1
+        # from 2 alone would keep G = [2] and accept p
+        M = [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
+        p = P([-1, 1]) * P([-2, 1])
+        assert [row[2] for row in exact_eval(p, M)] == [0, 0, 0]
+        assert not certified(p, M)
+        assert certified(p * P([1, 1]), M)
+        assert _spanning_columns(_gather_table(M)).tolist() == [1, 2]
+
+    def test_a_fifth_of_d_2_11_spans(self, monkeypatch):
+        # a deterministic stand-in for a timing test: the certificate's
+        # cost is proportional to the number of columns it evaluates
+        import palfac.recur
+        cs = transfer_matrix(build(MaxDistinct(2, 11)))
+        p = matrix_min_poly(cs)
+        seen = []
+        spanning = palfac.recur._spanning_columns
+
+        def recorded(table):
+            seen.append(spanning(table))
+            return seen[-1]
+
+        monkeypatch.setattr(palfac.recur, "_spanning_columns", recorded)
+        assert _verify_annihilates_matrix(p, cs.table)
+        assert cs.size == 811 and len(seen) == 1
+        assert len(seen[0]) <= 0.2 * cs.size
+
+
+def reference_berlekamp_massey(s, p):
+    """Berlekamp-Massey as first written: a reduction per product, Fermat inverses."""
+    c, b = [1], [1]
+    L, m, bb = 0, 1, 1
+    for n in range(len(s)):
+        d = s[n]
+        for i in range(1, L + 1):
+            d = (d + c[i] * s[n - i]) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * pow(bb, p - 2, p) % p
+        old, c = c, c + [0] * (len(b) + m - len(c))
+        for i, bi in enumerate(b):
+            c[i + m] = (c[i + m] - coef * bi) % p
+        if 2 * L <= n:
+            L, b, bb, m = n + 1 - L, old, d, 1
+        else:
+            m += 1
+    return c[:L + 1] + [0] * (L + 1 - len(c))
+
+
+bm_primes = st.sampled_from([2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1])
+
+
+def residues(p, max_size=40):
+    """Sequences modulo p in which zeros, and runs of them, are common."""
+    return st.lists(st.one_of(st.just(0), st.integers(0, p - 1)), max_size=max_size)
+
+
+class TestBerlekampMassey:
+    def assert_register(self, s, p):
+        c = _berlekamp_massey(s, p)
+        assert c == reference_berlekamp_massey(s, p)
+        L = len(c) - 1
+        assert c[0] == 1 and all(0 <= x < p for x in c)
+        assert all(sum(ci * s[n - i] for i, ci in enumerate(c)) % p == 0
+                   for n in range(L, len(s)))
+        return c
+
+    @settings(max_examples=200, deadline=None)
+    @given(bm_primes.flatmap(lambda p: st.tuples(st.just(p), residues(p))))
+    def test_matches_the_reference(self, case):
+        p, s = case
+        self.assert_register(s, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bm_primes.flatmap(lambda p: st.tuples(
+        st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=6).flatmap(
+            lambda taps: st.tuples(st.just(taps), st.lists(
+                st.integers(0, p - 1), min_size=len(taps), max_size=len(taps)))))))
+    def test_lfsr_outputs_give_no_longer_register(self, case):
+        p, (taps, init) = case
+        L = len(taps)
+        impulse = [0] * (L - 1) + [1]
+        for s in (init, impulse):
+            s = list(s)
+            while len(s) < 2 * L + 8:
+                s.append(sum(t * s[-1 - i] for i, t in enumerate(taps)) % p)
+            c = self.assert_register(s, p)
+            assert len(c) - 1 <= L
+        # the impulse response x^(L-1) / C is in lowest terms, so it needs
+        # all L cells, and with 2L terms its register is unique
+        assert c == [1] + [-t % p for t in taps]
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2 ** 31 - 1, 2 ** 61 - 1])
+    def test_runs_of_zeros(self, p):
+        assert self.assert_register([], p) == [1]
+        assert self.assert_register([0] * 9, p) == [1]
+        # a lone 1 after k zeros needs a register of length k + 1
+        for k in range(4):
+            assert self.assert_register([0] * k + [1] + [0] * 6, p) == [1] + [0] * (k + 1)
+        self.assert_register([1, 0, 0, 0, 0, p - 1, 0, 0, 0, 0, 1], p)
 
 
 dfas = st.integers(1, 7).flatmap(lambda n: st.tuples(
