@@ -359,16 +359,14 @@ def verify_ultimately_periodic(y: Word, x: Word, spec: ConstraintSpec) -> tuple[
         raise ValueError("period must be nonempty")
     horizon = spec.window_bound()
     j_min = (len(y) + horizon) // len(x) + 2
-    w = tuple(y)
-    xs = tuple(x)
-    prev: frozenset | None = None
+    w = y
+    prev = None
     for j in range(1, j_min + 3):
-        w = w + xs
+        w = w + x
         pf = palindromic_factors(w)
-        pal = pf.palindromes
         if not spec.satisfied_by(pf):
-            return False, len(pal)
-        if j >= j_min and pal == prev:
-            return True, len(pal)
-        prev = pal
+            return False, len(pf)
+        if j >= j_min and pf == prev:
+            return True, len(pf)
+        prev = pf
     raise AssertionError("palindromic factors failed to stabilize past the horizon")

@@ -198,7 +198,7 @@ def window_apply(q: Polynomial, a: SeqABC, i: int) -> int:
     d = max(q.degree, 0)
     if i < 0 or i + d >= len(a):
         raise ValueError(f"window [{i}, {i + d}] outside sequence of length {len(a)}")
-    return sum(c * a[i + j] for j, c in enumerate(q.coeffs))
+    return sum(map(mul, q.coeffs, a[i:i + d + 1]))
 
 
 def _offset(q: Polynomial, a: SeqABC, below: int | None = None) -> int:

@@ -7,7 +7,8 @@ the empty word counts as an *even* palindrome throughout the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from operator import attrgetter, le
 from typing import Iterable, Iterator
 
 
@@ -112,39 +113,140 @@ def _valid_word(symbols: tuple[int, ...], alphabet_size: int) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class PalFacSet:
-    """The set of palindromic factors of a word; always contains the empty word."""
+class _View(Word):
+    """The factor source[start:stop] of a valid word, kept in place.
 
-    palindromes: frozenset
+    The symbols are sliced only when read; length and integer indexing
+    read the span.  Equality, hashing, order, str and everything built
+    from it (slices, reversal, sums) are those of the plain Word of the
+    same symbols.
+    """
 
-    def __post_init__(self):
-        if Word(()) not in self.palindromes:
-            object.__setattr__(self, "palindromes", self.palindromes | {Word(())})
+    __slots__ = ("_source", "_start", "_stop")
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return self._source[self._start:self._stop]
 
     def __len__(self) -> int:
-        return len(self.palindromes)
+        return self._stop - self._start
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self.palindromes
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _valid_word(self.symbols[i], self.alphabet_size)
+        return self._source[range(self._start, self._stop)[i]]
 
-    def __iter__(self):
-        # the order of Word.__lt__, without a Python call per comparison
-        return iter(sorted(self.palindromes, key=lambda w: (len(w.symbols), w.symbols)))
+
+def _view(source: tuple[int, ...], start: int, stop: int, alphabet_size: int) -> _View:
+    """A Word reading source[start:stop], symbols already known to lie in the alphabet."""
+    w = object.__new__(_View)
+    object.__setattr__(w, "_source", source)
+    object.__setattr__(w, "_start", start)
+    object.__setattr__(w, "_stop", stop)
+    object.__setattr__(w, "alphabet_size", alphabet_size)
+    return w
+
+
+class PalFacSet:
+    """The set of palindromic factors of a word, held in length-then-lex order.
+
+    Built from the palindromes in that order with the empty word first;
+    the constructor checks what needs no letter of them (one empty word,
+    then nondecreasing lengths) and raises ValueError otherwise.  Lex
+    order within a length is the builder's promise: `palindromic_factors`
+    keeps it by the proof in `_tree_order`, `naive_palindromic_factors`
+    by sorting.  Two sets are equal when they hold the same palindromes.
+    """
+
+    __slots__ = ("_pals", "_lengths")
+
+    def __init__(self, palindromes: Iterable[Word]):
+        pals = tuple(palindromes)
+        lengths = tuple(map(len, pals))
+        if lengths[:1] != (0,) or 0 in lengths[1:2]:
+            raise ValueError("a palindromic factor set starts with the one empty word")
+        if not all(map(le, lengths, lengths[1:])):
+            raise ValueError("palindromic factors must come in length-then-lex order")
+        object.__setattr__(self, "_pals", pals)
+        object.__setattr__(self, "_lengths", lengths)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PalFacSet is immutable")
+
+    @property
+    def palindromes(self) -> frozenset:
+        return frozenset(self._pals)
+
+    def __len__(self) -> int:
+        return len(self._pals)
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self._pals)
+
+    def __contains__(self, w) -> bool:
+        # the members of w's length, then the one of w's symbols among them
+        if not isinstance(w, Word):
+            return False
+        n = len(w)
+        lo = bisect_left(self._lengths, n)
+        hi = bisect_right(self._lengths, n, lo)
+        s = w.symbols
+        i = bisect_left(self._pals, s, lo, hi, key=attrgetter("symbols"))
+        return i < hi and self._pals[i].symbols == s
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PalFacSet):
+            return NotImplemented
+        return self._lengths == other._lengths and self._pals == other._pals
+
+    def __hash__(self) -> int:
+        return hash(self._pals)
+
+    def __repr__(self) -> str:
+        return f"PalFacSet({[str(w) for w in self._pals]!r})"
 
     def counts_by_parity(self) -> tuple[int, int]:
         """(even count including the empty word, odd count)."""
-        even = sum(1 for w in self.palindromes if len(w) % 2 == 0)
-        return even, len(self.palindromes) - even
+        odd = sum(n & 1 for n in self._lengths)
+        return len(self._lengths) - odd, odd
 
     def max_length_by_parity(self) -> tuple[int, int]:
         """(longest even length, longest odd length); -1 if no odd palindrome."""
-        even = max((len(w) for w in self.palindromes if len(w) % 2 == 0), default=0)
-        odd = max((len(w) for w in self.palindromes if len(w) % 2 == 1), default=-1)
+        even = next(n for n in reversed(self._lengths) if not n & 1)
+        odd = next((n for n in reversed(self._lengths) if n & 1), -1)
         return even, odd
 
     def max_length(self) -> int:
-        return max(len(w) for w in self.palindromes)
+        return self._lengths[-1]
+
+
+def _tree_order(length: list[int], center: list[int], outer: list[int]) -> list[int]:
+    """Nodes 2.. of a palindromic tree, their palindromes in length-then-lex order.
+
+    Node u spells c pal(center[u]) c with c = outer[u].  Take two
+    palindromes of one length n >= 1, c p c and c' p' c'.  Their centers
+    p and p' have the one length n - 2 (for n = 1 and 2 both are the
+    root of length -1 or the empty word).  Lex order reads c against c'
+    first.  When c = c' it reads p against p' next, and p != p', since a
+    node has one child per letter, so the order of p and p', which have
+    one length, decides before the last letters are read.  Hence
+    c p c < c' p' c' exactly when (c, rank p) < (c', rank p'), where the
+    rank is the place among the palindromes of length n - 2.  Ranking
+    length by length from the two roots, each alone at its length,
+    orders every length without reading a letter of the word.
+    """
+    rank = [0] * len(length)
+    by_length: dict[int, list[int]] = {}
+    for u in range(2, len(length)):
+        by_length.setdefault(length[u], []).append(u)
+    order: list[int] = []
+    for n in sorted(by_length):
+        nodes = by_length[n]
+        nodes.sort(key=lambda u: (outer[u], rank[center[u]]))
+        for r, u in enumerate(nodes):
+            rank[u] = r
+        order += nodes
+    return order
 
 
 def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
@@ -152,16 +254,19 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
 
     Runs the palindromic tree (Rubinchik and Shur 2018) over flat lists.
     Node 0 is the imaginary root of length -1 and node 1 the empty word;
-    every further node is one distinct nonempty palindrome, with its
-    length, its longest proper suffix palindrome (link) and the index
-    where it first ends.  child[v * k + c] is the node of c pal(v) c, or
-    0, since node 0 is nobody's child.  A letter adds at most one new
-    palindrome, its longest suffix palindrome.
+    every further node is one distinct nonempty palindrome c pal(v) c,
+    with its length, its center v, its outer letter c, its longest
+    proper suffix palindrome (link) and the index where it first ends.
+    child[v * k + c] is the node of c pal(v) c, or 0, since node 0 is
+    nobody's child.  A letter adds at most one new palindrome, its
+    longest suffix palindrome.  Each member reads its first occurrence
+    in w's symbols in place, so the set takes memory linear in w, and
+    `_tree_order` sorts it from the tree alone.
     """
     if not isinstance(w, Word):
         w = Word(w)
     s, k = w.symbols, w.alphabet_size
-    length, link, end = [-1, 0], [0, 0], [-1, -1]
+    length, link, end, center, outer = [-1, 0], [0, 0], [-1, -1], [0, 0], [0, 0]
     child = [0] * ((len(s) + 2) * k)
     v = 1  # longest suffix palindrome of s[:i]
     for i, c in enumerate(s):
@@ -182,10 +287,14 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
             length.append(length[v] + 2)
             link.append(suffix)
             end.append(i)
+            center.append(v)
+            outer.append(c)
             child[v * k + c] = node
         v = node
-    pals = frozenset(Word(s[e - n + 1:e + 1], k) for n, e in zip(length[2:], end[2:]))
-    return PalFacSet(pals | {_valid_word((), k)})
+    pals = [_valid_word((), k)]
+    pals += [_view(s, end[u] + 1 - length[u], end[u] + 1, k)
+             for u in _tree_order(length, center, outer)]
+    return PalFacSet(pals)
 
 
 def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
@@ -203,8 +312,7 @@ def naive_palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
             i -= 1
             j += 1
     k = w.alphabet_size
-    pals = frozenset(_valid_word(p, k) for p in found)
-    return PalFacSet(pals | {_valid_word((), k)})
+    return PalFacSet(sorted(_valid_word(p, k) for p in found | {()}))
 
 
 def enumerate_palindromes(alphabet_size: int, max_length: int) -> list[Word]:

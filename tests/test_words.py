@@ -1,10 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from palfac import words
 from palfac.construct import forbidden_set
+from palfac.verify import perturbed_symmetry
 from palfac.words import (
+    PalFacSet,
     Word,
     palindromic_factors,
     naive_palindromic_factors,
@@ -193,3 +202,154 @@ def test_minimal_elements_is_antichain():
     for a in out:
         for b in out:
             assert a == b or not a.is_factor_of(b)
+
+
+def _check_against_naive(w: Word) -> None:
+    """The tree's factor set of w against the naive scan's, member by member."""
+    fast, naive = palindromic_factors(w), naive_palindromic_factors(w)
+    want = list(naive)
+    got = list(fast)
+    assert len(got) == len(want) == len(fast)
+    for g, n in zip(got, want):
+        assert g == n and g.symbols == n.symbols and g.alphabet_size == n.alphabet_size
+    assert fast == naive and hash(fast) == hash(naive)
+    k = w.alphabet_size
+    shifted = palindromic_factors(Word([(c + 1) % k for c in w.symbols], k))
+    assert (fast == shifted) == (set(want) == set(shifted))
+    lengths = [len(p) for p in want]
+    even = [n for n in lengths if n % 2 == 0]
+    odd = [n for n in lengths if n % 2 == 1]
+    assert fast.counts_by_parity() == (len(even), len(odd))
+    assert fast.max_length_by_parity() == (max(even), max(odd, default=-1))
+    assert fast.max_length() == max(lengths)
+    for p in want:
+        assert p in fast and Word(p.symbols, k) in fast
+    # two letters longer than the longest member: a palindrome and no factor
+    assert Word((0, *want[-1].symbols, 0), k) not in fast
+    s = w.symbols
+    for i in range(len(s) - 1):
+        if s[i] != s[i + 1]:
+            assert w[i:i + 2] not in fast  # a factor that is no palindrome
+            break
+    for other in (want[-1].symbols, str(want[-1]), None, 0):
+        assert other not in fast
+
+
+def _perturbed(seed: list[int], infix: list[int], n: int, k: int) -> Word:
+    x = Word(seed, k)
+    while n and (len(x) * 2 + len(infix)) <= 400:
+        x, n = x + Word(infix, k) + x.reverse(), n - 1
+    return x
+
+
+_small_words = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), max_size=300).map(lambda s: Word(s, k)))
+_perturbed_words = st.integers(1, 4).flatmap(lambda k: st.builds(
+    _perturbed, st.lists(st.integers(0, k - 1), max_size=6),
+    st.lists(st.integers(0, k - 1), max_size=3), st.integers(0, 7), st.just(k)))
+_wide_words = st.lists(st.one_of(st.sampled_from((0, 255, 256, 299)), st.integers(0, 299)),
+                       max_size=120).map(lambda s: Word(s, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_small_words, _perturbed_words, _wide_words))
+@example(Word((), 3))
+@example(Word.from_digits("010000"))
+@example(perturbed_symmetry(Word.from_digits("0010"), Word.from_digits("1"), 5))
+def test_factor_sets_match_the_naive_scan(w):
+    _check_against_naive(w)
+
+
+def _by_end(length, center, outer):
+    # nodes are made in the order of their first ends
+    return sorted(range(2, len(length)), key=length.__getitem__)
+
+
+def _by_outer_letter(length, center, outer):
+    return sorted(range(2, len(length)), key=lambda u: (length[u], outer[u]))
+
+
+@pytest.mark.parametrize("mutant", [_by_end, _by_outer_letter])
+def test_differential_rejects_a_mutated_order(monkeypatch, mutant):
+    rng = random.Random(8)
+    cases = [Word.from_digits("10"), Word.from_digits("010000")] + [
+        Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 60))), k)
+        for k in (2, 3, 4) for _ in range(30)]
+    for w in cases:
+        _check_against_naive(w)
+    monkeypatch.setattr(words, "_tree_order", mutant)
+    caught = 0
+    for w in cases:
+        try:
+            _check_against_naive(w)
+        except AssertionError:
+            caught += 1
+    assert caught > 0
+
+
+def test_palindromes_are_views_that_behave_as_words():
+    cases = [Word.from_digits("0010110100110", 2), Word((299, 0, 256, 0, 299, 7), 300)]
+    for w in cases:
+        pf = palindromic_factors(w)
+        assert {type(p) for p in pf} == {Word, words._View}
+        for p in pf:
+            plain = Word(p.symbols, w.alphabet_size)
+            assert p == plain and plain == p and hash(p) == hash(plain)
+            assert not p < plain and not plain < p
+            assert str(p) == str(plain) and repr(p) == repr(plain)
+            assert len(p) == len(plain) and list(p) == list(plain)
+            assert p.reverse() == plain.reverse() and type(p.reverse()) is Word
+            assert p.is_palindrome() and p.is_factor_of(w) and plain.is_factor_of(p)
+            assert p.is_factor_of(plain) and p.primitive_root() == plain.primitive_root()
+            for i in range(-len(p), len(p)):
+                assert p[i] == plain[i]
+            for i in (len(p), -len(p) - 1):
+                with pytest.raises(IndexError):
+                    p[i]
+            for cut in (slice(1, None), slice(None, -1), slice(None, None, -1),
+                        slice(-3, None, 2), slice(5, 1, -2)):
+                assert p[cut] == plain[cut] and type(p[cut]) is Word
+            for name in ("symbols", "alphabet_size", "_source", "_start", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(p, name, 0)
+    with pytest.raises(AttributeError):
+        pf.palindromes = frozenset()
+    assert pf.palindromes == frozenset(pf) and pf != pf.palindromes
+
+
+def test_factor_set_memory_is_linear_in_the_word():
+    # X_10 of D(2,10)'s verify instance: 5,120 palindromes of 13.1 M letters,
+    # which copies would hold at over 100 MB
+    x10 = perturbed_symmetry(Word.from_digits("0010", 2), Word.from_digits("1", 2), 10)
+    assert len(x10) == 5119
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pf = palindromic_factors(x10)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(pf) == 5120 and sum(map(len, pf)) == 13_081_642
+    assert peak < 4_000_000
+
+
+def test_factor_set_constructor_checks_order_under_O():
+    code = (
+        "from palfac.words import PalFacSet, Word\n"
+        "e, a, aa = Word(()), Word((0,)), Word((0, 0))\n"
+        "for pals in ((e, a, aa), (e, aa, a), (a, aa), (), (e, e, a), (a, e, aa)):\n"
+        "    try:\n"
+        "        PalFacSet(pals)\n"
+        "        print('built')\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    src = str(Path(words.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["built"] + ["ValueError"] * 5
+    assert PalFacSet([Word(()), Word((1,), 2)]) == palindromic_factors(Word((1,), 2))
