@@ -70,11 +70,22 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
 
     The palindromic tree lives in flat lists indexed by depth and node.
     Nodes 0 and 1 are the imaginary (length -1) and empty roots; each
-    letter adds at most one node, so nodes form a stack of at most
-    max_depth + 2.  After d letters, last[d] is the longest suffix
+    letter adds at most one node, and a letter of the last length is
+    judged and counted without one, so nodes form a stack of at most
+    max_depth + 1.  After d letters, last[d] is the longest suffix
     palindrome, made[d] the slot of nxt (node * k + letter) that the
     d-th letter filled, or -1 (undoing that letter clears the slot),
     used[d] the number of distinct letters and orbit[d] the weight.
+
+    No suffix-link chain is walked.  direct[u * k + c] is the longest
+    proper suffix palindrome of u that u shows right after a letter c,
+    or the imaginary root.  Its letter before lies inside u, so after d
+    letters the letter c extends v = last[d] when word[d - 1 - len(v)]
+    is c, and direct[v * k + c] otherwise.  A new node's row is its
+    suffix link's row with one entry set, the link's own (proof in
+    `words.palindromic_factors`).  A push writes the node's row and a
+    pop leaves it for the next push to overwrite, so memory stays
+    O(max_depth * k).
     """
     if not satisfies(spec, Word(())):
         return
@@ -83,18 +94,19 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
         return
     k = spec.alphabet_size
     admits = spec.admits
-    length = [-1, 0] + [0] * max_depth
-    link = [0] * (max_depth + 2)
-    nxt = [0] * ((max_depth + 2) * k)  # 0 = no child: node 0 is nobody's child
-    last = [1] * (max_depth + 1)
-    made = [-1] * (max_depth + 1)
-    used = [0 if getattr(spec, "letter_symmetric", False) else k] * (max_depth + 1)
-    orbit = [1] * (max_depth + 1)
-    tried = [0] * (max_depth + 1)  # next letter to try after d letters
-    stop = [min(used[0] + 1, k)] + [0] * max_depth  # letters to try after d letters
+    length = [-1, 0] + [0] * (max_depth - 1)
+    nxt = [0] * ((max_depth + 1) * k)  # 0 = no child: node 0 is nobody's child
+    direct = [0] * ((max_depth + 1) * k)
+    last = [1] * max_depth
+    made = [-1] * max_depth
+    used = [0 if getattr(spec, "letter_symmetric", False) else k] * max_depth
+    orbit = [1] * max_depth
+    tried = [0] * max_depth  # next letter to try after d letters
+    stop = [min(used[0] + 1, k)] + [0] * (max_depth - 1)  # letters to try after d letters
     top = 2  # nodes in use
     even = odd = 0  # nonempty palindromic factors by parity
     evaluations = 0
+    last_letter = max_depth - 1
     d = 0
     while True:
         c = tried[d]
@@ -123,39 +135,39 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
         word[d] = c
         # deepest suffix palindrome v of the word with c pal(v) c a suffix
         v = last[d]
-        while True:
-            j = d - 1 - length[v]
-            if j >= 0 and word[j] == c:
-                break
-            v = link[v]
+        j = d - 1 - length[v]
+        if j < 0 or word[j] != c:
+            v = direct[v * k + c]
         slot = v * k + c
         node = nxt[slot]
-        if node:
-            made[d + 1] = -1
-        else:
-            size = length[v] + 2
-            if size == 1:
-                suffix = 1
-            else:
-                # u is shorter than v, which fit, so the index stays >= 0
-                u = link[v]
-                while word[d - 1 - length[u]] != c:
-                    u = link[u]
-                suffix = nxt[u * k + c]
+        if not node:
             # the new palindrome is the only factor this letter adds
+            size = length[v] + 2
             if size & 1:
                 if not admits(word[d + 1 - size:d + 1], even + 1, odd + 1):
                     continue
+            elif not admits(word[d + 1 - size:d + 1], even + 2, odd):
+                continue
+        if d == last_letter:
+            # a word of the last length is counted in place, with no node or frame
+            if not visit(max_depth, word, weight):
+                return
+            continue
+        if node:
+            made[d + 1] = -1
+        else:
+            if size & 1:
                 odd += 1
             else:
-                if not admits(word[d + 1 - size:d + 1], even + 2, odd):
-                    continue
                 even += 1
+            suffix = nxt[direct[slot] * k + c] if size > 1 else 1
             node = top
             top += 1
             length[node] = size
-            link[node] = suffix
             nxt[slot] = node
+            row = node * k
+            direct[row:row + k] = direct[suffix * k:suffix * k + k]
+            direct[row + word[d - length[suffix]]] = suffix
             made[d + 1] = slot
         d += 1
         last[d] = node
@@ -164,7 +176,7 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
         if not visit(d, word, weight):
             return
         tried[d] = 0
-        stop[d] = min(fresh + 1, k) if d < max_depth else 0
+        stop[d] = fresh + 1 if fresh < k else k
 
 
 def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,

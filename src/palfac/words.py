@@ -35,6 +35,11 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor, so a
+        # view comes back as the plain Word of its symbols
+        return Word, (self.symbols, self.alphabet_size)
+
     @staticmethod
     def from_digits(text: str, alphabet_size: int | None = None) -> "Word":
         """Parse a word from a digit string like "001011"."""
@@ -173,6 +178,9 @@ class PalFacSet:
     def __setattr__(self, name, value):
         raise AttributeError("PalFacSet is immutable")
 
+    def __reduce__(self):
+        return PalFacSet, (self._pals,)
+
     @property
     def palindromes(self) -> frozenset:
         return frozenset(self._pals)
@@ -255,41 +263,53 @@ def palindromic_factors(w: Word | Iterable[int]) -> PalFacSet:
     Runs the palindromic tree (Rubinchik and Shur 2018) over flat lists.
     Node 0 is the imaginary root of length -1 and node 1 the empty word;
     every further node is one distinct nonempty palindrome c pal(v) c,
-    with its length, its center v, its outer letter c, its longest
-    proper suffix palindrome (link) and the index where it first ends.
-    child[v * k + c] is the node of c pal(v) c, or 0, since node 0 is
-    nobody's child.  A letter adds at most one new palindrome, its
-    longest suffix palindrome.  Each member reads its first occurrence
-    in w's symbols in place, so the set takes memory linear in w, and
-    `_tree_order` sorts it from the tree alone.
+    with its length, its center v, its outer letter c and the index where
+    it first ends.  child[v * k + c] is the node of c pal(v) c, or 0,
+    since node 0 is nobody's child.  A letter adds at most one new
+    palindrome, its longest suffix palindrome.
+
+    No suffix-link chain is walked: direct[u * k + c] is the longest
+    proper suffix palindrome of u that u shows right after a letter c,
+    or the imaginary root when there is none.  A proper suffix palindrome
+    of u ends where u ends, so the letter before it lies inside u, and u
+    alone fixes which of them a letter extends.  So after s[:i], whose
+    longest suffix palindrome is v, the letter c = s[i] extends v itself
+    when s[i - 1 - len(v)] = c, and otherwise direct[v * k + c]: every
+    shorter suffix palindrome of s[:i] is a proper suffix palindrome of
+    v.  A new node c u c has the suffix link child[x * k + c] with
+    x = direct[u * k + c] (the empty word when u is the imaginary root).
+    The chain below c u c is that link followed by the chain below the
+    link, whose letters lie inside the link, so the new row is the
+    link's row with one entry set.  Each letter costs one compare and at
+    most two table reads, and the tables grow by k slots per node.
+
+    Each member reads its first occurrence in w's symbols in place, and
+    `_tree_order` sorts the set from the tree alone, so it takes memory
+    O(|w| + k * nodes).
     """
     if not isinstance(w, Word):
         w = Word(w)
     s, k = w.symbols, w.alphabet_size
-    length, link, end, center, outer = [-1, 0], [0, 0], [-1, -1], [0, 0], [0, 0]
-    child = [0] * ((len(s) + 2) * k)
+    length, end, center, outer = [-1, 0], [-1, -1], [0, 0], [0, 0]
+    child, direct, zeros = [0] * (2 * k), [0] * (2 * k), [0] * k
     v = 1  # longest suffix palindrome of s[:i]
     for i, c in enumerate(s):
-        # deepest v on the suffix-link chain with c pal(v) c a suffix of s[:i + 1]
-        while i - 1 - length[v] < 0 or s[i - 1 - length[v]] != c:
-            v = link[v]
+        # the suffix palindrome v of s[:i] with c pal(v) c a suffix of s[:i + 1]
+        j = i - 1 - length[v]
+        if j < 0 or s[j] != c:
+            v = direct[v * k + c]
         node = child[v * k + c]
         if not node:
             node = len(length)
-            if length[v] < 0:
-                suffix = 1
-            else:
-                # u is shorter than v, which fit, so the index stays >= 0
-                u = link[v]
-                while s[i - 1 - length[u]] != c:
-                    u = link[u]
-                suffix = child[u * k + c]
+            suffix = child[direct[v * k + c] * k + c] if length[v] >= 0 else 1
             length.append(length[v] + 2)
-            link.append(suffix)
             end.append(i)
             center.append(v)
             outer.append(c)
             child[v * k + c] = node
+            child += zeros
+            direct += direct[suffix * k:suffix * k + k]
+            direct[node * k + s[i - length[suffix]]] = suffix
         v = node
     pals = [_valid_word((), k)]
     pals += [_view(s, end[u] + 1 - length[u], end[u] + 1, k)

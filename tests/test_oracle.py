@@ -3,12 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palfac import oracle
 from palfac.construct import (AllowedSet, CapacityError, MaxCountByParity,
                               MaxDistinct, MaxLen, MaxLenByParity)
 from palfac.oracle import (_search, brute_count, brute_count_profile,
                            brute_count_unpruned, longest_word, satisfies)
 from palfac.words import Word, enumerate_palindromes, naive_palindromic_factors
 from test_construct import small_specs
+from test_words import _source_mutant
 
 
 def test_published_counts():
@@ -29,7 +31,7 @@ def test_profile_matches_single_counts():
     assert profile == [brute_count(spec, n).count for n in range(10)]
 
 
-@pytest.mark.parametrize("spec", [
+PRUNING_SPECS = [
     MaxDistinct(2, 4),
     MaxLen(2, 2),
     MaxLenByParity(2, 2, 3),
@@ -37,10 +39,25 @@ def test_profile_matches_single_counts():
     MaxCountByParity(2, 2, 2, count_empty=False),
     AllowedSet(2, enumerate_palindromes(2, 2)),
     MaxDistinct(3, 4),
-], ids=repr)
+]
+
+
+@pytest.mark.parametrize("spec", PRUNING_SPECS, ids=repr)
 def test_pruning_soundness(spec):
     for n in range(7):
         assert brute_count(spec, n).count == brute_count_unpruned(spec, n)
+
+
+def test_pruning_soundness_rejects_an_unjudged_last_letter(monkeypatch):
+    # a word of the last length is counted without a node, but its new
+    # palindrome must still pass admits
+    mutant = _source_mutant(
+        _search, "        if not node:\n            # the new palindrome",
+        "        if not node and d != last_letter:\n            # the new palindrome")
+    monkeypatch.setattr(oracle, "_search", mutant)
+    for spec in PRUNING_SPECS:
+        assert any(brute_count(spec, n).count != brute_count_unpruned(spec, n)
+                   for n in range(7))
 
 
 def test_witnesses_are_accepted_words():

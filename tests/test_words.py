@@ -1,5 +1,8 @@
+import copy
+import inspect
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from palfac import words
-from palfac.construct import forbidden_set
+from palfac.construct import AllowedSet, MaxDistinct, forbidden_set
 from palfac.verify import perturbed_symmetry
 from palfac.words import (
     PalFacSet,
@@ -204,9 +207,18 @@ def test_minimal_elements_is_antichain():
             assert a == b or not a.is_factor_of(b)
 
 
-def _check_against_naive(w: Word) -> None:
+def _source_mutant(func, old: str, new: str):
+    """func rebuilt from its own source with one edit, which must apply."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+def _check_against_naive(w: Word, factors=palindromic_factors) -> None:
     """The tree's factor set of w against the naive scan's, member by member."""
-    fast, naive = palindromic_factors(w), naive_palindromic_factors(w)
+    fast, naive = factors(w), naive_palindromic_factors(w)
     want = list(naive)
     got = list(fast)
     assert len(got) == len(want) == len(fast)
@@ -214,7 +226,7 @@ def _check_against_naive(w: Word) -> None:
         assert g == n and g.symbols == n.symbols and g.alphabet_size == n.alphabet_size
     assert fast == naive and hash(fast) == hash(naive)
     k = w.alphabet_size
-    shifted = palindromic_factors(Word([(c + 1) % k for c in w.symbols], k))
+    shifted = factors(Word([(c + 1) % k for c in w.symbols], k))
     assert (fast == shifted) == (set(want) == set(shifted))
     lengths = [len(p) for p in want]
     even = [n for n in lengths if n % 2 == 0]
@@ -242,6 +254,17 @@ def _perturbed(seed: list[int], infix: list[int], n: int, k: int) -> Word:
     return x
 
 
+def _fibonacci(n: int) -> Word:
+    x = (0,)
+    while len(x) < n:
+        x = tuple(itertools.chain.from_iterable((0, 1) if c == 0 else (0,) for c in x))
+    return Word(x[:n], 2)
+
+
+def _thue_morse(n: int) -> Word:
+    return Word([bin(i).count("1") & 1 for i in range(n)], 2)
+
+
 _small_words = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(0, k - 1), max_size=300).map(lambda s: Word(s, k)))
 _perturbed_words = st.integers(1, 4).flatmap(lambda k: st.builds(
@@ -256,6 +279,16 @@ _wide_words = st.lists(st.one_of(st.sampled_from((0, 255, 256, 299)), st.integer
 @example(Word((), 3))
 @example(Word.from_digits("010000"))
 @example(perturbed_symmetry(Word.from_digits("0010"), Word.from_digits("1"), 5))
+# the direct links: a whole palindrome (no letter before the longest suffix
+# palindrome), runs of one or two letters, the Fibonacci and Thue-Morse words,
+# S(4)'s X_6 and a one-letter alphabet
+@example(Word.from_digits("0120210", 3))
+@example(Word((0,) * 60, 2))
+@example(Word((0, 1) * 40, 2))
+@example(_fibonacci(300))
+@example(_thue_morse(300))
+@example(perturbed_symmetry(Word.from_digits("01", 4), Word.from_digits("23", 4), 6))
+@example(Word((0,) * 50, 1))
 def test_factor_sets_match_the_naive_scan(w):
     _check_against_naive(w)
 
@@ -269,22 +302,39 @@ def _by_outer_letter(length, center, outer):
     return sorted(range(2, len(length)), key=lambda u: (length[u], outer[u]))
 
 
-@pytest.mark.parametrize("mutant", [_by_end, _by_outer_letter])
-def test_differential_rejects_a_mutated_order(monkeypatch, mutant):
+def _mutation_cases() -> list[Word]:
     rng = random.Random(8)
-    cases = [Word.from_digits("10"), Word.from_digits("010000")] + [
+    return [Word.from_digits("10"), Word.from_digits("010000")] + [
         Word(tuple(rng.randrange(k) for _ in range(rng.randrange(0, 60))), k)
         for k in (2, 3, 4) for _ in range(30)]
-    for w in cases:
-        _check_against_naive(w)
-    monkeypatch.setattr(words, "_tree_order", mutant)
+
+
+def _caught(cases, factors=palindromic_factors) -> int:
     caught = 0
     for w in cases:
         try:
-            _check_against_naive(w)
+            _check_against_naive(w, factors)
         except AssertionError:
             caught += 1
-    assert caught > 0
+    return caught
+
+
+@pytest.mark.parametrize("mutant", [_by_end, _by_outer_letter])
+def test_differential_rejects_a_mutated_order(monkeypatch, mutant):
+    cases = _mutation_cases()
+    assert _caught(cases) == 0
+    monkeypatch.setattr(words, "_tree_order", mutant)
+    assert _caught(cases) > 0
+
+
+def test_differential_rejects_direct_rows_left_unset():
+    # the new node's row is the suffix's row with the suffix's own entry set;
+    # copying the row alone loses every link one palindrome down
+    mutant = _source_mutant(words.palindromic_factors,
+                            "            direct[node * k + s[i - length[suffix]]] = suffix\n", "")
+    cases = _mutation_cases()
+    assert _caught(cases) == 0
+    assert _caught(cases, mutant) > 0
 
 
 def test_palindromes_are_views_that_behave_as_words():
@@ -317,24 +367,40 @@ def test_palindromes_are_views_that_behave_as_words():
     assert pf.palindromes == frozenset(pf) and pf != pf.palindromes
 
 
-def test_factor_set_memory_is_linear_in_the_word():
-    # X_10 of D(2,10)'s verify instance: 5,120 palindromes of 13.1 M letters,
-    # which copies would hold at over 100 MB
-    x10 = perturbed_symmetry(Word.from_digits("0010", 2), Word.from_digits("1", 2), 10)
-    assert len(x10) == 5119
+def _traced_factors(w: Word) -> tuple[PalFacSet, int]:
+    """palindromic_factors(w) and the bytes it allocated at its peak."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        pf = palindromic_factors(x10)
+        pf = palindromic_factors(w)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
+    return pf, peak
+
+
+def test_factor_set_memory_is_linear_in_the_word():
+    # X_10 of D(2,10)'s verify instance: 5,120 palindromes of 13.1 M letters,
+    # which copies would hold at over 100 MB
+    x10 = perturbed_symmetry(Word.from_digits("0010", 2), Word.from_digits("1", 2), 10)
+    assert len(x10) == 5119
+    pf, peak = _traced_factors(x10)
     assert len(pf) == 5120 and sum(map(len, pf)) == 13_081_642
     assert peak < 4_000_000
+
+
+def test_tree_memory_follows_the_palindromes_not_the_word():
+    # X_16 of S(4)'s verify instance: 262,142 letters, 5 palindromes; a child
+    # table of k slots per letter would take 8.4 MB
+    x16 = perturbed_symmetry(Word.from_digits("01", 4), Word.from_digits("23", 4), 16)
+    assert len(x16) == 262_142
+    pf, peak = _traced_factors(x16)
+    assert [str(p) for p in pf] == ["", "0", "1", "2", "3"]
+    assert peak < 256_000
 
 
 def test_factor_set_constructor_checks_order_under_O():
@@ -353,3 +419,23 @@ def test_factor_set_constructor_checks_order_under_O():
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == ["built"] + ["ValueError"] * 5
     assert PalFacSet([Word(()), Word((1,), 2)]) == palindromic_factors(Word((1,), 2))
+
+
+def test_words_sets_and_specs_survive_pickle_and_copy():
+    w = Word.from_digits("0110100", 2)
+    pf = palindromic_factors(w)
+    view = list(pf)[-1]
+    assert type(view) is words._View
+    values = [w, view, pf, AllowedSet(2, enumerate_palindromes(2, 2)), MaxDistinct(3, 4)]
+    for value in values:
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(again) is (Word if value is view else type(value))
+            assert again == value and value == again and hash(again) == hash(value)
+            with pytest.raises(AttributeError):
+                again.alphabet_size = 9
+    # a view travels as the plain Word of its symbols, without its source word
+    assert len(pickle.dumps(view)) < len(pickle.dumps(w))
+    rebuild, args = view.__reduce__()
+    assert rebuild is Word and args == (view.symbols, 2)
+    with pytest.raises(ValueError):
+        rebuild((0, 2), 2)
