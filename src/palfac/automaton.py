@@ -14,10 +14,10 @@ from typing import Iterable
 
 import numpy as np
 
-# D(2,14) (705,836 raw states) peaks at 197 MB, about 293 bytes per raw
-# state, through build_direct and minimize (2.1-2.3 s + 1.4 s), and at
-# 427 MB, about 635 bytes, through `palfac build --format json` on the raw
-# automaton (5.8-6.1 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
+# D(2,14) (705,836 raw states) peaks at 98 MB, about 146 bytes per raw
+# state, through build_direct and minimize (1.6 s + 1.0 s), and at 429 MB,
+# about 637 bytes, through `palfac build --format json` on the raw
+# automaton (4.1-5.6 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
 # 2.5 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
@@ -109,24 +109,44 @@ class Dfa:
 _PACK_LIMIT = 1 << 62
 
 
+def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each key among the distinct keys, as int32; returns (ranks, count).
+
+    The ranks are np.unique's inverse, from one argsort: the sorted keys
+    are marked where they change, the marks summed, and the sums
+    scattered back to the keys' places.
+    """
+    order = key.argsort()
+    ordered = key[order]
+    change = np.empty(len(key), dtype=np.int32)
+    change[:1] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    del ordered
+    np.cumsum(change, out=change)
+    rank = np.empty_like(change)
+    rank[order] = change
+    return rank, int(change[-1]) + 1
+
+
 def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
-    """Split blocks by the blocks found in each column; returns (block ids, count).
+    """Split blocks by the blocks found in each column; returns (int32 block ids, count).
 
     block and every column hold ids below count.  Two rows stay together
     exactly when their tuples (block, column 0, column 1, ...) agree.  The
-    tuple is packed into one int64 key in radix count and re-ranked with
-    np.unique only when the next column would push the key past 2**62, so
-    a round over k columns needs one np.unique while count**(k+1) fits.
+    tuple is packed into one int64 key in radix count and ranked (_rank)
+    only when the next column would push the key past 2**62, so a round
+    over k columns ranks once while count**(k+1) fits.  columns may be an
+    iterator, so each column can be gathered only when it is packed.
     """
-    key, size = block, count
+    key, size = block.astype(np.int64), count
     for col in columns:
         if size * count > _PACK_LIMIT:
-            ids, key = np.unique(key, return_inverse=True)
-            size = len(ids)
-        key = key * count + col
+            rank, size = _rank(key)
+            key = rank.astype(np.int64)
+        key *= count
+        key += col
         size *= count
-    ids, key = np.unique(key, return_inverse=True)
-    return key, len(ids)
+    return _rank(key)
 
 
 def stable_partition(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
@@ -141,16 +161,17 @@ def stable_partition(block: np.ndarray, count: int, columns) -> tuple[np.ndarray
         block, count = key, refined
 
 
-def _moore(delta: np.ndarray, accepting: np.ndarray) -> np.ndarray:
-    """Moore partition refinement; returns the block id of each state.
+def _moore(delta: np.ndarray, accepting: np.ndarray) -> tuple[np.ndarray, int]:
+    """Moore partition refinement; returns (the int32 block id of each state, count).
 
     A round splits every block by the blocks of the successors under all
-    letters at once.  Each round costs O(n k log n), and there is one
-    round more than the longest of the shortest words separating two
-    inequivalent states.
+    letters at once, gathering one letter's column at a time.  Each round
+    costs O(n k log n), and there is one round more than the longest of
+    the shortest words separating two inequivalent states.
     """
-    ids, block = np.unique(accepting, return_inverse=True)
-    return stable_partition(block, len(ids), lambda block: block[delta].T)[0]
+    block, count = _rank(accepting)
+    return stable_partition(block, count,
+                            lambda block: (block[col] for col in delta.T))
 
 
 def _canonical_renumber(delta: list, start: int, accepting) -> tuple[list, list]:
@@ -175,8 +196,11 @@ def minimize(d: Dfa) -> Dfa:
     refined and the canonical renumbering from the start block drops the
     blocks no word reaches.
     """
-    block = _moore(d.delta, d.accepting)
-    _, rep = np.unique(block, return_index=True)
+    block, count = _moore(d.delta, d.accepting)
+    # any member stands for its block: the partition is stable, so the
+    # members agree on acceptance and on their successors' blocks
+    rep = np.empty(count, dtype=np.intp)
+    rep[block] = np.arange(len(block))
     delta, accepting = _canonical_renumber(block[d.delta[rep]].tolist(), int(block[d.start]),
                                            d.accepting[rep])
     return Dfa(delta, 0, accepting)

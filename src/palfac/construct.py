@@ -240,6 +240,18 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     worked out once per (sid, palindrome).  Live states are numbered in
     discovery order starting from 0; the dead state, if the language is
     proper, gets the final number.
+
+    Only states with full windows, `bound` symbols, go into the index of
+    keys that finds a state reached again.  A window shorter than `bound`
+    holds its whole word, and the word fixes the sid, so its state is the
+    state of exactly one word, entered by one transition: the word's last
+    letter from the state of the word without it.  So a state whose window
+    holds at most bound - 2 symbols, whose successors' windows are all
+    shorter than `bound`, gets new numbers for its live targets without a
+    lookup, and no later lookup, which is always for a full window, could
+    find them.  The index thus holds none of the states at the levels
+    below the window bound, which are most of the raw states of the
+    paper's larger automata.
     """
     k = spec.alphabet_size
     bound = spec.window_bound()
@@ -271,7 +283,10 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     # sid -> {palindrome code: the next sid << lanes, or -1 for dead}
     moves: list[dict[int, int]] = [{}]
 
-    index = {0: 0}
+    index = {}  # the states with full windows, by key (see the docstring)
+    count = 1  # states numbered so far
+    # a window with none of these bits holds at most bound - 2 symbols
+    tall = ~low[bound - 2] if bound >= 2 else None
     # the breadth-first frontier, states found but not yet expanded, in
     # the order of their ids; each is popped as it is expanded
     states = deque([0])
@@ -287,6 +302,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
         here = key ^ window
         move = moves[sid]
         shifted = window << 1
+        fresh = tall is not None and not window & tall
         for shift, letter in letters:
             lengths = (lengths_here & (window >> shift)) << 2 | 3
             longest = lengths.bit_length() - 1
@@ -326,18 +342,20 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
                 flat.append(-1)
                 continue
             nxt = to | ext & keep
-            ti = index.get(nxt)
+            ti = None if fresh else index.get(nxt)
             if ti is None:
-                ti = len(index)
+                ti = count
                 if ti >= budget:
                     raise CapacityError(
                         f"state budget {budget} exceeded while building {spec!r}")
-                index[nxt] = ti
+                count += 1
+                if not fresh:
+                    index[nxt] = ti
                 states.append(nxt)
                 suffix_lengths.append(lengths & window_lengths)
             flat.append(ti)
 
-    n = len(index)
+    n = count
     # the search's tables go before the transitions become a table: they
     # are most of the construction's memory peak
     del index, moves, sid_of, masks

@@ -10,12 +10,13 @@ so acceptance of X_n settles acceptance of them all.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .automaton import CapacityError, Dfa, state_budget
-from .words import Word
+from .words import Word, _valid_word
 
 __all__ = [
     "StateTransformation",
@@ -76,10 +77,17 @@ def perturbed_symmetry(seed: Word, infix: Word, n: int) -> Word:
     final = (len(seed) + len(infix)) * (1 << n) - len(infix)
     if final > budget:
         raise CapacityError(f"word of length {final} exceeds the budget of {budget}")
-    x = seed
+    if n == 0:
+        return seed
+    k = max(seed.alphabet_size, infix.alphabet_size)
+    # one buffer, a byte per letter when the letters fit
+    x = array("B", seed.symbols) if k <= 256 else list(seed.symbols)
     for _ in range(n):
-        x = x + infix + x.reverse()
-    return x
+        half = len(x)
+        x.extend(infix.symbols)
+        if half:  # x[-1::-1] would be all of x
+            x.extend(x[half - 1::-1])
+    return _valid_word(tuple(x), k)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
                               build_avoidance, build_direct, forbidden_set)
 from palfac.oracle import brute_count_profile, brute_count_unpruned
 from palfac.words import Word, enumerate_palindromes
+from test_words import _source_mutant, _traced
 
 
 def dfa_counts(dfa, n_max):
@@ -192,6 +193,22 @@ def test_default_budget_fits_in_half_the_memory():
     assert DEFAULT_STATE_BUDGET * bytes_per_state < physical / 2
 
 
+def test_memory_per_raw_state():
+    # D(2,12): 74 % of the 25,464 raw states have windows shorter than the
+    # bound; indexing them too took 183 bytes per raw state, and ranking
+    # the Moore rounds with np.unique 82
+    spec = MaxDistinct(2, 12)
+    raw, peak = _traced(lambda: build_direct(spec))
+    assert raw.state_count == 25464
+    assert peak <= 120 * raw.state_count
+    _, peak = _traced(lambda: minimize(raw))
+    assert peak <= 60 * raw.state_count
+    index_all = _source_mutant(build_direct, "fresh = tall is not None and not window & tall",
+                               "fresh = False")
+    again, peak = _traced(lambda: index_all(spec))
+    assert again == raw and peak > 120 * raw.state_count
+
+
 # sha256 of each transition table, row by row, pins the discovery-order
 # numbering and not just the state count
 DELTA_DIGESTS = [
@@ -219,6 +236,12 @@ DELTA_DIGESTS = [
     # not closed under renaming letters
     ("S(3;010,121)", AllowedSet(3, [W(t) for t in ("", "0", "1", "2", "010", "121")]), 39,
      "d6ba1a2582b81b8f001757eafce8a9595c925ffc60783f826d5fda63bb8cd588"),
+    # window bounds 1 and 2: no state, and then the empty word alone,
+    # numbers its targets without the index of full windows
+    ("D(2,1)", MaxDistinct(2, 1), 2,
+     "1bf779d349708b908004d305b1238039b48396e4627f14ff11ed6f77ecc82694"),
+    ("E(2,1)", MaxLen(2, 1), 6,
+     "e575bb0575506a4c76f6d5fc48519f823bdc90b2d920f7aaaa24e26be9a467d1"),
 ]
 
 

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palfac.analyze import Morphism
 from palfac.automaton import Dfa, minimize
@@ -17,6 +18,7 @@ from palfac.verify import (
     transform,
 )
 from palfac.words import Word, palindromic_factors
+from test_words import _traced
 
 W = Word.from_digits
 EMPTY = Word(())
@@ -141,6 +143,25 @@ class TestPerturbedSymmetry:
     def test_overflow(self):
         with pytest.raises(CapacityError):
             perturbed_symmetry(B0, INFIX_23, 60)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 4, 256, 257, 300]),
+           st.sampled_from([1, 2, 4, 256, 257, 300]), st.integers(0, 6))
+    def test_matches_the_recursive_definition(self, data, k_seed, k_infix, n):
+        seed, infix = (Word(data.draw(st.lists(st.integers(0, k - 1), max_size=size)), k)
+                       for k, size in ((k_seed, 5), (k_infix, 3)))
+        want = seed
+        for _ in range(n):
+            want = want + infix + want.reverse()
+        got = perturbed_symmetry(seed, infix, n)
+        assert got.symbols == want.symbols and got.alphabet_size == want.alphabet_size
+
+    def test_builds_in_one_buffer(self):
+        # X_16 of S(4)'s verify instance, 262,142 letters: the returned
+        # tuple is 2.1 MB, and concatenating tuples took 5.2 MB
+        x16, peak = _traced(lambda: perturbed_symmetry(B0, INFIX_23, 16))
+        assert len(x16) == 262_142
+        assert peak < 3_000_000
 
 
 class TestCheckStabilization:

@@ -367,20 +367,20 @@ def test_palindromes_are_views_that_behave_as_words():
     assert pf.palindromes == frozenset(pf) and pf != pf.palindromes
 
 
-def _traced_factors(w: Word) -> tuple[PalFacSet, int]:
-    """palindromic_factors(w) and the bytes it allocated at its peak."""
+def _traced(call):
+    """call()'s result and the bytes it allocated at its peak."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        pf = palindromic_factors(w)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:
             tracemalloc.stop()
-    return pf, peak
+    return out, peak
 
 
 def test_factor_set_memory_is_linear_in_the_word():
@@ -388,7 +388,7 @@ def test_factor_set_memory_is_linear_in_the_word():
     # which copies would hold at over 100 MB
     x10 = perturbed_symmetry(Word.from_digits("0010", 2), Word.from_digits("1", 2), 10)
     assert len(x10) == 5119
-    pf, peak = _traced_factors(x10)
+    pf, peak = _traced(lambda: palindromic_factors(x10))
     assert len(pf) == 5120 and sum(map(len, pf)) == 13_081_642
     assert peak < 4_000_000
 
@@ -398,7 +398,7 @@ def test_tree_memory_follows_the_palindromes_not_the_word():
     # table of k slots per letter would take 8.4 MB
     x16 = perturbed_symmetry(Word.from_digits("01", 4), Word.from_digits("23", 4), 16)
     assert len(x16) == 262_142
-    pf, peak = _traced_factors(x16)
+    pf, peak = _traced(lambda: palindromic_factors(x16))
     assert [str(p) for p in pf] == ["", "0", "1", "2", "3"]
     assert peak < 256_000
 
