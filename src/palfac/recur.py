@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -217,18 +218,49 @@ def _offset(q: Polynomial, a: SeqABC, below: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # matrix minimal polynomial
 
+def _dense_block(rows, n: int) -> np.ndarray:
+    """A block of dense rows as an array of integers, read without rounding any entry.
+
+    Rows that are all lists or tuples of n entries in 0..255, such as
+    those of a transfer matrix over fewer than 256 letters, are read as
+    bytes.  Otherwise numpy reads the block as it is, which keeps an
+    ndarray's own integer dtype, so nothing wraps.  When that gives no
+    integer dtype (a float, an entry past int64, ragged rows), the block
+    is read as Python objects: an entry that is no integer raises
+    ValueError, and a result of the wrong shape is left to the caller.
+    A buffer row never goes to bytes(), which would read an int8 -1 as 255.
+    """
+    if all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+        try:
+            return np.frombuffer(b"".join(map(bytes, rows)), np.uint8).reshape(len(rows), n)
+        except (TypeError, ValueError):  # an entry that is no integer in 0..255
+            pass
+    try:
+        A = np.asarray(rows)
+    except ValueError:  # ragged rows
+        A = None
+    if A is None or A.dtype.kind not in "biu":
+        A = np.array(rows, dtype=object)
+        if A.shape == (len(rows), n) and \
+                not all(isinstance(x, numbers.Integral) for x in A.flat):
+            raise ValueError("matrix entries must be integers")
+    return A
+
+
 def _gather_table(M) -> np.ndarray:
     """The read-only gather table of a CountingSystem or of a dense nonnegative integer matrix.
 
     The table has n + 1 rows, the last the sentinel row (see
     CountingSystem).  A dense matrix, a sequence of rows or an ndarray, is
-    read in row blocks of about _CACHE_ENTRIES entries, each as int64 (an
-    ndarray through Python ints, which a cast of uint64 would wrap), and
-    each block's nonzero entries become its rows' gathers: an entry m is m
-    gathers of its column.  So no n x n copy is made.  A ragged or
-    non-square matrix, or a negative entry anywhere, raises ValueError;
-    only once every row has passed is CapacityError raised, when the table
-    would exceed _BLOCK_ENTRIES entries, also for an entry past int64.
+    read in row blocks of about _CACHE_ENTRIES entries (_dense_block): as
+    bytes when every row is a list or tuple of entries in 0..255, else as
+    numpy reads it when that gives an integer dtype, else as Python
+    objects.  Each block's nonzero entries become its rows' gathers: an
+    entry m is m gathers of its column.  So no n x n copy is made.  A
+    ragged or non-square matrix, an entry that is not an integer (1.0
+    included) or a negative entry, anywhere, raises ValueError; only once
+    every row has passed is CapacityError raised, when the table would
+    exceed _BLOCK_ENTRIES entries, also for an entry past int64.
     """
     if isinstance(M, CountingSystem):
         n, width = M.size, M.table.shape[1]
@@ -243,19 +275,14 @@ def _gather_table(M) -> np.ndarray:
     full = None  # the CapacityError to raise once the signs are all checked
     for lo in range(0, n, step):
         rows = M[lo:lo + step]
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
-        try:
-            A = np.array(rows, dtype=np.int64)
-        except OverflowError:  # an entry outside int64: only its sign is read
-            A = np.array(rows, dtype=object)
+        A = _dense_block(rows, n)
         if A.shape != (len(rows), n):
             raise ValueError("matrix must be square")
         if (A < 0).any():
             raise ValueError("matrix entries must be nonnegative")
         if full:
             continue
-        if A.dtype == object or A.max(initial=0) > _BLOCK_ENTRIES:
+        if A.max(initial=0) > _BLOCK_ENTRIES:
             full = f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers"
             continue
         sums[lo:lo + step] = block_sums = A.sum(axis=1)  # at most n * 2^22: no overflow
@@ -263,8 +290,9 @@ def _gather_table(M) -> np.ndarray:
         if n * width > _BLOCK_ENTRIES:
             full = f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries"
             continue
-        r, c = np.nonzero(A)
-        blocks.append(np.repeat(c, A[r, c]))
+        flat = A.ravel()
+        nonzero = np.flatnonzero(flat)
+        blocks.append(np.repeat(nonzero % n, flat[nonzero].astype(np.intp)))
     if full:
         raise CapacityError(full)
     table = np.full((n + 1, width), n, dtype=np.int64)
@@ -349,10 +377,20 @@ def _lift(registers: Iterable[tuple[int, list[int]]], accept: Callable[[Polynomi
     registers yields (p, coefficients modulo p) of a register of length L
     (L + 1 coefficients) for distinct primes p.  Reduction mod p can only
     shorten a register, so a shorter one is skipped and a longer one
-    discards those before it.  From the second prime on, the lift of the
+    discards those before it.  From the first prime on, the lift of the
     registers kept is offered to accept; once the product of their primes
     exceeds 2 bound(L) + 1, a lift bounded by bound(L) would have been
     found, and None is returned.
+
+    One prime is enough when its lift is accepted, because accept is an
+    exact check: p(M) = 0 by _verify_annihilates_matrix, or every window
+    of the terms vanishing over the integers.  A register modulo p is
+    never longer than the true one, so an accepted lift of the longest
+    length seen is the minimal polynomial, or the shortest recurrence,
+    which is unique when 2L <= n (Massey 1969).  A lift from too few
+    primes fails its check, and the next prime is added.  Such a lift
+    usually fails fast: the sequence route checks the top window first,
+    and the matrix route the first column block modulo 2^64.
     """
     primes: list[int] = []
     kept: list[list[int]] = []
@@ -363,8 +401,6 @@ def _lift(registers: Iterable[tuple[int, list[int]]], accept: Callable[[Polynomi
             primes, kept = [], []  # the earlier primes were the unlucky ones
         primes.append(p)
         kept.append(reg)
-        if len(primes) < 2:
-            continue
         q = Polynomial([_crt_symmetric(list(c), primes) for c in zip(*kept)])
         if accept(q):
             return q
@@ -490,23 +526,24 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     and x drawn afresh for each prime from a generator seeded by seed.
     Each register reverses a connection polynomial with constant term 1,
     so every candidate is monic.  The longest registers are lifted by
-    symmetric CRT (_lift), and a lift is accepted only after an exact
-    certificate that p(M) = 0: a gather Horner modulo 2^64 and then the
-    primes below 2^31, over column blocks of about 2^16 entries, on only
-    the columns G of _spanning_columns, whose Krylov spaces span all the
-    others, at a cost of O(deg nnz |G|) per modulus (see
-    _verify_annihilates_matrix).  Every eigenvalue of M has modulus at
-    most R, the largest row sum, so coefficient i of the minimal
-    polynomial of degree d is at most C(d, i) R^i <= (1 + R)^d; once the
-    primes outgrow that bound without a certified lift, InconclusiveError
-    is raised.
+    symmetric CRT (_lift) from the first prime on, so a minimal
+    polynomial with coefficients below 2^30 usually takes one projection,
+    and a lift is accepted only after an exact certificate that p(M) = 0:
+    a gather Horner modulo 2^64 and then the primes below 2^31, over
+    column blocks of about 2^16 entries, on only the columns G of
+    _spanning_columns, whose Krylov spaces span all the others, at a
+    cost of O(deg nnz |G|) per modulus (see _verify_annihilates_matrix).
+    Every eigenvalue of M has modulus at most R, the largest row sum, so
+    coefficient i of the minimal polynomial of degree d is at most
+    C(d, i) R^i <= (1 + R)^d; once the primes outgrow that bound without
+    a certified lift, InconclusiveError is raised.
 
     Accepts a CountingSystem or a square matrix of nonnegative integers
-    given as rows, which becomes a gather table read in row blocks, with
-    no n x n copy (see _gather_table); a negative entry raises
-    ValueError.  Raises CapacityError above
-    _MAX_MINPOLY_STATES rows or when the table exceeds _BLOCK_ENTRIES
-    entries.
+    given as rows, which becomes a gather table read in row blocks, as
+    bytes where the entries allow, with no n x n copy (see
+    _gather_table); a negative entry or one that is not an integer
+    raises ValueError.  Raises CapacityError above _MAX_MINPOLY_STATES
+    rows or when the table exceeds _BLOCK_ENTRIES entries.
     """
     table = _gather_table(M)
     n, R = len(table) - 1, table.shape[1]
@@ -571,12 +608,13 @@ def minimal_recurrence(a: SeqABC) -> tuple[Polynomial, int]:
     1969) runs on the whole sequence modulo fixed 61-bit primes, the
     primes below 2^61 in descending order; the reversed connection
     polynomials of the primes with the longest register are lifted to
-    the integers by symmetric CRT (_lift), and a lift is accepted only
-    when it annihilates every window of a, from index 0, exactly over
-    the integers.  A failed lift adds the next prime; only when the
-    product of the primes exceeds twice the coefficient bound of any
-    integral solution (_lift_bound) is the search given up as
-    inconclusive.
+    the integers by symmetric CRT (_lift), from the first prime on, and
+    a lift is accepted only when it annihilates every window of a, from
+    index 0, exactly over the integers.  So a recurrence with
+    coefficients below 2^60 usually takes one pass.  A failed lift adds
+    the next prime; only when the product of the primes exceeds twice
+    the coefficient bound of any integral solution (_lift_bound) is the
+    search given up as inconclusive.
 
     Minimality: for terms of an integer linear recurrence (such as word
     counts of an automaton), the generating function is P/C in lowest

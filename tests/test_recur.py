@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -16,6 +17,7 @@ try:
 except ImportError:
     sympy = None
 
+import palfac.recur
 from palfac.automaton import Dfa, minimize
 from palfac.construct import (
     CapacityError,
@@ -297,17 +299,20 @@ class TestLift:
     """_lift on synthetic (prime, register) streams."""
 
     def test_shorter_register_is_skipped(self):
+        # 5000 = 51 mod 101 = 78 mod 107; the first offer, from 101 alone, is
+        # rejected, and the length-0 register mod 103 must not join the next
         offered = []
-        q = _lift(zip((101, 103, 107), ([5, 1], [1], [5, 1])),
-                  lambda q: offered.append(q) or True, lambda L: 10)
-        assert q == P([5, 1]) and offered == [q]
+        q = _lift(zip((101, 103, 107), ([51, 1], [1], [78, 1])),
+                  lambda q: offered.append(q) or len(offered) > 1, lambda L: 10 ** 4)
+        assert q == P([5000, 1]) and offered == [P([-50, 1]), q]
 
     def test_longer_register_resets(self):
         # 5000 = 56 mod 103 = 78 mod 107; the length-0 register mod 101 is dropped
-        q = _lift(zip((101, 103, 107), ([3], [56, 1], [78, 1])), lambda q: True, lambda L: 10 ** 4)
+        q = _lift(zip((101, 103, 107), ([3], [56, 1], [78, 1])),
+                  lambda q: q == P([5000, 1]), lambda L: 10 ** 4)
         assert q == P([5000, 1])
 
-    def test_accept_is_first_called_at_the_second_prime(self):
+    def test_accept_is_first_called_at_the_first_prime(self):
         drawn, calls = [], []
 
         def registers():
@@ -317,7 +322,7 @@ class TestLift:
 
         assert _lift(registers(), lambda q: calls.append(len(drawn)) or True,
                      lambda L: 10) == P([1, 1])
-        assert calls == [2]
+        assert calls == [1]
 
     def test_gives_up_past_the_bound(self):
         # 2 * 10^4 + 1 lies between 101 * 103 and 101 * 103 * 107
@@ -326,7 +331,57 @@ class TestLift:
                   lambda q: offered.append(q) or False,
                   lambda L: lengths.append(L) or 10 ** 4)
         assert q is None
-        assert len(offered) == 2 and set(lengths) == {1}
+        assert len(offered) == 3 and set(lengths) == {1}
+
+
+def _counted(monkeypatch, name):
+    """Calls of palfac.recur's function name, appended to the list returned."""
+    calls = []
+    func = getattr(palfac.recur, name)
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(palfac.recur, name, counted)
+    return calls
+
+
+class TestFirstPrime:
+    """Both routes stop at the first prime whose lift passes the exact check."""
+
+    # c lies above half of p = 2^61 - 1, the sequence route's first prime,
+    # so the lift from p alone is X - (c - p), not X - c
+    C = 2 ** 60 + 3
+
+    def test_matrix_route_runs_one_projection_and_one_certificate(self, monkeypatch):
+        cs = transfer_matrix(build(MaxDistinct(2, 11)))
+        for M in (cs, cs.M):
+            projections = _counted(monkeypatch, "_min_poly_mod")
+            certificates = _counted(monkeypatch, "_verify_annihilates_matrix")
+            assert matrix_min_poly(M).degree == 49
+            assert len(projections) == len(certificates) == 1
+            monkeypatch.undo()
+
+    def test_sequence_route_runs_one_pass(self, monkeypatch):
+        a = sequence(transfer_matrix(build(MaxDistinct(2, 11))), 399)
+        passes = _counted(monkeypatch, "_berlekamp_massey")
+        q, n0 = minimal_recurrence(a)
+        assert len(passes) == 1 and (q.degree, n0) == (27, 15)
+
+    def test_wrong_first_lift_is_rejected(self, monkeypatch):
+        a = [self.C ** k for k in range(8)]
+        passes = _counted(monkeypatch, "_berlekamp_massey")
+        assert minimal_recurrence(a) == (P([-self.C, 1]), 0)
+        assert len(passes) == 2
+
+    def test_a_lift_taken_unchecked_fails(self, monkeypatch):
+        source = inspect.getsource(_lift)
+        assert source.count("if accept(q):") == 1
+        namespace = dict(vars(palfac.recur))
+        exec(source.replace("if accept(q):", "if True:"), namespace)
+        monkeypatch.setattr(palfac.recur, "_lift", namespace["_lift"])
+        assert minimal_recurrence([self.C ** k for k in range(8)]) != (P([-self.C, 1]), 0)
 
 
 class TestLda:
@@ -692,12 +747,20 @@ class TestGatherCertificate:
             "bad = good + P([1])\n"
             "print(_verify_annihilates_matrix(good, cs.table),"
             " _verify_annihilates_matrix(bad, cs.table))\n"
-            # the dense read's checks: capacity, non-square, ragged, and a late
-            # negative entry after an early capacity overflow
+            # the first lift from one prime is wrong and must be rejected
+            "from palfac.recur import minimal_recurrence\n"
+            "c = 2 ** 60 + 3\n"
+            "print(minimal_recurrence([c ** k for k in range(8)]) == (P([-c, 1]), 0))\n"
+            # the dense read's checks: capacity, non-square, ragged, a late
+            # negative entry after an early capacity overflow, int8 rows
+            # holding -1 and a non-integer entry
+            "import numpy as np\n"
             "from palfac.recur import _gather_table\n"
             "M = [[0] * 300 for _ in range(300)]\n"
             "M[0][1] = 2 ** 22 + 1\n"
-            "for M in (M, M[1:], [M[0], M[0][1:]] + M[2:], M[:-1] + [[0] * 299 + [-1]]):\n"
+            "signed = [np.zeros(300, dtype=np.int8)] * 299 + [np.full(300, -1, dtype=np.int8)]\n"
+            "for M in (M, M[1:], [M[0], M[0][1:]] + M[2:], M[:-1] + [[0] * 299 + [-1]],\n"
+            "          signed, M[:-1] + [[0] * 299 + [0.5]]):\n"
             "    try:\n"
             "        _gather_table(M)\n"
             "        print('read')\n"
@@ -708,8 +771,8 @@ class TestGatherCertificate:
         src = str(Path(palfac.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split() == ["True", "False", "CapacityError", "ValueError",
-                                      "ValueError", "ValueError"]
+        assert out.stdout.split() == ["True", "False", "True", "CapacityError", "ValueError",
+                                      "ValueError", "ValueError", "ValueError", "ValueError"]
 
 
 def first_dependency(vectors):
@@ -995,11 +1058,45 @@ class TestDenseRead:
         M[0][1] = 2 ** 64
         with pytest.raises(ValueError):
             _gather_table(M)
+        M[-1][-1] = 1.0
+        with pytest.raises(ValueError, match="integers"):
+            _gather_table(M)
+
+    @pytest.mark.parametrize("M", [[[0.5, 1.0], [1.0, 0.0]], [[1.0, 1], [1, 0]],
+                                   np.array([[1.5, 1], [1, 0]])])
+    def test_non_integer_entry_rejected(self, M):
+        # a cast to int64 reads these as X^2 - 1, X^2 - X - 1 and X^2 - X - 1
+        with pytest.raises(ValueError, match="integers"):
+            matrix_min_poly(M)
+
+    @staticmethod
+    def _int64_read(M):
+        """_gather_table of M as an int64 ndarray, which the bytes tier never reads."""
+        return _gather_table(np.array(M, dtype=np.int64)).tolist()
+
+    def test_bytes_tier_agrees_with_int64_reads(self):
+        small, wide = _cycles_matrix(), _cycles_matrix()
+        wide[150][3] = 256  # one block holds entries on both sides of 255
+        bits = [[bool(x) for x in row] for row in small]
+        for M in (small, wide, bits, [tuple(row) for row in small],
+                  [np.array(row, dtype=np.uint8) for row in small],
+                  [np.array(row, dtype=np.int64) for row in wide]):
+            assert _gather_table(M).tolist() == self._int64_read(M)
+
+    def test_buffer_rows_keep_their_sign(self):
+        # bytes() of an int8 row would read -1 as 255
+        M = [np.array(row, dtype=np.int8) for row in _cycles_matrix()]
+        M[-1][-1] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            _gather_table(M)
+        with pytest.raises(ValueError, match="nonnegative"):
+            self._int64_read(M)
 
     @pytest.mark.parametrize("M", [[[0, 1], [1]], [[0, 1, 0], [1, 0, 0]], [[0], [1]],
-                                   np.zeros((2, 3), dtype=np.uint8), np.zeros(2)])
+                                   np.zeros((2, 3), dtype=np.uint8), np.zeros(2),
+                                   [[0, 1, 0], [1]], [(0, 1, 1, 0), (1,), (0, 0, 1, 0)]])
     def test_ragged_or_non_square_rejected(self, M):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="square"):
             _gather_table(M)
 
     def _traced(self, read):
