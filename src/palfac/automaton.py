@@ -14,10 +14,10 @@ from typing import Iterable
 
 import numpy as np
 
-# D(2,14) (705,836 raw states) peaks at 98 MB, about 146 bytes per raw
-# state, through build_direct and minimize (1.6 s + 1.0 s), and at 429 MB,
-# about 637 bytes, through `palfac build --format json` on the raw
-# automaton (4.1-5.6 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
+# D(2,14) (705,836 raw states) peaks at 72 MB, about 108 bytes per raw
+# state, through build_direct and minimize (0.4-0.5 s + 1.0-1.2 s), and at
+# 412 MB, about 612 bytes, through `palfac build --format json` on the raw
+# automaton (2.8-3.3 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
 # 2.5 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
@@ -38,7 +38,8 @@ class Dfa:
     delta is a read-only (n, k) int32 array with delta[q, a] the successor
     of state q under symbol a, and accepting a read-only (n,) bool mask.
     The constructor takes any integer table of that shape and the
-    accepting states as an iterable of indices.  alphabet_size is
+    accepting states as an iterable of indices, and keeps copies, so the
+    caller's arrays stay as they were.  alphabet_size is
     delta.shape[1], and dead is the first rejecting state whose
     transitions all self-loop, or None.
     """
@@ -62,13 +63,26 @@ class Dfa:
             raise ValueError(f"an accepting state is not one of the {n} states")
         mask = np.zeros(n, dtype=bool)
         mask[states.astype(np.intp)] = True
-        self.delta = table.astype(np.int32)
-        self.delta.flags.writeable = False
-        mask.flags.writeable = False
-        self.accepting = mask
-        self.start = int(start)
-        loops = ~mask & (self.delta == np.arange(n)[:, None]).all(axis=1)
-        self.dead = int(loops.argmax()) if loops.any() else None
+        self._hold(table.astype(np.int32), int(start), mask)
+
+    @classmethod
+    def _adopt(cls, delta: np.ndarray, start: int, accepting: np.ndarray) -> Dfa:
+        """A Dfa that holds an int32 table and a bool mask the package has just built.
+
+        Nothing is checked or copied: the arrays become the Dfa's own, made
+        read-only, so the caller must keep no other reference to them.
+        """
+        d = cls.__new__(cls)
+        d._hold(delta, start, accepting)
+        return d
+
+    def _hold(self, delta: np.ndarray, start: int, accepting: np.ndarray) -> None:
+        delta.flags.writeable = False
+        accepting.flags.writeable = False
+        self.delta, self.start, self.accepting = delta, start, accepting
+        rejecting = np.flatnonzero(~accepting)
+        loops = (delta[rejecting] == rejecting[:, None]).all(axis=1)
+        self.dead = int(rejecting[loops.argmax()]) if loops.any() else None
 
     @property
     def alphabet_size(self) -> int:

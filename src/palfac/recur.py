@@ -92,9 +92,14 @@ class CountingSystem:
     __slots__ = ("table", "v", "w")
 
     def __init__(self, table, v, w):
-        table = np.array(table, dtype=np.int64)
-        self.v = tuple(int(x) for x in v)
-        self.w = tuple(int(x) for x in w)
+        table = np.asarray(table)
+        if table.size and table.dtype.kind not in "iu":
+            raise ValueError("transfer table entries must be integers")
+        table = table.astype(np.int64)
+        self.v, self.w = tuple(v), tuple(w)
+        if not all(isinstance(x, numbers.Integral) for x in self.v + self.w):
+            raise ValueError("vector entries must be integers")
+        self.v, self.w = tuple(map(int, self.v)), tuple(map(int, self.w))
         n = len(table)
         if table.ndim != 2 or ((table < 0) | (table > n)).any():
             raise ValueError("malformed transfer table")

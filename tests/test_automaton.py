@@ -57,6 +57,27 @@ def test_dfa_arrays_are_read_only():
         d.accepting[1] = True
 
 
+def test_constructor_leaves_the_callers_arrays_alone():
+    table = np.array([[1, 0], [1, 1]], dtype=np.int32)
+    accepting = np.array([0])
+    d = Dfa(table, 0, accepting)
+    assert table.flags.writeable and accepting.flags.writeable
+    table[0, 0] = 0
+    accepting[0] = 1
+    assert d.delta.tolist() == [[1, 0], [1, 1]]
+    assert d.accepting.tolist() == [True, False] and d.dead == 1
+
+
+def test_adopted_arrays_are_held_not_copied():
+    # the hand-off behind build_direct: its own table and bool mask, kept read-only
+    table = np.array([[1, 0], [1, 1]], dtype=np.int32)
+    mask = np.array([True, False])
+    d = Dfa._adopt(table, 0, mask)
+    assert d.delta is table and d.accepting is mask
+    assert not table.flags.writeable and not mask.flags.writeable
+    assert d == Dfa([[1, 0], [1, 1]], 0, [0]) and d.dead == 1
+
+
 @pytest.mark.parametrize("delta, accepting, dead", [
     ([[0, 1], [1, 1]], [0], 1),
     ([[1, 1], [0, 1]], [0], None),  # 1 rejects but leaves on 0

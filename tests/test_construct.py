@@ -3,13 +3,16 @@ import os
 import random
 import subprocess
 import sys
+from array import array
+from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import palfac
-from palfac.automaton import isomorphic, minimize
+from palfac.automaton import Dfa, isomorphic, minimize, state_budget
 from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
                               MaxCountByParity, MaxDistinct, MaxLen, MaxLenByParity,
                               build_avoidance, build_direct, forbidden_set)
@@ -194,19 +197,20 @@ def test_default_budget_fits_in_half_the_memory():
 
 
 def test_memory_per_raw_state():
-    # D(2,12): 74 % of the 25,464 raw states have windows shorter than the
-    # bound; indexing them too took 183 bytes per raw state, and ranking
-    # the Moore rounds with np.unique 82
+    # D(2,12): the level-at-a-time build peaks at 49 bytes per raw state;
+    # the per-transition loop with its dict of full windows took 87-120,
+    # indexing every state 183, and ranking the Moore rounds with np.unique 82
     spec = MaxDistinct(2, 12)
     raw, peak = _traced(lambda: build_direct(spec))
     assert raw.state_count == 25464
-    assert peak <= 120 * raw.state_count
+    assert peak <= 60 * raw.state_count
     _, peak = _traced(lambda: minimize(raw))
     assert peak <= 60 * raw.state_count
-    index_all = _source_mutant(build_direct, "fresh = tall is not None and not window & tall",
-                               "fresh = False")
-    again, peak = _traced(lambda: index_all(spec))
-    assert again == raw and peak > 120 * raw.state_count
+    # the same build on Python ints in object arrays: 75 bytes per raw state
+    object_lanes = _source_mutant(build_direct, "lane = np.int64 if k * width + 2 <= 62 else object",
+                                  "lane = object")
+    again, peak = _traced(lambda: object_lanes(spec))
+    assert again == raw and peak > 60 * raw.state_count
 
 
 # sha256 of each transition table, row by row, pins the discovery-order
@@ -375,3 +379,183 @@ def test_three_evaluations_of_each_family_agree(spec):
     via_automaton = dfa_counts(minimize(build_direct(spec)), depth)
     assert via_automaton == brute_count_profile(spec, depth)
     assert via_automaton == [brute_count_unpruned(spec, n) for n in range(depth + 1)]
+
+
+def _reference_build(spec, budget=None):
+    """build_direct as one loop per transition over a first-in first-out queue.
+
+    States are single ints, sid << k*width | window, and states with full
+    windows are found again through a dict; the numbering, the tables and
+    the budget are build_direct's.
+    """
+    k = spec.alphabet_size
+    bound = spec.window_bound()
+    admits = spec.admits
+    counted = spec.counted
+    if budget is None:
+        budget = state_budget()
+    if not admits((), 1, 0):
+        return Dfa([[0] * k], 0, [])
+
+    width = bound + 1
+    lanes = k * width
+    low = [sum(((1 << L) - 1) << (b * width) for b in range(k)) for L in range(width + 1)]
+    keep = low[bound]
+    letters = [(a * width, 1 << a * width) for a in range(k)]
+    window_lengths = (2 << bound) - 1
+    pals = {}  # palindrome code -> (its bit, its symbols oldest first)
+    even_bits = 0
+    masks = [0]  # sid -> seen bitmask
+    sid_of = {0: 0}
+    moves = [{}]  # sid -> {palindrome code: the next sid << lanes, or -1 for dead}
+    index = {}  # the states with full windows, by key
+    count = 1
+    # a window with none of these bits holds at most bound - 2 symbols
+    tall = ~low[bound - 2] if bound >= 2 else None
+    states = deque([0])
+    suffix_lengths = deque([1])
+    flat = array("i")  # row-major transitions, -1 for the dead state
+    used_dead = False
+
+    while states:
+        key = states.popleft()
+        lengths_here = suffix_lengths.popleft()
+        window = key & keep
+        sid = key >> lanes
+        here = key ^ window
+        move = moves[sid]
+        shifted = window << 1
+        fresh = tall is not None and not window & tall
+        for shift, letter in letters:
+            lengths = (lengths_here & (window >> shift)) << 2 | 3
+            longest = lengths.bit_length() - 1
+            ext = shifted | letter
+            code = ext & low[longest]
+            to = move.get(code)
+            if to is None:
+                pal = pals.get(code)
+                if pal is None:
+                    symbols = tuple(b for j in range(longest - 1, -1, -1) for b in range(k)
+                                    if code >> (b * width + j) & 1)
+                    pal = pals[code] = (1 << len(pals), symbols)
+                    if longest % 2 == 0:
+                        even_bits |= pal[0]
+                bit, symbols = pal
+                seen = masks[sid]
+                if not counted:
+                    to = here if admits(symbols, 0, 0) else -1
+                elif seen & bit:
+                    to = here
+                else:
+                    seen |= bit
+                    ev = 1 + (seen & even_bits).bit_count()
+                    od = seen.bit_count() + 1 - ev
+                    if not admits(symbols, ev, od):
+                        to = -1
+                    else:
+                        to = sid_of.get(seen)
+                        if to is None:
+                            to = sid_of[seen] = len(masks)
+                            masks.append(seen)
+                            moves.append({})
+                        to <<= lanes
+                move[code] = to
+            if to < 0:
+                used_dead = True
+                flat.append(-1)
+                continue
+            nxt = to | ext & keep
+            ti = None if fresh else index.get(nxt)
+            if ti is None:
+                ti = count
+                if ti >= budget:
+                    raise CapacityError(f"state budget {budget} exceeded while building {spec!r}")
+                count += 1
+                if not fresh:
+                    index[nxt] = ti
+                states.append(nxt)
+                suffix_lengths.append(lengths & window_lengths)
+            flat.append(ti)
+
+    n = count
+    if used_dead:
+        flat.extend([-1] * k)
+    table = np.frombuffer(flat, dtype=np.intc).reshape(-1, k)
+    table[table < 0] = n
+    return Dfa(table, 0, np.arange(n))
+
+
+@st.composite
+def reference_specs(draw):
+    """Specs of every family, unary ones with windows of up to 80 symbols."""
+    k = draw(st.integers(1, 3))
+    family = draw(st.sampled_from("DERTS"))
+    top = 40 if k == 1 else 4
+    caps = st.integers(0, top)
+    if family == "D":
+        return MaxDistinct(k, draw(st.integers(0, 40 if k == 1 else 7 if k == 2 else 5)))
+    if family == "E":
+        return MaxLen(k, draw(caps))
+    if family == "R":
+        return MaxLenByParity(k, draw(caps), draw(caps))
+    if family == "T":
+        return MaxCountByParity(k, draw(caps), draw(caps), draw(st.booleans()))
+    short = enumerate_palindromes(k, 2 if k == 2 else 3)
+    allowed = draw(st.sets(st.sampled_from(short), max_size=len(short)))
+    if k == 2 and draw(st.booleans()):
+        # one palindrome of up to 31 symbols: a window past the int64 lanes
+        half = draw(st.lists(st.integers(0, 1), min_size=10, max_size=16))
+        allowed.add(Word(half + half[::-1][draw(st.integers(0, 1)):], 2))
+    return AllowedSet(k, allowed)
+
+
+def _raises_capacity(build, spec, budget):
+    try:
+        build(spec, budget)
+    except CapacityError:
+        return True
+    return False
+
+
+def _check_against_reference(build, spec, budget):
+    want = _reference_build(spec)
+    got = build(spec)
+    assert got.state_count == want.state_count and got == want
+    live = want.live_state_count()
+    for b in {budget % (live + 1), live - 1, live}:
+        assert _raises_capacity(build, spec, b) == _raises_capacity(_reference_build, spec, b)
+
+
+# windows of 71, 60 and 33 symbols: the first and the last past the int64 lanes
+WIDE_SPECS = [MaxLen(1, 70), MaxLen(1, 59),
+              AllowedSet(2, [Word((), 2), Word((0,), 2), Word((1,), 2), W("1" * 31)])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(reference_specs(), st.integers(0, 10 ** 6))
+@example(WIDE_SPECS[0], 40)
+@example(WIDE_SPECS[2], 7)
+@example(MaxLen(3, 2), 3)  # a level whose new targets' keys are out of order
+def test_matches_the_per_transition_reference(spec, budget):
+    _check_against_reference(build_direct, spec, budget)
+
+
+@pytest.mark.parametrize("old,new,spec", [
+    ("order = first.argsort()  # new states in order of first occurrence",
+     "order = np.arange(len(first))", MaxLen(3, 2)),
+    ("lane = np.int64 if k * width + 2 <= 62 else object", "lane = np.int64", WIDE_SPECS[0]),
+    ("lane = np.int64 if k * width + 2 <= 62 else object", "lane = np.int64", WIDE_SPECS[2]),
+], ids=["targets numbered in key order", "int64 lanes on E(1,70)", "int64 lanes on a wide S"])
+def test_reference_check_catches_mutants(old, new, spec):
+    # each mutant fails one of the property's pinned examples
+    mutant = _source_mutant(build_direct, old, new)
+    with pytest.raises((AssertionError, OverflowError)):
+        _check_against_reference(mutant, spec, 0)
+
+
+def test_object_keys_give_the_same_tables():
+    # promoted as if sid << (k-1)*width would wrap an int64 from the first full window on
+    promoted = _source_mutant(build_direct, "len(masks) > 1 << (63 - rest)", "True")
+    for spec in (MaxDistinct(2, 9), MaxCountByParity(2, 3, 3), MaxLenByParity(3, 0, 3),
+                 AllowedSet(4, [Word((), 4)] + [Word((c,), 4) for c in range(4)])):
+        assert promoted(spec) == _reference_build(spec)

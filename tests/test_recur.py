@@ -101,6 +101,18 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             CountingSystem([[0, 1], [1]], [1, 0], [1, 1])
 
+    @pytest.mark.parametrize("table,v,w", [
+        ([[0.9, 0.2]], [1], [2]),
+        (np.array([[0.0, 0.0]]), [1], [2]),
+        ([[0, 0]], [1.5], [2]),
+        ([[0, 0]], [1], np.array([2.7])),
+        ([[0.9, 0.2]], [1.5], [2.7]),
+    ], ids=["float table", "float ndarray table", "float v", "float ndarray w", "all float"])
+    def test_non_integer_entries_rejected(self, table, v, w):
+        # a truncating read took the last case as table [[0, 0]], v = (1,), w = (2,)
+        with pytest.raises(ValueError, match="must be integers"):
+            CountingSystem(table, v, w)
+
     def test_table_is_the_transition_table(self):
         d = build(MaxLen(3, 2))
         cs = transfer_matrix(d)
