@@ -117,22 +117,6 @@ class Morphism:
         k = max((im.alphabet_size for im in self.images.values()), default=0)
         return Word(out, k)
 
-    def fixed_point_prefix(self, seed: int, min_length: int) -> Word:
-        """Prefix of the infinite fixed point starting at `seed`.
-
-        Requires the image of seed to start with seed and be longer than
-        one letter, and every letter reachable from seed to have an
-        image; grows by iterated application until min_length is
-        reached.
-        """
-        image = self.images.get(seed)
-        if image is None or image[0] != seed or len(image) < 2:
-            raise ValueError(f"no fixed point extends letter {seed}")
-        w = image
-        while len(w) < min_length:
-            w = self.apply(w)
-        return w[:min_length]
-
 
 # ---------------------------------------------------------------------------
 # graph structure

@@ -35,6 +35,7 @@ from .oracle import brute_count
 from .recur import (
     InconclusiveError,
     asymptotic_fit,
+    iter_sequence,
     largest_real_root,
     lda,
     matrix_min_poly,
@@ -207,7 +208,7 @@ def cmd_analyze(args, parser) -> int:
 
 def cmd_count(args, parser) -> int:
     d = _dfa_from_args(args, parser)
-    for n, an in enumerate(sequence(transfer_matrix(d), args.terms)):
+    for n, an in enumerate(iter_sequence(transfer_matrix(d), args.terms)):
         print(n, an)
     return 0
 

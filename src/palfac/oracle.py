@@ -87,6 +87,8 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     pop leaves it for the next push to overwrite, so memory stays
     O(max_depth * k).
     """
+    if max_depth < 0:
+        raise ValueError("word length must be nonnegative")
     if not satisfies(spec, Word(())):
         return
     word = [0] * max_depth

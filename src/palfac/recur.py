@@ -27,7 +27,7 @@ import itertools
 import math
 import numbers
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -57,6 +57,7 @@ __all__ = [
     "InconclusiveError",
     "transfer_matrix",
     "sequence",
+    "iter_sequence",
     "window_apply",
     "matrix_min_poly",
     "lda",
@@ -180,23 +181,26 @@ def _lumped(cs: CountingSystem) -> CountingSystem:
     return CountingSystem(block[cs.table[rep]], v, [w[i] for i in rep])
 
 
-def sequence(cs: CountingSystem, n_max: int) -> list[int]:
-    """Exact a(0..n_max): a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t.
+def iter_sequence(cs: CountingSystem, n_max: int) -> Iterator[int]:
+    """Exact a(0..n_max), one term at a time: a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t.
 
     The recurrence runs on the counting quotient of cs (see _lumped), on
-    object arrays of Python ints.
+    object arrays of Python ints, and holds only the current y_t.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     cs = _lumped(cs)
     start = [(i, vi) for i, vi in enumerate(cs.v) if vi]
     y = np.array(cs.w + (0,), dtype=object)
-    out = []
     for t in range(n_max + 1):
-        out.append(sum(vi * y[i] for i, vi in start))
+        yield sum(vi * y[i] for i, vi in start)
         if t < n_max:
             y = _apply(cs.table, y)
-    return out
+
+
+def sequence(cs: CountingSystem, n_max: int) -> list[int]:
+    """The list of iter_sequence(cs, n_max)."""
+    return list(iter_sequence(cs, n_max))
 
 
 def window_apply(q: Polynomial, a: SeqABC, i: int) -> int:

@@ -56,7 +56,7 @@ from .recur import (
     transfer_matrix,
     window_apply,
 )
-from .verify import check_stabilization, perturbed_symmetry, thue_morse
+from .verify import check_stabilization, perturbed_symmetry, thue_morse, transform
 from .words import Word, enumerate_palindromes, palindromic_factors
 
 W = Word.from_digits
@@ -400,8 +400,9 @@ def _add_classification_rows() -> None:
             u = W(x0, d.alphabet_size)
             v = W(x1, d.alphabet_size)
             found = analyze(d).birecurrent is not None
-            closing = [q for q in range(d.state_count) if q != d.dead
-                       and d.run(q, u) == q and d.run(q, v) == q]
+            tau_u, tau_v = transform(d, u), transform(d, v)
+            closing = [q for q in range(d.state_count)
+                       if q != d.dead and tau_u[q] == q == tau_v[q]]
             return found and bool(closing), "witness found, listed pair closes", \
                 f"witness {'found' if found else 'missing'}, " \
                 f"{len(closing)} closing state(s)"

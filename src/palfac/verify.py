@@ -19,54 +19,23 @@ from .automaton import CapacityError, Dfa, state_budget
 from .words import Word, _valid_word
 
 __all__ = [
-    "StateTransformation",
     "StabilizationReport",
     "transform",
-    "compose",
-    "identity",
     "perturbed_symmetry",
     "check_stabilization",
     "thue_morse",
 ]
 
 
-@dataclass(frozen=True)
-class StateTransformation:
-    """The map q -> delta(q, w) of some fixed word w, over all states."""
+def transform(d: Dfa, w) -> np.ndarray:
+    """tau_w as the int array q -> delta(q, w) over every state of d, the dead state included.
 
-    target: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.target)
-        for t in self.target:
-            if not 0 <= t < n:
-                raise ValueError("transformation target outside the state space")
-
-    def __call__(self, q: int) -> int:
-        return self.target[q]
-
-    @property
-    def size(self) -> int:
-        return len(self.target)
-
-
-def identity(n: int) -> StateTransformation:
-    return StateTransformation(tuple(range(n)))
-
-
-def transform(d: Dfa, w) -> StateTransformation:
-    """tau_w over every state of d, the dead state included."""
+    Composing is indexing: the array of uv is transform(d, v)[transform(d, u)].
+    """
     t = np.arange(d.state_count)
     for a in w:
         t = d.delta[t, a]
-    return StateTransformation(tuple(t.tolist()))
-
-
-def compose(s: StateTransformation, t: StateTransformation) -> StateTransformation:
-    """The transformation of uv from those of u and v: apply s, then t."""
-    if s.size != t.size:
-        raise ValueError("transformations over different state spaces")
-    return StateTransformation(tuple(t.target[x] for x in s.target))
+    return t
 
 
 def perturbed_symmetry(seed: Word, infix: Word, n: int) -> Word:
@@ -109,28 +78,38 @@ class StabilizationReport:
 def check_stabilization(d: Dfa, seed: Word, infix: Word, n_max: int) -> StabilizationReport:
     """Drive the perturbed-symmetry words X_0..X_{n_max} through d.
 
-    The words are never built: tau_{X_{n+1}} = tau_{X_n} tau_s tau_{X_n^R}
-    and tau_{X_{n+1}^R} = tau_{X_n} tau_{s^R} tau_{X_n^R}, and X_n is
-    accepted when tau_{X_n} sends the start state to an accepting one.
+    The words are never built: with x = tau_{X_n} and x_rev = tau_{X_n^R},
+    tau_{X_{n+1}} = x_rev[tau_s[x]] and tau_{X_{n+1}^R} = x_rev[tau_{s^R}[x]],
+    and X_n is accepted when x sends the start state to an accepting one.
     Transformations are compared as whole state maps, which is portable
     across renumberings.  Once the pair (tau_{X_n}, tau_{X_n^R}) repeats,
-    the recurrences above repeat it at every later n; tau_{X_n} repeating
-    alone proves nothing while tau_{X_n^R} still moves.
+    the recurrences above repeat it at every later n, so the loop stops
+    there and the report repeats that pair's flags up to n_max;
+    tau_{X_n} repeating alone proves nothing while tau_{X_n^R} still moves.
+    The report holds n_max + 1 flags per field, so n_max is held to the
+    state budget.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    tau_s, tau_s_rev = transform(d, infix), transform(d, infix.reverse())
-    taus, taus_rev = [transform(d, seed)], [transform(d, seed.reverse())]
-    for _ in range(n_max):
-        x, x_rev = taus[-1], taus_rev[-1]
-        taus.append(compose(compose(x, tau_s), x_rev))
-        taus_rev.append(compose(compose(x, tau_s_rev), x_rev))
-
-    stabilized_at = next((n for n in range(n_max) if taus[n] == taus[n + 1]
-                          and taus_rev[n] == taus_rev[n + 1]), None)
-    reversal_equal = tuple(taus[n] == taus_rev[n] for n in range(1, n_max + 1))
-    accepted = tuple(bool(d.accepting[tau(d.start)]) for tau in taus)
-    return StabilizationReport(stabilized_at, reversal_equal, accepted)
+    budget = state_budget()
+    if n_max > budget:
+        raise CapacityError(f"n_max {n_max} exceeds the budget of {budget}")
+    s, s_rev = transform(d, infix), transform(d, infix.reverse())
+    x, x_rev = transform(d, seed), transform(d, seed.reverse())
+    reversal_equal, accepted = [], [bool(d.accepting[x[d.start]])]
+    stabilized_at = None
+    for n in range(n_max):
+        x_next, x_rev_next = x_rev[s[x]], x_rev[s_rev[x]]
+        if np.array_equal(x_next, x) and np.array_equal(x_rev_next, x_rev):
+            stabilized_at = n
+            break
+        x, x_rev = x_next, x_rev_next
+        reversal_equal.append(np.array_equal(x, x_rev))
+        accepted.append(bool(d.accepting[x[d.start]]))
+    tail = n_max - len(reversal_equal)
+    reversal_equal += [np.array_equal(x, x_rev)] * tail
+    accepted += accepted[-1:] * tail
+    return StabilizationReport(stabilized_at, tuple(reversal_equal), tuple(accepted))
 
 
 def thue_morse(n: int) -> Word:

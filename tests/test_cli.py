@@ -9,9 +9,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import palfac
 from palfac.analyze import spec_dfa
 from palfac.automaton import Dfa, export_dfa, import_dfa, minimize
 from palfac.cli import main
@@ -194,6 +198,28 @@ class TestCount:
         assert code == 0
         assert stdout == "0 1\n"
 
+    def test_negative_terms_print_nothing(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "count", "--family", "D", "--cap", "8", "--terms", "-1")
+        assert code == 2
+        assert stdout == ""
+        assert "error" in stderr
+
+    def test_terms_are_printed_as_they_are_computed(self, capsys, monkeypatch):
+        # a term reaches stdout before the next one is computed
+        import palfac.recur
+
+        printed = []
+        apply = palfac.recur._apply
+
+        def spy(table, y):
+            printed.append(capsys.readouterr().out.count("\n"))
+            return apply(table, y)
+
+        monkeypatch.setattr(palfac.recur, "_apply", spy)
+        assert run(capsys, "count", "--family", "D", "--cap", "8", "--terms", "4")[0] == 0
+        assert printed == [1, 1, 1, 1]
+
 
 class TestAnnihilateAsymptotics:
     def test_annihilate_both_routes(self, capsys):
@@ -305,6 +331,16 @@ class TestVerifyOracle:
                 "--seed", "", "--infix", "01", "--nmax", nmax)
             assert code == 0
             assert json.loads(stdout)["stabilized_at"] == expected
+
+    def test_verify_horizon_past_the_budget_is_capacity(self, capsys, monkeypatch):
+        # the report holds n_max + 1 flags per field, so n_max meets the state budget
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "200")
+        argv = ["verify", "--family", "D", "--cap", "4", "--seed", "0", "--infix", "1"]
+        assert run(capsys, *argv, "--nmax", "200")[0] == 0
+        code, stdout, stderr = run(capsys, *argv, "--nmax", "201")
+        assert code == 3
+        assert stdout == ""
+        assert "capacity" in stderr
 
     def test_verify_rejects_short_horizon(self, capsys, tmp_path):
         allowed = tmp_path / "allowed.txt"
@@ -426,6 +462,16 @@ class TestErrors:
         assert code == 2
         assert stdout == ""
         assert "error:" in stderr
+
+    def test_negative_oracle_length_is_usage_error(self):
+        # a real process, so an escaped exception would print its traceback
+        src = str(Path(palfac.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "palfac.cli", "oracle", "--family", "D",
+                              "--cap", "9", "--length", "-1"], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error" in out.stderr and "Traceback" not in out.stderr
 
     def test_missing_automaton_file(self, capsys):
         code, _, stderr = run(capsys, "analyze", "--automaton", "/no/such/file")

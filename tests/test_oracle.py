@@ -31,6 +31,15 @@ def test_profile_matches_single_counts():
     assert profile == [brute_count(spec, n).count for n in range(10)]
 
 
+def test_negative_length_rejected():
+    # the spec accepts the empty word, so the search gets past its first check
+    spec = MaxDistinct(2, 9)
+    for count in (lambda: brute_count(spec, -1), lambda: brute_count_profile(spec, -1),
+                  lambda: _search(spec, -1, lambda *a: True, 10)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count()
+
+
 PRUNING_SPECS = [
     MaxDistinct(2, 4),
     MaxLen(2, 2),

@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palfac.analyze import Morphism
-from palfac.automaton import Dfa, minimize
+from palfac.automaton import BUDGET_ENV, Dfa, minimize
 from palfac.construct import AllowedSet, CapacityError, MaxDistinct, MaxLen, build_direct
-from palfac.verify import (
-    StateTransformation,
-    check_stabilization,
-    compose,
-    identity,
-    perturbed_symmetry,
-    thue_morse,
-    transform,
-)
+from palfac.verify import check_stabilization, perturbed_symmetry, thue_morse, transform
 from palfac.words import Word, palindromic_factors
-from test_words import _traced
+from test_words import _source_mutant, _traced
 
 W = Word.from_digits
 EMPTY = Word(())
@@ -44,13 +36,13 @@ def random_word(rng, k, length):
 class TestTransform:
     def test_empty_word_is_identity(self):
         d = build(MaxLen(2, 4))
-        assert transform(d, EMPTY) == identity(d.state_count)
+        assert np.array_equal(transform(d, EMPTY), np.arange(d.state_count))
 
     def test_total_over_all_states(self):
         d = build(MaxDistinct(2, 9))
         tau = transform(d, W("01"))
-        assert tau.size == d.state_count
-        assert tau(d.dead) == d.dead
+        assert tau.shape == (d.state_count,)
+        assert tau[d.dead] == d.dead
 
     def test_concatenation_composes(self):
         d = build(MaxDistinct(2, 9))
@@ -58,57 +50,23 @@ class TestTransform:
         for _ in range(40):
             u = random_word(rng, 2, rng.randrange(8))
             v = random_word(rng, 2, rng.randrange(8))
-            assert transform(d, u + v) == compose(transform(d, u), transform(d, v))
+            assert np.array_equal(transform(d, u + v), transform(d, v)[transform(d, u)])
             # the gather over all states against one run per state
-            assert transform(d, u).target == tuple(d.run(q, u) for q in range(d.state_count))
+            assert transform(d, u).tolist() == [d.run(q, u) for q in range(d.state_count)]
 
     def test_four_letter_seed_reversal_invariant(self):
         # the transformation of B_1 coincides with that of its reversal
         d = sigma4()
         b1 = perturbed_symmetry(B0, INFIX_23, 1)
-        assert transform(d, b1) == transform(d, b1.reverse())
-
-    def test_target_validated(self):
-        with pytest.raises(ValueError):
-            StateTransformation((0, 3))
-
-
-class TestCompose:
-    def test_identity_neutral(self):
-        d = build(MaxLen(2, 4))
-        t = transform(d, W("0110"))
-        e = identity(d.state_count)
-        assert compose(e, t) == t
-        assert compose(t, e) == t
-
-    def test_applies_first_argument_first(self):
-        s = StateTransformation((1, 1))
-        t = StateTransformation((0, 0))
-        assert compose(s, t).target == (0, 0)
-        assert compose(t, s).target == (1, 1)
-
-    def test_associative(self):
-        rng = random.Random(7)
-        n = 9
-        for _ in range(50):
-            a, b, c = (
-                StateTransformation(tuple(rng.randrange(n) for _ in range(n)))
-                for _ in range(3)
-            )
-            assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(identity(3), identity(4))
+        assert np.array_equal(transform(d, b1), transform(d, b1.reverse()))
 
     def test_recursion_step_matches_composition(self):
-        # tau_{X_{n+1}} = tau_{X_n} . tau_{infix} . tau_{X_n^R}
+        # tau_{X_{n+1}} = tau_{X_n^R}[tau_{infix}[tau_{X_n}]]
         d = sigma4()
         b2 = perturbed_symmetry(B0, INFIX_23, 2)
         b3 = perturbed_symmetry(B0, INFIX_23, 3)
-        lhs = compose(compose(transform(d, b2), transform(d, INFIX_23)),
-                      transform(d, b2.reverse()))
-        assert lhs == transform(d, b3)
+        lhs = transform(d, b2.reverse())[transform(d, INFIX_23)[transform(d, b2)]]
+        assert np.array_equal(lhs, transform(d, b3))
 
 
 class TestPerturbedSymmetry:
@@ -206,21 +164,51 @@ class TestCheckStabilization:
             words = [perturbed_symmetry(seed, infix, j) for j in range(8)]
             taus = [transform(d, w) for w in words]
             taus_rev = [transform(d, w.reverse()) for w in words]
+            same = np.array_equal
             report = check_stabilization(d, seed, infix, 7)
             assert report.stabilized_at == next(
                 (j for j in range(7)
-                 if taus[j] == taus[j + 1] and taus_rev[j] == taus_rev[j + 1]), None)
+                 if same(taus[j], taus[j + 1]) and same(taus_rev[j], taus_rev[j + 1])), None)
             assert report.reversal_equal == tuple(
-                taus[j] == taus_rev[j] for j in range(1, 8))
+                same(taus[j], taus_rev[j]) for j in range(1, 8))
             assert report.accepted == tuple(d.accepts(w) for w in words)
 
-    def test_stabilization_waits_for_the_reversal(self):
+    def test_stabilization_waits_for_the_reversal(self, check=check_stabilization):
         # tau_{X_n} alone repeats at n = 4 while tau_{X_n^R} keeps moving,
         # and tau_{X_n} moves again at n = 6; only the pair settles, at 6
         d = Dfa([[0, 1], [2, 3], [3, 0], [3, 2]], 0, [0, 1, 2])
-        assert check_stabilization(d, EMPTY, W("01"), 5).stabilized_at is None
+        assert check(d, EMPTY, W("01"), 5).stabilized_at is None
         for n_max in (7, 8, 12):
-            assert check_stabilization(d, EMPTY, W("01"), n_max).stabilized_at == 6
+            assert check(d, EMPTY, W("01"), n_max).stabilized_at == 6
+
+    def test_stopping_on_one_map_is_caught(self):
+        mutant = _source_mutant(
+            check_stabilization,
+            "if np.array_equal(x_next, x) and np.array_equal(x_rev_next, x_rev):",
+            "if np.array_equal(x_next, x):")
+        with pytest.raises(AssertionError):
+            self.test_stabilization_waits_for_the_reversal(check=mutant)
+
+    def test_long_horizon_repeats_the_settled_pair(self):
+        # the D(2,10) verify instance settles at n = 2; keeping all 2 * 20,001
+        # state maps as tuples, this horizon peaked at 95 MB
+        d, seed, infix = build(MaxDistinct(2, 10)), W("0010"), W("1")
+        short = check_stabilization(d, seed, infix, 16)
+        report, peak = _traced(lambda: check_stabilization(d, seed, infix, 20_000))
+        assert short.stabilized_at == report.stabilized_at == 2
+        assert report.reversal_equal == short.reversal_equal + short.reversal_equal[-1:] * 19_984
+        assert report.accepted == short.accepted + short.accepted[-1:] * 19_984
+        assert peak < 2_000_000
+
+    def test_horizon_held_to_the_state_budget(self, monkeypatch):
+        # the report holds n_max + 1 flags per field; a refused horizon composes nothing
+        import palfac.verify
+
+        monkeypatch.setenv(BUDGET_ENV, "50")
+        assert len(check_stabilization(sigma4(), B0, INFIX_23, 50).accepted) == 51
+        monkeypatch.setattr(palfac.verify, "transform", None)
+        with pytest.raises(CapacityError, match="budget"):
+            check_stabilization(sigma4(), B0, INFIX_23, 51)
 
     def test_short_horizon_rejected(self):
         for bad in (-1, 0, 1):
