@@ -28,8 +28,19 @@ class CapacityError(RuntimeError):
 
 
 def state_budget() -> int:
+    """PALFAC_STATE_BUDGET, or DEFAULT_STATE_BUDGET when it is unset.
+
+    Every budgeted layer reads the budget here and nowhere else.
+    """
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_STATE_BUDGET
+    if env is None:
+        return DEFAULT_STATE_BUDGET
+    try:
+        if int(env) > 0:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"{BUDGET_ENV} must be a positive integer, not {env!r}")
 
 
 class Dfa:
@@ -54,7 +65,7 @@ class Dfa:
         n = len(table)
         if table.size and (table.min() < 0 or table.max() >= n):
             raise ValueError(f"a transition leaves the {n} states")
-        if not isinstance(start, (int, np.integer)) or not 0 <= start < n:
+        if type(start) is bool or not isinstance(start, (int, np.integer)) or not 0 <= start < n:
             raise ValueError(f"start state {start!r} out of range")
         states = np.asarray(accepting if isinstance(accepting, np.ndarray)
                             else list(accepting))
@@ -277,32 +288,34 @@ class FormatError(ValueError):
     """Raised for malformed or nondeterministic automaton descriptions."""
 
 
-def _hold_to_budget(rows: int, k: int, budget: int) -> None:
+def _hold_to_budget(rows: int, k: int) -> None:
+    budget = state_budget()
     if rows * k > 2 * budget:
         raise CapacityError(f"a {rows} x {k} table exceeds twice the state budget of {budget}")
 
 
-def import_dfa(text: str, fmt: str = "grail", budget: int | None = None) -> Dfa:
+def import_dfa(text: str, fmt: str = "grail") -> Dfa:
     """Parse an automaton; partial transition tables are completed with a dead state.
 
     The JSON "alphabet" and "dead" fields, when present, must agree with
     what the table gives.  A table with more entries than a binary
-    automaton at the state budget (state_budget() unless given) raises
-    CapacityError.  A grail table spans every state id and symbol up to
-    the largest named, so it is checked before it is built.
+    automaton at state_budget() raises CapacityError.  A grail table spans
+    every state id and symbol up to the largest named, so it is checked
+    before it is built.  JSON booleans are not state numbers.
     """
-    if budget is None:
-        budget = state_budget()
     if fmt == "json":
         payload = json.loads(text)
         if not (isinstance(payload, dict) and "start" in payload
                 and all(isinstance(payload.get(key), list) for key in ("delta", "accepting"))):
             raise FormatError("a JSON automaton needs a delta list, a start and an accepting list")
+        if any(isinstance(t, bool) for row in payload["delta"] if isinstance(row, list)
+               for t in row):
+            raise FormatError("a transition is a state number, not a boolean")
         d = Dfa(payload["delta"], payload["start"], payload["accepting"])
         for key, value in (("alphabet", d.alphabet_size), ("dead", d.dead)):
             if key in payload and payload[key] != value:
                 raise FormatError(f"{key} is {payload[key]!r} but the table gives {value!r}")
-        _hold_to_budget(*d.delta.shape, budget)
+        _hold_to_budget(*d.delta.shape)
         return d
     if fmt != "grail":
         raise ValueError(f"unknown format {fmt!r} (want grail or json)")
@@ -350,7 +363,7 @@ def import_dfa(text: str, fmt: str = "grail", budget: int | None = None) -> Dfa:
         raise FormatError("no transitions; alphabet size unknown")
     n = max(states) + 1
     complete = len(trans) == n * k  # otherwise state n completes the table
-    _hold_to_budget(n + (not complete), k, budget)
+    _hold_to_budget(n + (not complete), k)
     delta = [[trans.get((q, a), n) for a in range(k)] for q in range(n)]
     if not complete:
         delta.append([n] * k)

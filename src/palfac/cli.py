@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Machine-readable data goes to stdout (JSON, b-file lines, coefficient
-lists, serialized automata); human commentary goes to stderr.  Exit
-codes: 0 success, 1 a check failed or a fit was inconclusive, 2 usage
-error, 3 capacity exceeded.
+lists, serialized automata); human commentary goes to stderr.  The
+parser's epilog gives the exit codes and the state budget.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from .analyze import (
     NoInfiniteWords,
     analyze,
 )
-from .automaton import Dfa, export_dfa, import_dfa, minimize
+from .automaton import BUDGET_ENV, DEFAULT_STATE_BUDGET, Dfa, export_dfa, import_dfa, minimize
 from .construct import (
-    BUDGET_ENV,
     AllowedSet,
     CapacityError,
     MaxCountByParity,
@@ -78,11 +76,6 @@ def _add_automaton_source(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state-budget", type=int, metavar="N",
-                   help=f"size limit on built and imported automata (default via {BUDGET_ENV})")
-
-
 def _read_allowed(path: str) -> list[Word]:
     words = []
     try:
@@ -109,18 +102,18 @@ def _spec_from_args(args, parser: argparse.ArgumentParser):
     return family(args.alphabet, *values)
 
 
-def _load_dfa(path: str, budget: int | None) -> Dfa:
+def _load_dfa(path: str) -> Dfa:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     fmt = "json" if text.lstrip().startswith("{") else "grail"
-    return import_dfa(text, fmt, budget)
+    return import_dfa(text, fmt)
 
 
 def _dfa_from_args(args, parser: argparse.ArgumentParser, minimized: bool = True) -> Dfa:
     if getattr(args, "automaton", None):
-        d = _load_dfa(args.automaton, args.state_budget)
+        d = _load_dfa(args.automaton)
     else:
-        d = build_direct(_spec_from_args(args, parser), args.state_budget)
+        d = build_direct(_spec_from_args(args, parser))
     return minimize(d) if minimized else d
 
 
@@ -142,7 +135,7 @@ def _word_arg(text: str, k: int) -> Word:
 
 
 def cmd_build(args, parser) -> int:
-    d = build_direct(_spec_from_args(args, parser), args.state_budget)
+    d = build_direct(_spec_from_args(args, parser))
     raw = d.state_count
     if args.minimize:
         d = minimize(d)
@@ -154,7 +147,7 @@ def cmd_build(args, parser) -> int:
 
 
 def cmd_minimize(args, parser) -> int:
-    d = _load_dfa(args.automaton, args.state_budget)
+    d = _load_dfa(args.automaton)
     m = minimize(d)
     _say(f"{d.state_count} states -> {m.state_count} ({m.live_state_count()} live)")
     _emit(export_dfa(m, args.format), args.out)
@@ -311,12 +304,14 @@ def cmd_reproduce(args, parser) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="palfac",
-        description="automata for words with constrained palindromic factors")
+        description="automata for words with constrained palindromic factors",
+        epilog=f"{BUDGET_ENV}, a positive integer (default {DEFAULT_STATE_BUDGET}), is the "
+               "state budget of every command. Exit codes: 0 success, 1 a check failed or "
+               "a fit was inconclusive, 2 usage error, 3 capacity exceeded.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct an automaton from a constraint")
     _add_family_flags(p)
-    _add_common(p)
     p.add_argument("--minimize", action="store_true", help="minimize before writing")
     p.add_argument("--format", choices=["grail", "json", "dot"], default="grail")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
@@ -324,14 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="minimize a serialized automaton")
     p.add_argument("--automaton", metavar="FILE", required=True)
-    _add_common(p)
     p.add_argument("--format", choices=["grail", "json", "dot"], default="grail")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("export", help="reserialize an automaton (dot for figures)")
     _add_automaton_source(p)
-    _add_common(p)
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--format", choices=["grail", "json", "dot"], default="dot")
     p.add_argument("--out", metavar="FILE")
@@ -339,26 +332,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="recurrence structure and infinite words")
     _add_automaton_source(p)
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("count", help="length-indexed counts, b-file style")
     _add_automaton_source(p)
-    _add_common(p)
     p.add_argument("--terms", type=int, default=40, metavar="N",
                    help="last index to print (default 40)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("annihilate", help="minimal recurrence of the count sequence")
     _add_automaton_source(p)
-    _add_common(p)
     p.add_argument("--terms", type=int, default=400, metavar="N")
     p.add_argument("--method", choices=["lda", "hankel", "both"], default="both")
     p.set_defaults(func=cmd_annihilate)
 
     p = sub.add_parser("asymptotics", help="growth rate and leading constants")
     _add_automaton_source(p)
-    _add_common(p)
     p.add_argument("--terms", type=int, default=400, metavar="N")
     p.add_argument("--split-parity", action="store_true",
                    help="also read the constant c2 of the pole at -1/alpha")
@@ -366,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="transformation stabilization for X -> X s X^R")
     _add_automaton_source(p)
-    _add_common(p)
     p.add_argument("--seed", required=True, metavar="WORD",
                    help="starting word as a digit string ('' for the empty word)")
     p.add_argument("--infix", required=True, metavar="WORD")
@@ -394,9 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "state_budget", None) is not None:
-        if args.state_budget <= 0:
-            parser.error("--state-budget must be positive")
     try:
         return args.func(args, parser)
     except CapacityError as exc:

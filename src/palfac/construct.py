@@ -39,8 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# the state budget lives in automaton, whose imports are held to it too; re-exported here
-from .automaton import BUDGET_ENV, DEFAULT_STATE_BUDGET, CapacityError, Dfa, state_budget
+from .automaton import CapacityError, Dfa, state_budget
 from .words import PalFacSet, Word, enumerate_palindromes, minimal_elements
 
 
@@ -293,7 +292,7 @@ class _SortedMap:
         self.keys, self.values = merged_keys, merged_values
 
 
-def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
+def build_direct(spec: ConstraintSpec) -> Dfa:
     """Breadth-first construction of a complete DFA for the spec's language.
 
     A state is a sid and a window.  The window holds the last `bound`
@@ -359,8 +358,7 @@ def build_direct(spec: ConstraintSpec, budget: int | None = None) -> Dfa:
     bound = spec.window_bound()
     admits = spec.admits
     counted = spec.counted
-    if budget is None:
-        budget = state_budget()
+    budget = state_budget()
 
     # the empty word is a palindromic factor of every word
     if not admits((), 1, 0):

@@ -27,7 +27,8 @@ from .automaton import minimize
 from .construct import CapacityError, ConstraintSpec, build_direct
 from .words import Word, palindromic_factors
 
-DEFAULT_EVAL_BUDGET = 100_000_000
+# the most words, counted with their orbits, that one search may evaluate
+EVAL_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def satisfies(spec: ConstraintSpec, w: Word) -> bool:
     return spec.satisfied_by(palindromic_factors(w))
 
 
-def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
+def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
     """Pruned DFS over accepted words of length <= max_depth.
 
     visit(depth, word, weight) runs once per accepted word, lexicographically
@@ -65,8 +66,8 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     on the words it stands for: the orbit's weight for a letter already
     used, and weight * (k-j) for the fresh letter j, which stands for all
     k-j unused ones.  A canonical word thus pays weight * k, as its orbit
-    does letter by letter, so the budget runs out exactly where the full
-    search's would.
+    does letter by letter, so the budget, EVAL_BUDGET read at the call,
+    runs out exactly where the full search's would.
 
     The palindromic tree lives in flat lists indexed by depth and node.
     Nodes 0 and 1 are the imaginary (length -1) and empty roots; each
@@ -108,6 +109,7 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
     top = 2  # nodes in use
     even = odd = 0  # nonempty palindromic factors by parity
     evaluations = 0
+    budget = EVAL_BUDGET
     last_letter = max_depth - 1
     d = 0
     while True:
@@ -181,8 +183,7 @@ def _search(spec: ConstraintSpec, max_depth: int, visit, budget: int) -> None:
         stop[d] = fresh + 1 if fresh < k else k
 
 
-def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
-                budget: int = DEFAULT_EVAL_BUDGET) -> OracleResult:
+def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0) -> OracleResult:
     """Exact number of length-n words satisfying the constraint.
 
     The witnesses are the first max_witnesses accepted words in
@@ -203,7 +204,7 @@ def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
                 canonical.append(tuple(word[:depth]))
         return True
 
-    _search(spec, n, visit, budget)
+    _search(spec, n, visit)
     if not max_witnesses:
         return OracleResult(n=n, count=count)
     witnesses = canonical
@@ -215,8 +216,7 @@ def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0,
                         witnesses=tuple(Word(w, k) for w in witnesses[:max_witnesses]))
 
 
-def brute_count_profile(spec: ConstraintSpec, n_max: int,
-                        budget: int = DEFAULT_EVAL_BUDGET) -> list[int]:
+def brute_count_profile(spec: ConstraintSpec, n_max: int) -> list[int]:
     """Counts for every length 0..n_max from a single search."""
     counts = [0] * (n_max + 1)
 
@@ -224,7 +224,7 @@ def brute_count_profile(spec: ConstraintSpec, n_max: int,
         counts[depth] += weight
         return True
 
-    _search(spec, n_max, visit, budget)
+    _search(spec, n_max, visit)
     return counts
 
 
@@ -235,7 +235,7 @@ def brute_count_unpruned(spec: ConstraintSpec, n: int) -> int:
                if satisfies(spec, Word(syms, k)))
 
 
-def longest_word(spec: ConstraintSpec, budget: int = DEFAULT_EVAL_BUDGET) -> int | None:
+def longest_word(spec: ConstraintSpec) -> int | None:
     """Maximum accepted length, or None when the language is infinite.
 
     An accepted word at least as long as the minimized automaton's live
@@ -255,5 +255,5 @@ def longest_word(spec: ConstraintSpec, budget: int = DEFAULT_EVAL_BUDGET) -> int
         longest = max(longest, depth)
         return True
 
-    _search(spec, threshold, visit, budget)
+    _search(spec, threshold, visit)
     return None if infinite else longest

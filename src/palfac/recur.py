@@ -722,30 +722,27 @@ def _changes_sign(f: Polynomial, lo: Fraction, hi: Fraction) -> bool:
     return _scaled_value(f.coeffs, lo) * _scaled_value(f.coeffs, hi) <= 0
 
 
-def asymptotic_fit(a: SeqABC, alpha, annihilator: Polynomial | None = None,
+def asymptotic_fit(a: SeqABC, alpha, annihilator: Polynomial,
                    split_parity: bool = False) -> AsymptoticFit:
     """Read a(n) ~ C n^(m-1) alpha^n exactly off the pole at 1/alpha.
 
-    lda puts the annihilator (minimal_recurrence(a) when None) in lowest
-    terms, q of degree d from n0, so the generating function of a is N/D
-    with D = X^d q(1/X) and N = (A D) mod X^(d+n0), A the polynomial of
-    the first d + n0 terms.  alpha is a RootInterval of the largest real
-    root of q, or that root as an exact number; anything else raises
-    ValueError.  m is the multiplicity of the squarefree factor of q that
-    changes sign on alpha's interval.  C, and with split_parity C2 at
-    -1/alpha, is evaluated over that interval, bisected until C is known
-    to 10^-12 relative; the midpoint is reported.
+    lda puts the annihilator, any polynomial that annihilates a from some
+    offset on, in lowest terms: q of degree d from n0, so the generating
+    function of a is N/D with D = X^d q(1/X) and N = (A D) mod X^(d+n0), A
+    the polynomial of the first d + n0 terms.  alpha is a RootInterval of
+    the largest real root of q, or that root as an exact number; anything
+    else raises ValueError.  m is the multiplicity of the squarefree
+    factor of q that changes sign on alpha's interval.  C, and with
+    split_parity C2 at -1/alpha, is evaluated over that interval, bisected
+    until C is known to 10^-12 relative; the midpoint is reported.
 
     Dominance: the roots of q of modulus above r = (ceil(lo 2^k) - 1)/2^k
     are counted exactly (polys._roots_outside) for k = 2, 4, 8, ... while
     2^-k >= 10^-12.  A count of 1, or of 2 when split_parity is set and
     -alpha is a root (alpha is a root of gcd(q(X), q(-X))), certifies it.
     """
-    if annihilator is None:
-        q, n0 = minimal_recurrence(a)
-    else:
-        p = annihilator * Polynomial.x_power(_offset(annihilator, a))
-        q, n0 = lda(p, a[:p.degree])  # _offset has checked every window
+    p = annihilator * Polynomial.x_power(_offset(annihilator, a))
+    q, n0 = lda(p, a[:p.degree])  # _offset has checked every window
     d = q.degree
     D = Polynomial(q.coeffs[::-1])
     N = Polynomial((Polynomial(a[:d + n0]) * D).coeffs[:d + n0])

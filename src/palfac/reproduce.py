@@ -33,7 +33,7 @@ from .analyze import (
     verify_ultimately_periodic,
     witness_morphisms,
 )
-from .automaton import export_dfa, import_dfa, isomorphic, minimize
+from .automaton import export_dfa, import_dfa, isomorphic, minimize, state_budget
 from .construct import (
     AllowedSet,
     ConstraintSpec,
@@ -749,12 +749,17 @@ def row_descriptors() -> list[tuple[str, str, int | None, RowFn, bool]]:
 
 def run_checks(section: int | None = None, group: str | None = None,
                seed: int = 0) -> Iterator[CheckResult]:
-    """Execute the registry, yielding one CheckResult per row."""
-    for name, grp, sec, fn, known in _ROWS:
-        if group is not None and grp != group:
-            continue
-        if section is not None and sec != section:
-            continue
+    """Execute the registry, yielding one CheckResult per row.
+
+    A state budget that is not a positive integer, or a selection that
+    matches no row (the message names the groups), raises ValueError.
+    """
+    state_budget()
+    rows = [row for row in _ROWS if group in (None, row[1]) and section in (None, row[2])]
+    if not rows:
+        groups = ", ".join(sorted({grp for _, grp, *_ in _ROWS}))
+        raise ValueError(f"no check matches this selection; the groups are {groups}")
+    for name, grp, sec, fn, known in rows:
         try:
             passed, expected, actual = fn(seed)
         except Exception as exc:  # a failing row must not kill the run

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from palfac.automaton import (
     BUDGET_ENV,
+    DEFAULT_STATE_BUDGET,
     CapacityError,
     Dfa,
     FormatError,
@@ -15,6 +16,7 @@ from palfac.automaton import (
     import_dfa,
     isomorphic,
     minimize,
+    state_budget,
 )
 from palfac.construct import MaxDistinct, build_avoidance, build_direct
 from palfac.words import Word
@@ -292,6 +294,27 @@ def test_json_round_trip():
         m = minimize(_random_dfa(rng, rng.randrange(2, 8), 3))
         back = import_dfa(export_dfa(m, "json"), "json")
         assert back == m
+
+
+@pytest.mark.parametrize("text", [
+    '{"delta": [[0, 1], [1, 1]], "start": true, "accepting": [0]}',
+    '{"delta": [[true, 1], [1, 1]], "start": 0, "accepting": [0]}',
+], ids=["start", "transition"])
+def test_json_booleans_are_not_state_numbers(text):
+    # numpy reads [true, 1] as [1, 1], and true passes as the int 1
+    with pytest.raises(ValueError, match="boolean|start"):
+        import_dfa(text, "json")
+
+
+def test_state_budget_reads_the_environment(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert state_budget() == DEFAULT_STATE_BUDGET
+    monkeypatch.setenv(BUDGET_ENV, "7")
+    assert state_budget() == 7
+    for value in ("0", "-5", "abc", ""):
+        monkeypatch.setenv(BUDGET_ENV, value)
+        with pytest.raises(ValueError, match=BUDGET_ENV):
+            state_budget()
 
 
 def test_grail_completes_partial_automaton():

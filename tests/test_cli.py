@@ -19,9 +19,11 @@ import palfac
 from palfac.analyze import spec_dfa
 from palfac.automaton import Dfa, export_dfa, import_dfa, minimize
 from palfac.cli import main
-from palfac.construct import MaxDistinct, MaxLen, build_direct
+from palfac.construct import CapacityError, MaxDistinct, MaxLen, build_direct
 from palfac.recur import AsymptoticFit, sequence, transfer_matrix
 from palfac.reproduce import STATE_COUNTS
+from palfac.verify import check_stabilization, perturbed_symmetry
+from palfac.words import Word
 
 
 def run(capsys, *argv):
@@ -33,6 +35,18 @@ def run(capsys, *argv):
 def load(text):
     fmt = "json" if text.lstrip().startswith("{") else "grail"
     return import_dfa(text, fmt)
+
+
+def _chain(n):
+    """The binary automaton of n states in a line, accepting at the last: 2n table entries."""
+    return Dfa([[min(q + 1, n - 1)] * 2 for q in range(n)], 0, [n - 1])
+
+
+def _run_process(*argv):
+    """The CLI in a real process, so an escaped exception would print its traceback."""
+    src = str(Path(palfac.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "palfac.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 ANALYZE_SPECS = {label: spec for label, spec, *_ in STATE_COUNTS}
@@ -397,6 +411,14 @@ class TestReproduce:
         assert any(s == "PASS" for s in statuses.values())
         assert "known reference discrepancies" in stderr
 
+    @pytest.mark.parametrize("selection", [["--group", "nosuchgroup"],
+                                           ["--section", "5", "--group", "properties"]])
+    def test_selection_of_no_row_is_usage_error(self, capsys, selection):
+        code, stdout, stderr = run(capsys, "reproduce", *selection)
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr and "state-counts" in stderr
+
 
 class TestErrors:
     def test_missing_cap_is_usage_error(self, capsys):
@@ -464,23 +486,31 @@ class TestErrors:
         assert "error:" in stderr
 
     def test_negative_oracle_length_is_usage_error(self):
-        # a real process, so an escaped exception would print its traceback
-        src = str(Path(palfac.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-m", "palfac.cli", "oracle", "--family", "D",
-                              "--cap", "9", "--length", "-1"], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
+        out = _run_process("oracle", "--family", "D", "--cap", "9", "--length", "-1")
         assert out.returncode == 2
         assert out.stdout == ""
         assert "error" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("text", [
+        '{"delta": [[0, 1], [1, 1]], "start": true, "accepting": [0]}',
+        '{"delta": [[true, 1], [1, 1]], "start": 0, "accepting": [0]}',
+    ], ids=["start", "transition"])
+    def test_boolean_state_number_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        out = _run_process("analyze", "--automaton", str(path))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error:" in out.stderr and "Traceback" not in out.stderr
 
     def test_missing_automaton_file(self, capsys):
         code, _, stderr = run(capsys, "analyze", "--automaton", "/no/such/file")
         assert code == 2
         assert "error" in stderr
 
-    def test_capacity_exit(self, capsys):
-        code, _, stderr = run(
-            capsys, "build", "--family", "D", "--cap", "11", "--state-budget", "100")
+    def test_capacity_exit(self, capsys, monkeypatch):
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "100")
+        code, _, stderr = run(capsys, "build", "--family", "D", "--cap", "11")
         assert code == 3
         assert "capacity" in stderr
 
@@ -507,23 +537,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("fmt", ["grail", "json"])
     @pytest.mark.parametrize("command", ["analyze", "minimize"])
-    def test_state_budget_flag_holds_imports(self, capsys, tmp_path, command, fmt):
+    def test_state_budget_holds_imports(self, capsys, tmp_path, monkeypatch, command, fmt):
         # a 40-state binary chain is a table of 80 entries, over twice a budget of 5
         path = tmp_path / f"chain40.{fmt}"
-        path.write_text(export_dfa(Dfa([[min(q + 1, 39)] * 2 for q in range(40)], 0, [39]), fmt))
+        path.write_text(export_dfa(_chain(40), fmt))
         assert run(capsys, command, "--automaton", str(path))[0] == 0
-        code, stdout, stderr = run(capsys, command, "--automaton", str(path),
-                                   "--state-budget", "5")
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "5")
+        code, stdout, stderr = run(capsys, command, "--automaton", str(path))
         assert code == 3
         assert stdout == ""
         assert "capacity" in stderr
-
-    def test_state_budget_leaves_environment_alone(self, capsys):
-        before = dict(os.environ)
-        for argv in (["build", "--family", "D", "--cap", "11"],
-                     ["count", "--family", "D", "--cap", "8", "--terms", "3"]):
-            run(capsys, *argv, "--state-budget", "100")
-        assert dict(os.environ) == before
 
     def test_min_poly_size_limit_is_capacity(self, capsys):
         code, stdout, stderr = run(
@@ -542,7 +565,56 @@ class TestErrors:
         assert stdout == ""
         assert "inconclusive:" in stderr
 
-    def test_nonpositive_budget_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["build", "--family", "D", "--cap", "8", "--state-budget", "0"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_nonpositive_budget_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", value)
+        for argv in (["build", "--family", "D", "--cap", "4"],
+                     ["verify", "--family", "D", "--cap", "4", "--seed", "0", "--infix", "1",
+                      "--nmax", "10"],
+                     ["reproduce", "--group", "state-counts"]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 2
+            assert stdout == ""
+            assert "error:" in stderr and "PALFAC_STATE_BUDGET" in stderr
+
+
+class TestOneStateBudget:
+    """PALFAC_STATE_BUDGET = N holds every budgeted layer at the same N.
+
+    A request of size n is, per layer: a spec of n live states (D(2,6) has
+    63, D(3,4) 64), a binary chain of n states (a table of 2n entries), a
+    horizon n_max = n, and a word X_1 = s 1^j s^R of n = 62 + j letters.
+    """
+
+    N = 63
+    SPECS = {63: (2, 6), 64: (3, 4)}
+
+    def test_every_layer_accepts_n_and_refuses_n_plus_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", str(self.N))
+        d4 = build_direct(MaxDistinct(2, 4))
+        zero, one = Word.from_digits("0"), Word.from_digits("1")
+        layers = {
+            "build_direct": lambda n: build_direct(MaxDistinct(*self.SPECS[n])).live_state_count(),
+            "import_dfa": lambda n: import_dfa(export_dfa(_chain(n), "json"), "json").state_count,
+            "check_stabilization": lambda n: len(
+                check_stabilization(d4, zero, one, n).accepted) - 1,
+            "perturbed_symmetry": lambda n: len(perturbed_symmetry(
+                Word.from_digits("0" * 31), Word.from_digits("1" * (n - 62)), 1)),
+        }
+        for name, layer in layers.items():
+            assert layer(self.N) == self.N, name
+            with pytest.raises(CapacityError):
+                layer(self.N + 1)
+
+        verify = ["verify", "--family", "D", "--cap", "4", "--seed", "0", "--infix", "1"]
+        for n, code in ((self.N, 0), (self.N + 1, 3)):
+            k, cap = self.SPECS[n]
+            path = tmp_path / f"chain{n}.grail"
+            path.write_text(export_dfa(_chain(n), "grail"))
+            for argv in (["build", "--family", "D", "--alphabet", str(k), "--cap", str(cap)],
+                         ["minimize", "--automaton", str(path)],
+                         verify + ["--nmax", str(n)]):
+                assert run(capsys, *argv)[0] == code, argv
+        # verify holds its horizon, not only its build, to the budget
+        code, stdout, stderr = run(capsys, *verify, "--nmax", "1000")
+        assert code == 3 and stdout == "" and "capacity" in stderr

@@ -6,14 +6,16 @@ import sys
 from array import array
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import palfac
-from palfac.automaton import Dfa, isomorphic, minimize, state_budget
-from palfac.construct import (DEFAULT_STATE_BUDGET, AllowedSet, CapacityError,
+from palfac.automaton import (BUDGET_ENV, DEFAULT_STATE_BUDGET, Dfa, isomorphic, minimize,
+                              state_budget)
+from palfac.construct import (AllowedSet, CapacityError,
                               MaxCountByParity, MaxDistinct, MaxLen, MaxLenByParity,
                               build_avoidance, build_direct, forbidden_set)
 from palfac.oracle import brute_count_profile, brute_count_unpruned
@@ -163,14 +165,20 @@ def test_exclusive_count_convention_shifts_cap():
     assert isomorphic(minimize(incl), minimize(excl))
 
 
+def state_budget_env(budget):
+    """PALFAC_STATE_BUDGET set to budget for one block (Hypothesis tests take no fixtures)."""
+    return mock.patch.dict(os.environ, {BUDGET_ENV: str(budget)})
+
+
 def test_capacity_budget():
-    with pytest.raises(CapacityError):
-        build_direct(MaxDistinct(2, 12), budget=50)
+    with state_budget_env(50), pytest.raises(CapacityError):
+        build_direct(MaxDistinct(2, 12))
     # the budget counts live states: exactly enough builds, one fewer raises
     for spec, live in ((MaxDistinct(2, 11), 6045), (MaxLen(2, 5), 119)):
-        assert build_direct(spec, budget=live).live_state_count() == live
-        with pytest.raises(CapacityError):
-            build_direct(spec, budget=live - 1)
+        with state_budget_env(live):
+            assert build_direct(spec).live_state_count() == live
+        with state_budget_env(live - 1), pytest.raises(CapacityError):
+            build_direct(spec)
 
 
 def test_default_budget_fits_in_half_the_memory():
@@ -381,7 +389,7 @@ def test_three_evaluations_of_each_family_agree(spec):
     assert via_automaton == [brute_count_unpruned(spec, n) for n in range(depth + 1)]
 
 
-def _reference_build(spec, budget=None):
+def _reference_build(spec):
     """build_direct as one loop per transition over a first-in first-out queue.
 
     States are single ints, sid << k*width | window, and states with full
@@ -392,8 +400,7 @@ def _reference_build(spec, budget=None):
     bound = spec.window_bound()
     admits = spec.admits
     counted = spec.counted
-    if budget is None:
-        budget = state_budget()
+    budget = state_budget()
     if not admits((), 1, 0):
         return Dfa([[0] * k], 0, [])
 
@@ -509,12 +516,14 @@ def reference_specs(draw):
     return AllowedSet(k, allowed)
 
 
-def _raises_capacity(build, spec, budget):
-    try:
-        build(spec, budget)
-    except CapacityError:
-        return True
-    return False
+def _refusal(build, spec, budget):
+    """The error build raises under the given state budget, or None."""
+    with state_budget_env(budget):
+        try:
+            build(spec)
+        except (CapacityError, ValueError) as exc:  # ValueError: a budget of 0
+            return type(exc)
+    return None
 
 
 def _check_against_reference(build, spec, budget):
@@ -523,7 +532,7 @@ def _check_against_reference(build, spec, budget):
     assert got.state_count == want.state_count and got == want
     live = want.live_state_count()
     for b in {budget % (live + 1), live - 1, live}:
-        assert _raises_capacity(build, spec, b) == _raises_capacity(_reference_build, spec, b)
+        assert _refusal(build, spec, b) == _refusal(_reference_build, spec, b)
 
 
 # windows of 71, 60 and 33 symbols: the first and the last past the int64 lanes

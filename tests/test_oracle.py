@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ def test_negative_length_rejected():
     # the spec accepts the empty word, so the search gets past its first check
     spec = MaxDistinct(2, 9)
     for count in (lambda: brute_count(spec, -1), lambda: brute_count_profile(spec, -1),
-                  lambda: _search(spec, -1, lambda *a: True, 10)):
+                  lambda: _search(spec, -1, lambda *a: True)):
         with pytest.raises(ValueError, match="nonnegative"):
             count()
 
@@ -108,17 +109,23 @@ def test_satisfies_spot_checks():
     assert not satisfies(allowed, Word((0, 1, 1, 2), 4))
 
 
+def _eval_budget(budget):
+    """EVAL_BUDGET set to budget for one block (Hypothesis tests take no fixtures)."""
+    return mock.patch.object(oracle, "EVAL_BUDGET", budget)
+
+
 def test_budget_enforced():
-    with pytest.raises(CapacityError):
-        brute_count(MaxDistinct(2, 30), 25, budget=100)
+    with _eval_budget(100), pytest.raises(CapacityError):
+        brute_count(MaxDistinct(2, 30), 25)
 
 
 def test_budget_counts_one_evaluation_per_letter_tried():
     # every binary word of length <= 10 is accepted: 2 + 4 + ... + 1024 letters
     spec = MaxDistinct(2, 30)
-    assert brute_count_profile(spec, 10, budget=2046) == [2 ** n for n in range(11)]
-    with pytest.raises(CapacityError):
-        brute_count_profile(spec, 10, budget=2045)
+    with _eval_budget(2046):
+        assert brute_count_profile(spec, 10) == [2 ** n for n in range(11)]
+    with _eval_budget(2045), pytest.raises(CapacityError):
+        brute_count_profile(spec, 10)
 
 
 class _Recording:
@@ -145,8 +152,8 @@ def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
         depth = min(depth, 5)
     recording = _Recording(spec)
     visited = []
-    _search(recording, depth, lambda d, word, weight: visited.append(tuple(word[:d])) or True,
-            budget=10 ** 6)
+    with _eval_budget(10 ** 6):
+        _search(recording, depth, lambda d, word, weight: visited.append(tuple(word[:d])) or True)
 
     # reference: w + c gains the palindromes of its naive factor set that w
     # lacks (at most one), with the parity counts of w + c's whole set
@@ -213,7 +220,8 @@ def test_orbit_search_matches_the_full_search(spec, depth):
     # the full search tries k letters after every accepted word shorter than depth
     need = k * sum(profile[:depth])
     for s in (spec, full):
-        assert brute_count_profile(s, depth, budget=need) == profile
+        with _eval_budget(need):
+            assert brute_count_profile(s, depth) == profile
         if need:
-            with pytest.raises(CapacityError):
-                brute_count_profile(s, depth, budget=need - 1)
+            with _eval_budget(need - 1), pytest.raises(CapacityError):
+                brute_count_profile(s, depth)

@@ -531,9 +531,14 @@ class TestMinimalRecurrence:
             minimal_recurrence([1, 2])
 
 
+def _fit(a, alpha):
+    """asymptotic_fit with the sequence's own minimal recurrence as the annihilator."""
+    return asymptotic_fit(a, alpha, annihilator=minimal_recurrence(a)[0])
+
+
 class TestAsymptoticFit:
     def test_exact_geometric(self):
-        fit = asymptotic_fit([3 * 2 ** n for n in range(40)], 2.0)
+        fit = _fit([3 * 2 ** n for n in range(40)], 2.0)
         assert fit.c == 3.0
         assert fit.multiplicity == 1
         assert fit.converged and fit.reason is None
@@ -567,27 +572,27 @@ class TestAsymptoticFit:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            asymptotic_fit([1] * 40, 0.9)
+            _fit([1] * 40, 0.9)
 
     def test_alpha_must_be_the_largest_root(self):
         with pytest.raises(ValueError):
-            asymptotic_fit([2 ** n + 1 for n in range(30)], 1)
+            _fit([2 ** n + 1 for n in range(30)], 1)
 
     def test_non_convergence_reported_not_raised(self):
         # alternating contamination as strong as the main term
         a = [int(2 ** n + (-2) ** n) + 1 for n in range(60)]
-        fit = asymptotic_fit(a, 2.0)
+        fit = _fit(a, 2.0)
         assert not fit.converged
         assert "2 roots" in fit.reason
 
     def test_polynomial_growth(self):
         # n^2 + 1: a triple pole at 1
-        fit = asymptotic_fit([n * n + 1 for n in range(40)], 1)
+        fit = _fit([n * n + 1 for n in range(40)], 1)
         assert (fit.alpha, fit.multiplicity, fit.c, fit.converged) == (1.0, 3, 1.0, True)
 
     def test_double_pole(self):
         # (n + 1) 3^n + 5 ~ n 3^n
-        fit = asymptotic_fit([(n + 1) * 3 ** n + 5 for n in range(40)], 3)
+        fit = _fit([(n + 1) * 3 ** n + 5 for n in range(40)], 3)
         assert (fit.multiplicity, fit.c, fit.converged) == (2, 1.0, True)
 
     @settings(max_examples=40, deadline=None)
@@ -599,12 +604,12 @@ class TestAsymptoticFit:
         beta = 1 - alpha if negative else alpha - 1
         a = [sum(c * n ** j for j, c in enumerate(poly)) * alpha ** n + b * beta ** n
              for n in range(40)]
-        fit = asymptotic_fit(a, alpha)
+        fit = _fit(a, alpha)
         assert (fit.multiplicity, fit.c, fit.converged) == (len(poly), lead, True)
 
     def test_rotated_roots_block_dominance(self):
         # roots 2, 2w, 2w^2 (w a cube root of unity) share alpha's modulus
-        fit = asymptotic_fit([3 * 2 ** n if n % 3 == 0 else 0 for n in range(40)], 2)
+        fit = _fit([3 * 2 ** n if n % 3 == 0 else 0 for n in range(40)], 2)
         assert not fit.converged
         assert "3 roots" in fit.reason
 
