@@ -15,7 +15,6 @@ Run:  python3 demos/distinct_palindrome_budget.py
 from palfac.analyze import analyze, FinitelyManyPeriodic, NoInfiniteWords
 from palfac.automaton import minimize
 from palfac.construct import MaxDistinct, build_direct
-from palfac.oracle import longest_word
 from palfac.recur import sequence, transfer_matrix
 
 for cap in (8, 9, 10, 11):
@@ -24,7 +23,10 @@ for cap in (8, 9, 10, 11):
     print(f"cap {cap}: minimized automaton has {d.live_state_count()} live states")
 
     if isinstance(report.classification, NoInfiniteWords):
-        print(f"  finite language; longest word has length {longest_word(MaxDistinct(2, cap))}")
+        # a word as long as the live state count would repeat a state and pump
+        counts = sequence(transfer_matrix(d), d.live_state_count())
+        longest = max(n for n, count in enumerate(counts) if count)
+        print(f"  finite language; longest word has length {longest}")
     elif isinstance(report.classification, FinitelyManyPeriodic):
         words = report.periodic_words
         print(f"  {len(words)} infinite words, all ultimately periodic:")

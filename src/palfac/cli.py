@@ -30,11 +30,11 @@ from .construct import (
     build_direct,
 )
 from .oracle import brute_count
+from .polys import largest_real_root
 from .recur import (
     InconclusiveError,
     asymptotic_fit,
     iter_sequence,
-    largest_real_root,
     lda,
     matrix_min_poly,
     minimal_recurrence,

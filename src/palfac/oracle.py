@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automaton import minimize
-from .construct import CapacityError, ConstraintSpec, build_direct
+from .automaton import CapacityError, state_budget
+from .construct import ConstraintSpec
 from .words import Word, palindromic_factors
 
 # the most words, counted with their orbits, that one search may evaluate
@@ -43,14 +43,15 @@ def satisfies(spec: ConstraintSpec, w: Word) -> bool:
     return spec.satisfied_by(palindromic_factors(w))
 
 
-def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
+def _search(spec: ConstraintSpec, max_depth: int,
+            keep: int = 0) -> tuple[list[int], list[tuple[int, ...]]]:
     """Pruned DFS over accepted words of length <= max_depth.
 
-    visit(depth, word, weight) runs once per accepted word, lexicographically
-    within each branch, where word[:depth] holds its letters (the list is
-    reused, so copy what must outlive the call) and weight is the number
-    of accepted words it stands for; returning False aborts the whole
-    search.
+    Returns (counts, canonical): counts[d] is the number of accepted words
+    of length d, and canonical the first keep searched words of length
+    max_depth, in lexicographic order.  The search's lists take about 100
+    bytes per unit of max_depth, so a max_depth past the state budget
+    raises CapacityError before any of them is allocated.
 
     A letter-symmetric spec accepts a word exactly when it accepts every
     renaming of its letters, so the accepted words fall into orbits of the
@@ -90,11 +91,17 @@ def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
     """
     if max_depth < 0:
         raise ValueError("word length must be nonnegative")
+    budget = state_budget()
+    if max_depth > budget:
+        raise CapacityError(f"word length {max_depth} exceeds the budget of {budget}")
+    counts = [0] * (max_depth + 1)
     if not satisfies(spec, Word(())):
-        return
+        return counts, []
+    counts[0] = 1
+    if max_depth == 0:
+        return counts, [()][:keep]
+    canonical: list[tuple[int, ...]] = []
     word = [0] * max_depth
-    if not visit(0, word, 1) or max_depth == 0:
-        return
     k = spec.alphabet_size
     admits = spec.admits
     length = [-1, 0] + [0] * (max_depth - 1)
@@ -116,7 +123,7 @@ def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
         c = tried[d]
         if c == stop[d]:
             if d == 0:
-                return
+                return counts, canonical
             slot = made[d]
             if slot >= 0:
                 nxt[slot] = 0
@@ -154,8 +161,9 @@ def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
                 continue
         if d == last_letter:
             # a word of the last length is counted in place, with no node or frame
-            if not visit(max_depth, word, weight):
-                return
+            counts[max_depth] += weight
+            if len(canonical) < keep:
+                canonical.append(tuple(word))
             continue
         if node:
             made[d + 1] = -1
@@ -177,8 +185,7 @@ def _search(spec: ConstraintSpec, max_depth: int, visit) -> None:
         last[d] = node
         used[d] = fresh
         orbit[d] = weight
-        if not visit(d, word, weight):
-            return
+        counts[d] += weight
         tried[d] = 0
         stop[d] = fresh + 1 if fresh < k else k
 
@@ -192,40 +199,23 @@ def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0) -> OracleR
     and sorted: a word's least renaming is accepted and no larger, so the
     first accepted words all lie in those orbits.
     """
+    if max_witnesses < 0:
+        raise ValueError("max_witnesses must be nonnegative")
     k = spec.alphabet_size
-    count = 0
-    canonical: list[tuple[int, ...]] = []
-
-    def visit(depth: int, word: list[int], weight: int) -> bool:
-        nonlocal count
-        if depth == n:
-            count += weight
-            if len(canonical) < max_witnesses:
-                canonical.append(tuple(word[:depth]))
-        return True
-
-    _search(spec, n, visit)
+    counts, witnesses = _search(spec, n, max_witnesses)
     if not max_witnesses:
-        return OracleResult(n=n, count=count)
-    witnesses = canonical
+        return OracleResult(n=n, count=counts[n])
     if getattr(spec, "letter_symmetric", False):
         # a canonical word's orbit: the injective renamings of its j letters 0..j-1
-        witnesses = sorted(tuple(g[c] for c in w) for w in canonical
+        witnesses = sorted(tuple(g[c] for c in w) for w in witnesses
                            for g in itertools.permutations(range(k), max(w, default=-1) + 1))
-    return OracleResult(n=n, count=count,
+    return OracleResult(n=n, count=counts[n],
                         witnesses=tuple(Word(w, k) for w in witnesses[:max_witnesses]))
 
 
 def brute_count_profile(spec: ConstraintSpec, n_max: int) -> list[int]:
     """Counts for every length 0..n_max from a single search."""
-    counts = [0] * (n_max + 1)
-
-    def visit(depth: int, word: list[int], weight: int) -> bool:
-        counts[depth] += weight
-        return True
-
-    _search(spec, n_max, visit)
-    return counts
+    return _search(spec, n_max)[0]
 
 
 def brute_count_unpruned(spec: ConstraintSpec, n: int) -> int:
@@ -233,27 +223,3 @@ def brute_count_unpruned(spec: ConstraintSpec, n: int) -> int:
     k = spec.alphabet_size
     return sum(1 for syms in itertools.product(range(k), repeat=n)
                if satisfies(spec, Word(syms, k)))
-
-
-def longest_word(spec: ConstraintSpec) -> int | None:
-    """Maximum accepted length, or None when the language is infinite.
-
-    An accepted word at least as long as the minimized automaton's live
-    state count repeats a live state, so it pumps to arbitrary lengths;
-    reaching that depth is the infinite signal.  Returns -1 if nothing at
-    all is accepted.
-    """
-    threshold = minimize(build_direct(spec)).live_state_count()
-    longest = -1
-    infinite = False
-
-    def visit(depth: int, word: list[int], weight: int) -> bool:
-        nonlocal longest, infinite
-        if depth >= threshold:
-            infinite = True
-            return False
-        longest = max(longest, depth)
-        return True
-
-    _search(spec, threshold, visit)
-    return None if infinite else longest

@@ -45,14 +45,11 @@ from .polys import (
     _scaled_value,
     exact_div,
     gcd,
-    largest_real_root,
     squarefree_decomposition,
 )
 
 __all__ = [
     "CountingSystem",
-    "Polynomial",
-    "RootInterval",
     "AsymptoticFit",
     "InconclusiveError",
     "transfer_matrix",
@@ -62,7 +59,6 @@ __all__ = [
     "matrix_min_poly",
     "lda",
     "minimal_recurrence",
-    "largest_real_root",
     "asymptotic_fit",
 ]
 

@@ -45,7 +45,7 @@ from .construct import (
     build_direct,
     forbidden_set,
 )
-from .oracle import brute_count_profile, longest_word
+from .oracle import brute_count_profile
 from .polys import Polynomial, largest_real_root
 from .recur import (
     asymptotic_fit,
@@ -338,7 +338,9 @@ def _add_classification_rows() -> None:
     @_row("c2 D(2,8) finite language", "classification", 5)
     def d8(seed):
         finite = analyze(spec_dfa(MaxDistinct(2, 8))).classification == NoInfiniteWords()
-        longest = longest_word(MaxDistinct(2, 8))
+        # the language is factorial, so no word of length 9 means none longer
+        profile = brute_count_profile(MaxDistinct(2, 8), 9)
+        longest = None if profile[9] else max(n for n, c in enumerate(profile) if c)
         return finite and longest == 8, "finite, longest 8", \
             f"{'finite' if finite else 'infinite'}, longest {longest}"
 

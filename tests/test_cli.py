@@ -20,6 +20,7 @@ from palfac.analyze import spec_dfa
 from palfac.automaton import Dfa, export_dfa, import_dfa, minimize
 from palfac.cli import main
 from palfac.construct import CapacityError, MaxDistinct, MaxLen, build_direct
+from palfac.oracle import brute_count_profile
 from palfac.recur import AsymptoticFit, sequence, transfer_matrix
 from palfac.reproduce import STATE_COUNTS
 from palfac.verify import check_stabilization, perturbed_symmetry
@@ -42,11 +43,11 @@ def _chain(n):
     return Dfa([[min(q + 1, n - 1)] * 2 for q in range(n)], 0, [n - 1])
 
 
-def _run_process(*argv):
+def _run_process(*argv, python_flags=()):
     """The CLI in a real process, so an escaped exception would print its traceback."""
     src = str(Path(palfac.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "palfac.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    return subprocess.run([sys.executable, *python_flags, "-m", "palfac.cli", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 ANALYZE_SPECS = {label: spec for label, spec, *_ in STATE_COUNTS}
@@ -455,7 +456,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["--cap", "-1", "--length", "3"],
         ["--alphabet", "0", "--cap", "3", "--length", "2"],
-    ], ids=["negative cap", "empty alphabet"])
+        ["--cap", "9", "--length", "5", "--list", "-3"],
+    ], ids=["negative cap", "empty alphabet", "negative list"])
     def test_oracle_rejects_bad_spec_parameters(self, capsys, argv):
         code, stdout, stderr = run(capsys, "oracle", "--family", "D", *argv)
         assert code == 2
@@ -507,6 +509,18 @@ class TestErrors:
         code, _, stderr = run(capsys, "analyze", "--automaton", "/no/such/file")
         assert code == 2
         assert "error" in stderr
+
+    def test_oracle_length_is_held_to_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "5")
+        oracle = ["oracle", "--family", "D", "--cap", "9", "--length"]
+        assert run(capsys, *oracle, "5")[:2] == (0, "5 32\n")
+        code, stdout, stderr = run(capsys, *oracle, "6")
+        assert code == 3 and stdout == "" and "capacity" in stderr
+        # a raise, not an assert: python -O keeps the check
+        out = _run_process(*oracle, "6", python_flags=["-O"])
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "capacity" in out.stderr and "Traceback" not in out.stderr
 
     def test_capacity_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("PALFAC_STATE_BUDGET", "100")
@@ -583,7 +597,8 @@ class TestOneStateBudget:
 
     A request of size n is, per layer: a spec of n live states (D(2,6) has
     63, D(3,4) 64), a binary chain of n states (a table of 2n entries), a
-    horizon n_max = n, and a word X_1 = s 1^j s^R of n = 62 + j letters.
+    horizon n_max = n, a word X_1 = s 1^j s^R of n = 62 + j letters, and
+    an oracle search of depth n (D(2,3) accepts no word past length 2).
     """
 
     N = 63
@@ -600,6 +615,7 @@ class TestOneStateBudget:
                 check_stabilization(d4, zero, one, n).accepted) - 1,
             "perturbed_symmetry": lambda n: len(perturbed_symmetry(
                 Word.from_digits("0" * 31), Word.from_digits("1" * (n - 62)), 1)),
+            "brute_count_profile": lambda n: len(brute_count_profile(MaxDistinct(2, 3), n)) - 1,
         }
         for name, layer in layers.items():
             assert layer(self.N) == self.N, name

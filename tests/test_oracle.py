@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palfac import oracle
+from palfac.automaton import minimize
 from palfac.construct import (AllowedSet, CapacityError, MaxCountByParity,
-                              MaxDistinct, MaxLen, MaxLenByParity)
+                              MaxDistinct, MaxLen, MaxLenByParity, build_direct)
 from palfac.oracle import (_search, brute_count, brute_count_profile,
-                           brute_count_unpruned, longest_word, satisfies)
+                           brute_count_unpruned, satisfies)
 from palfac.words import Word, enumerate_palindromes, naive_palindromic_factors
 from test_construct import small_specs
 from test_words import _source_mutant
@@ -36,7 +37,7 @@ def test_negative_length_rejected():
     # the spec accepts the empty word, so the search gets past its first check
     spec = MaxDistinct(2, 9)
     for count in (lambda: brute_count(spec, -1), lambda: brute_count_profile(spec, -1),
-                  lambda: _search(spec, -1, lambda *a: True)):
+                  lambda: _search(spec, -1)):
         with pytest.raises(ValueError, match="nonnegative"):
             count()
 
@@ -80,17 +81,27 @@ def test_witnesses_are_accepted_words():
     assert brute_count(spec, 6).witnesses is None
 
 
-def test_longest_word_finite_cases():
-    assert longest_word(MaxDistinct(2, 8)) == 8
-    assert longest_word(MaxDistinct(3, 3)) == 2  # any length-3 word has 4 factors
-    assert longest_word(MaxLen(2, 2)) == 4      # e.g. 0011; binary E_2 is finite
-    assert longest_word(MaxLen(2, 0)) == 0
-    assert longest_word(MaxDistinct(2, 0)) == -1
+def test_profile_of_a_finite_language_ends_at_its_longest_word():
+    # the languages are factorial: no word of length L + 1 means none longer
+    for spec, longest in ((MaxDistinct(2, 8), 8),
+                          (MaxDistinct(3, 3), 2),  # any length-3 word has 4 factors
+                          (MaxLen(2, 2), 4),       # e.g. 0011; binary E_2 is finite
+                          (MaxLen(2, 0), 0)):
+        profile = brute_count_profile(spec, longest + 1)
+        assert profile[longest] > 0 == profile[longest + 1], spec
+    assert brute_count_profile(MaxDistinct(2, 0), 3) == [0, 0, 0, 0]
 
 
-def test_longest_word_infinite_signal():
-    assert longest_word(MaxDistinct(2, 9)) is None
-    assert longest_word(MaxLen(3, 1)) is None   # (012)^omega never repeats adjacently
+def test_profile_of_an_infinite_language_reaches_the_state_count():
+    # an accepted word as long as the live state count repeats a state, so it pumps
+    for spec in (MaxDistinct(2, 9),
+                 MaxLen(3, 1)):  # (012)^omega never repeats adjacently
+        depth = minimize(build_direct(spec)).live_state_count()
+        assert brute_count_profile(spec, depth)[depth] > 0, spec
+
+
+def test_oracle_reads_nothing_of_the_automaton():
+    assert not {"longest_word", "build_direct", "minimize", "spec_dfa", "Dfa"} & set(vars(oracle))
 
 
 def test_satisfies_spot_checks():
@@ -151,9 +162,8 @@ def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
     if k == 3:
         depth = min(depth, 5)
     recording = _Recording(spec)
-    visited = []
     with _eval_budget(10 ** 6):
-        _search(recording, depth, lambda d, word, weight: visited.append(tuple(word[:d])) or True)
+        counts, canonical = _search(recording, depth, keep=k ** depth)
 
     # reference: w + c gains the palindromes of its naive factor set that w
     # lacks (at most one), with the parity counts of w + c's whole set
@@ -176,7 +186,8 @@ def test_admits_sees_each_new_palindrome_with_its_counts(spec, depth):
     if spec.satisfied_by(naive_palindromic_factors(Word((), k))):
         expand(())
     assert recording.calls == want_calls
-    assert visited == want_visits
+    assert counts == [sum(len(w) == n for w in want_visits) for n in range(depth + 1)]
+    assert canonical == [w for w in want_visits if len(w) == depth]
 
 
 def test_letter_symmetry_of_allowed_sets():

@@ -176,6 +176,11 @@ class TestRealRoots:
         assert r.width <= Fraction(1, 10 ** 12)
         assert abs(float(r) - 1.4655712318767682) < 1e-11
 
+    def test_certified_interval(self):
+        r = largest_real_root(P([-1, -1, 0, 0, 1]))
+        assert abs(float(r) - 1.2207440846) < 1e-9
+        assert r.width <= 10 ** -12 or r.lo == r.hi
+
     def test_degree_seven_trinomial(self):
         r = largest_real_root(P([-1, -1, 0, 0, 0, 0, 0, 1]))
         assert r.width <= Fraction(1, 10 ** 12)

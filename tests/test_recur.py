@@ -27,7 +27,7 @@ from palfac.construct import (
     build_direct,
 )
 from palfac.oracle import brute_count
-from palfac.polys import Polynomial, exact_div
+from palfac.polys import Polynomial, exact_div, largest_real_root
 from palfac.recur import (
     _CACHE_ENTRIES,
     _berlekamp_massey,
@@ -38,7 +38,6 @@ from palfac.recur import (
     CountingSystem,
     InconclusiveError,
     asymptotic_fit,
-    largest_real_root,
     lda,
     matrix_min_poly,
     minimal_recurrence,
@@ -612,13 +611,6 @@ class TestAsymptoticFit:
         fit = _fit([3 * 2 ** n if n % 3 == 0 else 0 for n in range(40)], 2)
         assert not fit.converged
         assert "3 roots" in fit.reason
-
-
-class TestDominantRootReexport:
-    def test_certified_interval(self):
-        r = largest_real_root(P([-1, -1, 0, 0, 1]))
-        assert abs(float(r) - 1.2207440846) < 1e-9
-        assert r.width <= 10 ** -12 or r.lo == r.hi
 
 
 # ---------------------------------------------------------------------------
