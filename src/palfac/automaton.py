@@ -299,23 +299,25 @@ def import_dfa(text: str, fmt: str = "grail") -> Dfa:
 
     The JSON "alphabet" and "dead" fields, when present, must agree with
     what the table gives.  A table with more entries than a binary
-    automaton at state_budget() raises CapacityError.  A grail table spans
-    every state id and symbol up to the largest named, so it is checked
-    before it is built.  JSON booleans are not state numbers.
+    automaton at state_budget() raises CapacityError, checked before the
+    table is built: a JSON table by its rows times its longest row, a
+    grail table by every state id and symbol up to the largest named.
+    JSON booleans are not state numbers.
     """
     if fmt == "json":
         payload = json.loads(text)
         if not (isinstance(payload, dict) and "start" in payload
                 and all(isinstance(payload.get(key), list) for key in ("delta", "accepting"))):
             raise FormatError("a JSON automaton needs a delta list, a start and an accepting list")
-        if any(isinstance(t, bool) for row in payload["delta"] if isinstance(row, list)
-               for t in row):
+        delta = payload["delta"]
+        _hold_to_budget(len(delta), max((len(row) for row in delta if isinstance(row, list)),
+                                        default=0))
+        if any(isinstance(t, bool) for row in delta if isinstance(row, list) for t in row):
             raise FormatError("a transition is a state number, not a boolean")
-        d = Dfa(payload["delta"], payload["start"], payload["accepting"])
+        d = Dfa(delta, payload["start"], payload["accepting"])
         for key, value in (("alphabet", d.alphabet_size), ("dead", d.dead)):
             if key in payload and payload[key] != value:
                 raise FormatError(f"{key} is {payload[key]!r} but the table gives {value!r}")
-        _hold_to_budget(*d.delta.shape)
         return d
     if fmt != "grail":
         raise ValueError(f"unknown format {fmt!r} (want grail or json)")

@@ -20,6 +20,7 @@ such symmetry, so the two stay independent.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -196,21 +197,28 @@ def brute_count(spec: ConstraintSpec, n: int, max_witnesses: int = 0) -> OracleR
     The witnesses are the first max_witnesses accepted words in
     lexicographic order.  The search yields one word per orbit, the least
     one, so the orbits of the first max_witnesses it yields are expanded
-    and sorted: a word's least renaming is accepted and no larger, so the
-    first accepted words all lie in those orbits.
+    and the least max_witnesses of them kept: a word's least renaming is
+    accepted and no larger, so the first accepted words all lie in those
+    orbits.  Neither the words searched nor the expansion ever holds more
+    than max_witnesses words of n letters, so a request of more than
+    state_budget() letters raises CapacityError before the search.
     """
     if max_witnesses < 0:
         raise ValueError("max_witnesses must be nonnegative")
+    budget = state_budget()
+    if max_witnesses * n > budget:
+        raise CapacityError(f"{max_witnesses} witnesses of length {n} exceed the budget of "
+                            f"{budget} letters")
     k = spec.alphabet_size
     counts, witnesses = _search(spec, n, max_witnesses)
     if not max_witnesses:
         return OracleResult(n=n, count=counts[n])
     if getattr(spec, "letter_symmetric", False):
         # a canonical word's orbit: the injective renamings of its j letters 0..j-1
-        witnesses = sorted(tuple(g[c] for c in w) for w in witnesses
-                           for g in itertools.permutations(range(k), max(w, default=-1) + 1))
-    return OracleResult(n=n, count=counts[n],
-                        witnesses=tuple(Word(w, k) for w in witnesses[:max_witnesses]))
+        witnesses = heapq.nsmallest(max_witnesses, (
+            tuple(g[c] for c in w) for w in witnesses
+            for g in itertools.permutations(range(k), max(w, default=-1) + 1)))
+    return OracleResult(n=n, count=counts[n], witnesses=tuple(Word(w, k) for w in witnesses))
 
 
 def brute_count_profile(spec: ConstraintSpec, n_max: int) -> list[int]:

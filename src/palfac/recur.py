@@ -83,7 +83,7 @@ class CountingSystem:
     entry appended to every vector M acts on.  So (M y)[i] is the sum of
     y[table[i, s]] over s.  It keeps the table read-only as (n + 1, R),
     with a sentinel row of n appended, so that M y keeps that zero entry.
-    M materializes a dense copy, one row at a time.
+    M is the dense n x n matrix, counted from the table in one step.
     """
 
     __slots__ = ("table", "v", "w")
@@ -110,21 +110,17 @@ class CountingSystem:
         return len(self.table) - 1
 
     @property
-    def M(self) -> list[list[int]]:
-        """Dense matrix copy as rows of Python ints; built on demand.
+    def M(self) -> np.ndarray:
+        """The dense matrix as a read-only int64 array; built on demand.
 
-        Each row is counted straight from its table row, so the working
-        memory beyond the rows returned is one row.
+        One bincount over row * n + column counts every gather that is
+        not sentinel padding.
         """
         n = self.size
-        out = []
-        for succ in self.table[:n]:
-            row = [0] * (n + 1)  # entry n counts the sentinel padding
-            for j in succ.tolist():
-                row[j] += 1
-            del row[n]
-            out.append(row)
-        return out
+        rows, slots = np.nonzero(self.table[:n] < n)
+        M = np.bincount(rows * n + self.table[rows, slots], minlength=n * n).reshape(n, n)
+        M.flags.writeable = False
+        return M
 
 
 def transfer_matrix(d: Dfa) -> CountingSystem:
@@ -223,87 +219,48 @@ def _offset(q: Polynomial, a: SeqABC, below: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # matrix minimal polynomial
 
-def _dense_block(rows, n: int) -> np.ndarray:
-    """A block of dense rows as an array of integers, read without rounding any entry.
-
-    Rows that are all lists or tuples of n entries in 0..255, such as
-    those of a transfer matrix over fewer than 256 letters, are read as
-    bytes.  Otherwise numpy reads the block as it is, which keeps an
-    ndarray's own integer dtype, so nothing wraps.  When that gives no
-    integer dtype (a float, an entry past int64, ragged rows), the block
-    is read as Python objects: an entry that is no integer raises
-    ValueError, and a result of the wrong shape is left to the caller.
-    A buffer row never goes to bytes(), which would read an int8 -1 as 255.
-    """
-    if all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
-        try:
-            return np.frombuffer(b"".join(map(bytes, rows)), np.uint8).reshape(len(rows), n)
-        except (TypeError, ValueError):  # an entry that is no integer in 0..255
-            pass
-    try:
-        A = np.asarray(rows)
-    except ValueError:  # ragged rows
-        A = None
-    if A is None or A.dtype.kind not in "biu":
-        A = np.array(rows, dtype=object)
-        if A.shape == (len(rows), n) and \
-                not all(isinstance(x, numbers.Integral) for x in A.flat):
-            raise ValueError("matrix entries must be integers")
-    return A
-
-
 def _gather_table(M) -> np.ndarray:
     """The read-only gather table of a CountingSystem or of a dense nonnegative integer matrix.
 
     The table has n + 1 rows, the last the sentinel row (see
-    CountingSystem).  A dense matrix, a sequence of rows or an ndarray, is
-    read in row blocks of about _CACHE_ENTRIES entries (_dense_block): as
-    bytes when every row is a list or tuple of entries in 0..255, else as
-    numpy reads it when that gives an integer dtype, else as Python
-    objects.  Each block's nonzero entries become its rows' gathers: an
-    entry m is m gathers of its column.  So no n x n copy is made.  A
-    ragged or non-square matrix, an entry that is not an integer (1.0
-    included) or a negative entry, anywhere, raises ValueError; only once
-    every row has passed is CapacityError raised, when the table would
-    exceed _BLOCK_ENTRIES entries, also for an entry past int64.
+    CountingSystem).  A dense matrix, an ndarray or a sequence of rows, is
+    read whole by np.asarray, which keeps an ndarray's own integer dtype.
+    When that gives no integer dtype (a float entry, ragged rows, or an
+    entry past int64, which numpy reads as float64 or as objects), it is
+    read again as Python objects, so no entry is rounded.  A ragged or
+    non-square matrix, an entry that is not an integer (1.0 included) or
+    a negative entry, anywhere, raises ValueError; only then is
+    CapacityError raised, when the table would exceed _BLOCK_ENTRIES
+    entries, also for an entry past int64.  The nonzero entries become
+    the gathers: an entry m is m gathers of its column.
     """
     if isinstance(M, CountingSystem):
         n, width = M.size, M.table.shape[1]
         if n * width > _BLOCK_ENTRIES:
             raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
         return M.table
-    n = len(M)
-    step = max(1, _CACHE_ENTRIES // max(n, 1))
-    sums = np.zeros(n, dtype=np.int64)  # row sums: each row's count of gathers
-    width = 0
-    blocks = []  # each block's gathers, row-major
-    full = None  # the CapacityError to raise once the signs are all checked
-    for lo in range(0, n, step):
-        rows = M[lo:lo + step]
-        A = _dense_block(rows, n)
-        if A.shape != (len(rows), n):
-            raise ValueError("matrix must be square")
-        if (A < 0).any():
-            raise ValueError("matrix entries must be nonnegative")
-        if full:
-            continue
-        if A.max(initial=0) > _BLOCK_ENTRIES:
-            full = f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers"
-            continue
-        sums[lo:lo + step] = block_sums = A.sum(axis=1)  # at most n * 2^22: no overflow
-        width = max(width, int(block_sums.max()))
-        if n * width > _BLOCK_ENTRIES:
-            full = f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries"
-            continue
-        flat = A.ravel()
-        nonzero = np.flatnonzero(flat)
-        blocks.append(np.repeat(nonzero % n, flat[nonzero].astype(np.intp)))
-    if full:
-        raise CapacityError(full)
+    try:
+        A = np.asarray(M)
+    except ValueError:  # ragged rows
+        A = None
+    if A is None or A.dtype.kind not in "biu":
+        A = np.array(M, dtype=object)
+    n = len(A)
+    if A.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if A.dtype == object and not all(isinstance(x, numbers.Integral) for x in A.flat):
+        raise ValueError("matrix entries must be integers")
+    if A.min(initial=0) < 0:
+        raise ValueError("matrix entries must be nonnegative")
+    if A.max(initial=0) > _BLOCK_ENTRIES:
+        raise CapacityError(f"a matrix entry exceeds {_BLOCK_ENTRIES} gathers")
+    sums = A.sum(axis=1).astype(np.int64)  # at most n * 2^22: no overflow
+    width = int(sums.max(initial=0))
+    if n * width > _BLOCK_ENTRIES:
+        raise CapacityError(f"a {n} x {width} gather table exceeds {_BLOCK_ENTRIES} entries")
+    rows, cols = np.nonzero(A)
     table = np.full((n + 1, width), n, dtype=np.int64)
-    for lo, gathers in zip(range(0, n, step), blocks):
-        part = table[:n][lo:lo + step]  # a view: the gathers land in table
-        part[np.arange(width) < sums[lo:lo + step, None]] = gathers
+    table[:n][np.arange(width) < sums[:, None]] = np.repeat(cols, A[rows, cols].astype(np.intp))
     table.flags.writeable = False
     return table
 
@@ -543,19 +500,21 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     C(d, i) R^i <= (1 + R)^d; once the primes outgrow that bound without
     a certified lift, InconclusiveError is raised.
 
-    Accepts a CountingSystem or a square matrix of nonnegative integers
-    given as rows, which becomes a gather table read in row blocks, as
-    bytes where the entries allow, with no n x n copy (see
-    _gather_table); a negative entry or one that is not an integer
-    raises ValueError.  Raises CapacityError above _MAX_MINPOLY_STATES
-    rows or when the table exceeds _BLOCK_ENTRIES entries.
+    Accepts a CountingSystem, or a square matrix of nonnegative integers
+    as an ndarray or a sequence of rows, such as a CountingSystem's M,
+    which is read whole into a gather table (see _gather_table); a
+    negative entry or one that is not an integer raises ValueError.
+    Raises CapacityError above _MAX_MINPOLY_STATES rows, before any
+    dense matrix is read, or when the table exceeds _BLOCK_ENTRIES
+    entries.
     """
-    table = _gather_table(M)
-    n, R = len(table) - 1, table.shape[1]
+    n = M.size if isinstance(M, CountingSystem) else len(M)
     if n == 0:
         raise ValueError("empty matrix")
     if n > _MAX_MINPOLY_STATES:
         raise CapacityError(f"matrix size {n} exceeds the {_MAX_MINPOLY_STATES} limit")
+    table = _gather_table(M)
+    R = table.shape[1]
     rng = random.Random(seed)
     p = _lift(((q, _min_poly_mod(table, q, rng)) for q in _primes_below(1 << 31)),
               lambda p: _verify_annihilates_matrix(p, table), lambda d: (1 + R) ** d)

@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 from collections import deque
 
@@ -334,6 +335,24 @@ def test_grail_table_held_to_twice_the_state_budget(monkeypatch):
     for text in lines + ["4 0 4", "4 1 4"], lines[:-1]:
         with pytest.raises(CapacityError):
             import_dfa("\n".join(text), "grail")
+
+
+def test_json_table_held_to_the_budget_before_it_is_built(monkeypatch):
+    # rows times the longest row: 10 x 2 entries fit a budget of 10, 11 x 2 do not
+    monkeypatch.setenv(BUDGET_ENV, "10")
+    def chain(n):
+        return [[min(q + 1, n - 1)] * 2 for q in range(n)]
+
+    assert import_dfa(json.dumps({"delta": chain(10), "start": 0, "accepting": [9]}),
+                      "json").state_count == 10
+
+    def unbuilt(self, *args, **kwargs):
+        raise AssertionError("a table past the budget was built")
+
+    monkeypatch.setattr(Dfa, "__init__", unbuilt)
+    for delta in chain(11), [[1, 1]] * 9 + [[0], [0, 0, 0]]:
+        with pytest.raises(CapacityError):
+            import_dfa(json.dumps({"delta": delta, "start": 0, "accepting": [0]}), "json")
 
 
 def test_grail_rejects_nondeterminism():

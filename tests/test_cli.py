@@ -522,6 +522,18 @@ class TestErrors:
         assert out.stdout == ""
         assert "capacity" in out.stderr and "Traceback" not in out.stderr
 
+    def test_oracle_witnesses_are_held_to_the_budget(self, capsys, monkeypatch):
+        # --list N at length 5 holds 5N letters: N = 2 fits a budget of 10
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "10")
+        oracle = ["oracle", "--family", "D", "--cap", "9", "--length", "5", "--list"]
+        assert run(capsys, *oracle, "2")[:2] == (0, "5 32\n00000\n00001\n")
+        code, stdout, stderr = run(capsys, *oracle, "3")
+        assert code == 3 and stdout == "" and "capacity" in stderr
+        out = _run_process(*oracle, "3", python_flags=["-O"])
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "capacity" in out.stderr and "Traceback" not in out.stderr
+
     def test_capacity_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("PALFAC_STATE_BUDGET", "100")
         code, _, stderr = run(capsys, "build", "--family", "D", "--cap", "11")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -79,6 +80,30 @@ def test_witnesses_are_accepted_words():
         assert len(w) == 6
         assert satisfies(spec, w)
     assert brute_count(spec, 6).witnesses is None
+
+
+def test_witness_expansion_holds_no_more_than_the_witnesses():
+    # 2,000 canonical words over 4 letters stand for up to 48,000 words;
+    # every word of length 8 has at most 9 palindromic factors
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = brute_count(MaxDistinct(4, 40), 8, max_witnesses=2000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first = itertools.islice(itertools.product(range(4), repeat=8), 2000)
+    assert res.witnesses == tuple(Word(w, 4) for w in first)
+    assert peak - base < 2 * (kept - base)
+
+
+def test_witnesses_are_held_to_the_budget(monkeypatch):
+    # max_witnesses * n letters against the budget, before the search
+    monkeypatch.setenv("PALFAC_STATE_BUDGET", "12")
+    assert len(brute_count(MaxDistinct(3, 9), 4, max_witnesses=3).witnesses) == 3
+    with mock.patch.object(oracle, "_search", side_effect=AssertionError("searched")):
+        with pytest.raises(CapacityError, match="witnesses"):
+            brute_count(MaxDistinct(3, 9), 4, max_witnesses=4)
 
 
 def test_profile_of_a_finite_language_ends_at_its_longest_word():

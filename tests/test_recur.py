@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from palfac.oracle import brute_count
 from palfac.polys import Polynomial, exact_div, largest_real_root
 from palfac.recur import (
     _CACHE_ENTRIES,
+    _MAX_MINPOLY_STATES,
     _berlekamp_massey,
     _gather_table,
     _lift,
@@ -45,6 +47,7 @@ from palfac.recur import (
     transfer_matrix,
     window_apply,
 )
+from palfac.reproduce import MIN_POLYS
 
 P = Polynomial
 X = P([0, 1])
@@ -66,7 +69,7 @@ def fib_times_6(n):
 class TestTransferMatrix:
     def test_one_state_all_accepting(self):
         cs = transfer_matrix(Dfa([[0, 0]], 0, [0]))
-        assert cs.M == [[2]]
+        assert cs.M.tolist() == [[2]]
         assert sequence(cs, 6) == [1, 2, 4, 8, 16, 32, 64]
 
     def test_row_sums_and_nonnegativity(self):
@@ -121,7 +124,7 @@ class TestTransferMatrix:
     def test_sentinel_pads_short_rows(self):
         # state 0 reads one letter into 1 and one nowhere; state 1 none
         cs = CountingSystem([[1, 2], [2, 2]], [1, 0], [1, 1])
-        assert cs.M == [[0, 1], [0, 0]]
+        assert cs.M.tolist() == [[0, 1], [0, 0]]
         assert sequence(cs, 4) == [1, 1, 0, 0, 0]
 
 
@@ -288,7 +291,7 @@ class TestMatrixMinPoly:
 
     def test_tables_are_read_only(self):
         cs = transfer_matrix(build(MaxLen(3, 2)))
-        for table in (cs.table, _gather_table(cs.M)):
+        for table in (cs.table, _gather_table(cs.M), cs.M):
             with pytest.raises(ValueError):
                 table[0, 0] = 0
 
@@ -761,15 +764,17 @@ class TestGatherCertificate:
             "c = 2 ** 60 + 3\n"
             "print(minimal_recurrence([c ** k for k in range(8)]) == (P([-c, 1]), 0))\n"
             # the dense read's checks: capacity, non-square, ragged, a late
-            # negative entry after an early capacity overflow, int8 rows
-            # holding -1 and a non-integer entry
+            # negative entry after an early capacity overflow, as rows and
+            # as an array, int8 rows holding -1, and a non-integer entry, as
+            # rows and as an array
             "import numpy as np\n"
             "from palfac.recur import _gather_table\n"
             "M = [[0] * 300 for _ in range(300)]\n"
             "M[0][1] = 2 ** 22 + 1\n"
             "signed = [np.zeros(300, dtype=np.int8)] * 299 + [np.full(300, -1, dtype=np.int8)]\n"
-            "for M in (M, M[1:], [M[0], M[0][1:]] + M[2:], M[:-1] + [[0] * 299 + [-1]],\n"
-            "          signed, M[:-1] + [[0] * 299 + [0.5]]):\n"
+            "negative, half = M[:-1] + [[0] * 299 + [-1]], M[:-1] + [[0] * 299 + [0.5]]\n"
+            "for M in (M, M[1:], [M[0], M[0][1:]] + M[2:], negative, np.array(negative),\n"
+            "          signed, half, np.array(half)):\n"
             "    try:\n"
             "        _gather_table(M)\n"
             "        print('read')\n"
@@ -780,8 +785,8 @@ class TestGatherCertificate:
         src = str(Path(palfac.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split() == ["True", "False", "True", "CapacityError", "ValueError",
-                                      "ValueError", "ValueError", "ValueError", "ValueError"]
+        assert out.stdout.split() == ["True", "False", "True", "CapacityError"] + \
+            ["ValueError"] * 7
 
 
 def first_dependency(vectors):
@@ -841,7 +846,7 @@ def krylov_rank(M, cols, q=2 ** 61 - 1):
 def table_matrix(table):
     """The dense matrix of a gather table without its sentinel row."""
     n = len(table)
-    return CountingSystem(table, [0] * n, [0] * n).M
+    return CountingSystem(table, [0] * n, [0] * n).M.tolist()
 
 
 # a DFA with a dead state n, which every letter keeps and any state may
@@ -989,7 +994,7 @@ dfas = st.integers(1, 7).flatmap(lambda n: st.tuples(
 
 def v_mn_w(cs, n):
     """v . M^n . w over Python integers on the dense matrix."""
-    M, x = cs.M, list(cs.v)
+    M, x = cs.M.tolist(), list(cs.v)
     for _ in range(n):
         x = [sum(x[i] * M[i][j] for i in range(len(M))) for j in range(len(M))]
     return sum(xi * wi for xi, wi in zip(x, cs.w))
@@ -1020,12 +1025,11 @@ class TestGatherTable:
 
 
 def _cycles_matrix(top=3):
-    """A 302 x 302 matrix that the dense read takes in two row blocks, the last partial.
+    """A 302 x 302 matrix whose minimal polynomial has low degree.
 
     Sixty 5-cycles, a third of them plain and the rest with a closing
-    edge of weight 2 or 3 and a self-loop of weight 1 or 2, so the minimal
-    polynomial has low degree; row 300 is all zero and row 301, which no
-    state enters, holds the entry top.
+    edge of weight 2 or 3 and a self-loop of weight 1 or 2; row 300 is
+    all zero and row 301, which no state enters, holds the entry top.
     """
     n = 302
     M = [[0] * n for _ in range(n)]
@@ -1039,18 +1043,27 @@ def _cycles_matrix(top=3):
     return M
 
 
+def _dense_forms(M, dtypes):
+    """M as rows of lists and of tuples, and as an array and rows of each dtype."""
+    forms = [M, [tuple(row) for row in M]]
+    for dtype in dtypes:
+        forms += [np.array(M, dtype=dtype), [np.array(row, dtype=dtype) for row in M]]
+    return forms
+
+
 class TestDenseRead:
-    def test_row_blocks_match_a_per_row_read(self):
+    def test_every_form_gives_the_table_gathers(self):
         small, big = _cycles_matrix(), _cycles_matrix(top=300)
+        bits = [[int(x > 0) for x in row] for row in small]
         n = len(small)
-        step = _CACHE_ENTRIES // n
-        assert n > 256 and n > step and n % step  # several blocks, the last partial
         v, w = [1] + [0] * (n - 1), [1] * n
-        for M, inputs in ((small, (small, np.array(small, dtype=np.uint8))),
-                          (big, (big, np.array(big, dtype=np.uint64)))):
+        for M, forms in (
+                (small, _dense_forms(small, (np.int8, np.uint8, np.int64, np.uint64))),
+                (big, _dense_forms(big, (np.int64, np.uint64))),
+                (bits, _dense_forms([[x > 0 for x in row] for row in bits], (np.bool_,)))):
             cs = _dense_system(M, v, w)
-            assert cs.M == M
-            for dense in inputs:
+            assert cs.M.tolist() == M
+            for dense in forms:
                 assert _gather_table(dense).tolist() == cs.table.tolist()
         cs = _dense_system(small, v, w)
         assert matrix_min_poly(np.array(small, dtype=np.uint8)) == matrix_min_poly(cs)
@@ -1062,8 +1075,9 @@ class TestDenseRead:
         with pytest.raises(CapacityError):
             _gather_table(M)
         M[-1][-1] = -1
-        with pytest.raises(ValueError):
-            _gather_table(M)
+        for dense in (M, np.array(M)):
+            with pytest.raises(ValueError):
+                _gather_table(dense)
         M[0][1] = 2 ** 64
         with pytest.raises(ValueError):
             _gather_table(M)
@@ -1078,28 +1092,13 @@ class TestDenseRead:
         with pytest.raises(ValueError, match="integers"):
             matrix_min_poly(M)
 
-    @staticmethod
-    def _int64_read(M):
-        """_gather_table of M as an int64 ndarray, which the bytes tier never reads."""
-        return _gather_table(np.array(M, dtype=np.int64)).tolist()
-
-    def test_bytes_tier_agrees_with_int64_reads(self):
-        small, wide = _cycles_matrix(), _cycles_matrix()
-        wide[150][3] = 256  # one block holds entries on both sides of 255
-        bits = [[bool(x) for x in row] for row in small]
-        for M in (small, wide, bits, [tuple(row) for row in small],
-                  [np.array(row, dtype=np.uint8) for row in small],
-                  [np.array(row, dtype=np.int64) for row in wide]):
-            assert _gather_table(M).tolist() == self._int64_read(M)
-
-    def test_buffer_rows_keep_their_sign(self):
-        # bytes() of an int8 row would read -1 as 255
+    def test_signed_rows_keep_their_sign(self):
+        # an unsigned read of an int8 row would take -1 as 255
         M = [np.array(row, dtype=np.int8) for row in _cycles_matrix()]
         M[-1][-1] = -1
-        with pytest.raises(ValueError, match="nonnegative"):
-            _gather_table(M)
-        with pytest.raises(ValueError, match="nonnegative"):
-            self._int64_read(M)
+        for dense in (M, np.array(M)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                _gather_table(dense)
 
     @pytest.mark.parametrize("M", [[[0, 1], [1]], [[0, 1, 0], [1, 0, 0]], [[0], [1]],
                                    np.zeros((2, 3), dtype=np.uint8), np.zeros(2),
@@ -1134,7 +1133,7 @@ class TestDenseRead:
         cs = self._sparse_system()
         M, peak, size = self._traced(lambda: cs.M)
         assert peak <= 1.1 * size
-        assert M[0][:4] == [0, 1, 0, 2]
+        assert M.dtype == np.int64 and M[0, :4].tolist() == [0, 1, 0, 2]
 
     def test_dense_read_has_no_quadratic_temporary(self):
         cs = self._sparse_system()
@@ -1142,6 +1141,29 @@ class TestDenseRead:
         table, peak, _ = self._traced(lambda: _gather_table(M))
         assert peak < len(M) ** 2
         assert (table == np.sort(cs.table, axis=1)).all()
+
+    def test_size_is_checked_before_the_read(self):
+        # one shared row: the list is small, its dense read 128 MB
+        M = [[0] * (_MAX_MINPOLY_STATES + 1)] * (_MAX_MINPOLY_STATES + 1)
+
+        def refuse():
+            with pytest.raises(CapacityError, match="limit"):
+                matrix_min_poly(M)
+
+        _, peak, _ = self._traced(refuse)
+        assert peak < 1 << 20
+
+
+class TestBenchmarkCallShape:
+    """The dense matrix the benchmark passes gives what the counting system gives."""
+
+    def test_d_2_11_dense_matrix_gives_the_pinned_min_poly(self):
+        label, spec, factors, _ = MIN_POLYS[-1]
+        assert label == "D(2,11)"
+        want = math.prod(factors, start=P([1]))
+        cs = transfer_matrix(build(spec))
+        for seed in range(3):
+            assert matrix_min_poly(cs.M, seed=seed) == matrix_min_poly(cs, seed=seed) == want
 
 
 class TestRoutesDifferential:
