@@ -288,10 +288,10 @@ class FormatError(ValueError):
     """Raised for malformed or nondeterministic automaton descriptions."""
 
 
-def _hold_to_budget(rows: int, k: int) -> None:
+def _hold_to_budget(rows: int, k: int, what: str = "table") -> None:
     budget = state_budget()
     if rows * k > 2 * budget:
-        raise CapacityError(f"a {rows} x {k} table exceeds twice the state budget of {budget}")
+        raise CapacityError(f"a {rows} x {k} {what} exceeds twice the state budget of {budget}")
 
 
 def import_dfa(text: str, fmt: str = "grail") -> Dfa:

@@ -5,9 +5,13 @@ M is held as a gather table, one row of successors per state, so that
 M y is a sum of gathers of y; for a DFA the table is the transition
 table itself.  The terms come from the counting quotient, the coarsest
 lumping of the states on which every M^t w is constant per block, so
-the recurrence runs on fewer rows.  From there this module derives
-annihilating polynomials two independent ways: from the matrix minimal
-polynomial p, by reducing the generating function N/P~ that p and the
+the recurrence runs on fewer rows.  Each M^t w is held exactly as an
+int64 plane of B-bit limbs, one row per limb, that a step gathers and
+adds limb by limb; a carry pass runs only when a tracked bound on the
+limbs would otherwise reach 2^62 (multi-precision addition with
+deferred carries; Knuth, TAOCP vol. 2, 4.3.1).  From there this module
+derives annihilating polynomials two independent ways: from the matrix
+minimal polynomial p, by reducing the generating function N/P~ that p and the
 first deg p terms determine to lowest terms with one gcd, and by
 Berlekamp-Massey on the sequence alone.  Both routes run
 Berlekamp-Massey modulo a fixed descending list of primes, on their own
@@ -35,7 +39,7 @@ from typing import Sequence as SeqABC
 
 import numpy as np
 
-from .automaton import CapacityError, Dfa, stable_partition
+from .automaton import CapacityError, Dfa, _hold_to_budget, stable_partition
 from .polys import (
     Polynomial,
     RootInterval,
@@ -64,7 +68,7 @@ __all__ = [
 
 _MAX_MINPOLY_STATES = 4000
 _BLOCK_ENTRIES = 1 << 22  # capacity of a gather table, in entries
-_CACHE_ENTRIES = 1 << 16  # entries per column block of the Horner matrix: 512 KB, held in L2
+_CACHE_ENTRIES = 1 << 16  # entries per column block of the Horner matrix and of a limb plane: 512 KB, held in L2
 _RING = 1 << 64  # the certificate's first modulus: uint64 arithmetic wraps modulo it
 _PRECISION = Fraction(1, 10 ** 12)  # relative width of a constant; finest radius step
 
@@ -173,25 +177,147 @@ def _lumped(cs: CountingSystem) -> CountingSystem:
     return CountingSystem(block[cs.table[rep]], v, [w[i] for i in rep])
 
 
+def _limb_width(R: int) -> int:
+    """Bits per limb for a table of width R: R * 2^(B + 1) stays below 2^51."""
+    return 50 - R.bit_length()
+
+
+def _term_limbs(cs: CountingSystem, n_max: int, extra_bits: int = 0) -> int:
+    """Limbs that hold any entry of y_(n_max), widened by extra_bits, plus one for carries.
+
+    Every entry of y_t = M^t w is at most R^t max|w| in absolute value,
+    so it takes at most ceil((t ceil(log2 R) + bits(max|w|)) / B) limbs of
+    B bits; the one more holds what the top limb carries.
+    """
+    R = cs.table.shape[1]
+    bits = n_max * max(R - 1, 0).bit_length() + max(map(abs, cs.w), default=0).bit_length()
+    return -(-(bits + extra_bits) // _limb_width(R)) + 1
+
+
+def _limb_plane(values: SeqABC, B: int) -> np.ndarray:
+    """The (L, len(values)) int64 limb plane of Python ints: sum_l plane[l] 2^(B l) = values.
+
+    Every limb but the top one lies in [0, 2^B); the top one is signed,
+    and L is the fewest limbs that put it in [-2^B, 2^B].
+    """
+    L = max(1, -(-max(map(abs, values), default=0).bit_length() // B))
+    rows = []
+    for _ in range(L - 1):
+        rows.append([x & ((1 << B) - 1) for x in values])
+        values = [x >> B for x in values]
+    rows.append(values)
+    return np.array(rows, dtype=np.int64)
+
+
+def _column_blocks(y: np.ndarray) -> list[slice]:
+    """Slices of the columns of a limb plane, about _CACHE_ENTRIES entries each."""
+    block = max(1, _CACHE_ENTRIES // len(y))
+    return [slice(lo, lo + block) for lo in range(0, y.shape[1], block)]
+
+
+def _limb_step(gathers: np.ndarray, y: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """M y on a limb plane y: the sum of y's gathered columns, limb by limb.
+
+    gathers holds one gather column of the table per row (see
+    iter_sequence), and blocks are y's column blocks (_column_blocks),
+    which the caller takes once per plane shape.  The first gather is the
+    new plane, and the others are added to it one column block at a time,
+    so a step holds one plane beyond y and one block.  No carry is made:
+    the caller keeps every sum below 2^63.
+    """
+    out = y.take(gathers[0], axis=1, mode="clip")
+    for cols in blocks:
+        part = out[:, cols]
+        for col in gathers[1:, cols]:
+            part += y.take(col, axis=1, mode="clip")
+    return out
+
+
+def _carry(y: np.ndarray, B: int) -> np.ndarray:
+    """One carry pass over a limb plane; the plane holds the same numbers after it.
+
+    A row of zero limbs is appended first when the top limb's magnitude
+    has reached 2^B.  Then every limb but the top one is split at bit B:
+    it keeps its low B bits and its carry, z >> B, goes one row up.  The
+    shift floors, so the split is exact for the signed old top limb too.
+    The carries are taken one column block at a time.
+    """
+    top = y[-1]
+    if top.max() >= 1 << B or top.min() <= -(1 << B):
+        y = np.vstack([y, np.zeros_like(top)])
+    for cols in _column_blocks(y):
+        part = y[:, cols]
+        carry = part[:-1] >> B
+        part[:-1] &= (1 << B) - 1
+        part[1:] += carry
+    return y
+
+
 def iter_sequence(cs: CountingSystem, n_max: int) -> Iterator[int]:
     """Exact a(0..n_max), one term at a time: a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t.
 
-    The recurrence runs on the counting quotient of cs (see _lumped), on
-    object arrays of Python ints, and holds only the current y_t.
+    The recurrence runs on the counting quotient of cs (see _lumped) and
+    holds y_t as an (L, rows + 1) int64 limb plane (_limb_plane): entry i
+    is sum_l y[l, i] 2^(B l) for the limb width B = 50 - bitlen(R) of a
+    table of width R, every limb but the top one nonnegative, the top one
+    signed, so negative v and w stay exact.  A step gathers the plane's
+    columns through the table and adds them limb by limb, with no carry
+    (_limb_step), and each term is read off the start rows in Python
+    before the next step, so the terms stream.
+
+    Overflow: a tracked bound b holds |limb| <= b for every limb.  A step
+    sums R limbs, so it takes b to R b, and it runs only while R b < 2^62
+    < 2^63: no sum wraps.  Before a step whose R b would reach 2^62, a
+    carry pass (_carry) leaves every limb below 2^B + (b >> B) in
+    magnitude: a low limb keeps B bits and gains a carry of at most
+    b >> B from below (the low limbs stay nonnegative, so their carries
+    do too), and the top limb is split into a new row once it reaches
+    2^B.  Passes repeat while R b >= 2^62, each taking b to at most
+    2^B + (b >> B); since R 2^(B + 1) < 2^51 they end, after one pass
+    while R < 2^24.  So b < 2^62 holds after every step.
+
+    Before the first term, CapacityError is raised when the plane's bound,
+    (rows + 1) x _term_limbs entries, passes twice the state budget.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     cs = _lumped(cs)
+    n, R = cs.size, cs.table.shape[1]
+    B = _limb_width(R)
+    _hold_to_budget(n + 1, _term_limbs(cs, n_max), f"limb plane of terms 0..{n_max}")
+    # one gather column per row; a table of width 0 gathers only the zero sentinel entry
+    gathers = np.full((max(R, 1), n + 1), n, dtype=np.intp)
+    gathers[:R] = cs.table.T
     start = [(i, vi) for i, vi in enumerate(cs.v) if vi]
-    y = np.array(cs.w + (0,), dtype=object)
+    y = _limb_plane(cs.w + (0,), B)
+    blocks = _column_blocks(y)
+    bound = 1 << B
     for t in range(n_max + 1):
-        yield sum(vi * y[i] for i, vi in start)
+        a = 0
+        for i, vi in start:
+            x = 0
+            for limb in y[::-1, i].tolist():
+                x = (x << B) + limb
+            a += vi * x
+        yield a
         if t < n_max:
-            y = _apply(cs.table, y)
+            while R * bound >= 1 << 62:
+                y = _carry(y, B)
+                bound = (1 << B) + (bound >> B)
+                blocks = _column_blocks(y)
+            y = _limb_step(gathers, y, blocks)
+            bound *= R
 
 
 def sequence(cs: CountingSystem, n_max: int) -> list[int]:
-    """The list of iter_sequence(cs, n_max)."""
+    """The list of iter_sequence(cs, n_max).
+
+    CapacityError is raised before any term when the list's bound, n_max + 1
+    terms of _term_limbs limbs widened by the bits of sum|v|, passes twice
+    the state budget.
+    """
+    _hold_to_budget(n_max + 1, _term_limbs(cs, n_max, sum(map(abs, cs.v)).bit_length()),
+                    f"limb list of terms 0..{n_max}")
     return list(iter_sequence(cs, n_max))
 
 

@@ -225,13 +225,13 @@ class TestCount:
         import palfac.recur
 
         printed = []
-        apply = palfac.recur._apply
+        step = palfac.recur._limb_step
 
-        def spy(table, y):
+        def spy(*args):
             printed.append(capsys.readouterr().out.count("\n"))
-            return apply(table, y)
+            return step(*args)
 
-        monkeypatch.setattr(palfac.recur, "_apply", spy)
+        monkeypatch.setattr(palfac.recur, "_limb_step", spy)
         assert run(capsys, "count", "--family", "D", "--cap", "8", "--terms", "4")[0] == 0
         assert printed == [1, 1, 1, 1]
 
@@ -530,6 +530,24 @@ class TestErrors:
         code, stdout, stderr = run(capsys, *oracle, "3")
         assert code == 3 and stdout == "" and "capacity" in stderr
         out = _run_process(*oracle, "3", python_flags=["-O"])
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "capacity" in out.stderr and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command,refused", [
+        # count streams: 5 quotient rows of 2001-bit entries, 43 limbs each
+        ("count", "1000"),
+        # annihilate and asymptotics list 81 terms of 162 bits, 5 limbs each
+        ("annihilate", "80"),
+        ("asymptotics", "80"),
+    ])
+    def test_terms_are_held_to_the_budget(self, capsys, monkeypatch, command, refused):
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "100")
+        fibonacci = [command, "--family", "E", "--alphabet", "3", "--cap", "2", "--terms"]
+        assert run(capsys, *fibonacci, "20")[0] == 0
+        code, stdout, stderr = run(capsys, *fibonacci, refused)
+        assert code == 3 and stdout == "" and "capacity" in stderr
+        out = _run_process(*fibonacci, refused, python_flags=["-O"])
         assert out.returncode == 3
         assert out.stdout == ""
         assert "capacity" in out.stderr and "Traceback" not in out.stderr

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_words import _source_mutant
 
 try:
     import sympy
@@ -213,6 +214,119 @@ class TestSequence:
         cs = transfer_matrix(Dfa([[0, 0]], 0, [0]))
         with pytest.raises(ValueError):
             sequence(cs, -1)
+
+
+# signed entries, some at or past the limb and int64 edges
+limb_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2 ** 47, 2 ** 48, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 128, 2 ** 131 + 5])
+    .flatmap(lambda x: st.sampled_from([x, -x, x - 1, 1 - x])),
+    st.integers(-2 ** 130, 2 ** 130),
+)
+
+
+@st.composite
+def limb_systems(draw):
+    """(M, v, w, table) with the table of width R in 0..3 or above 8, padding included."""
+    n = draw(st.integers(1, 4))
+    R = draw(st.sampled_from([0, 1, 2, 3, 9, 12]))
+    table = draw(st.lists(st.lists(st.integers(0, n), min_size=R, max_size=R),
+                          min_size=n, max_size=n))
+    M = [[row.count(j) for j in range(n)] for row in table]
+    v = draw(st.lists(limb_entries, min_size=n, max_size=n))
+    w = draw(st.lists(limb_entries, min_size=n, max_size=n))
+    return M, v, w, np.array(table, dtype=np.int64).reshape(n, R)
+
+
+def _powers(base, sign, n_max):
+    return [sign * base ** t for t in range(n_max + 1)]
+
+
+# one state, a(t) = sign R^t, whose terms cross every limb edge
+BOUNDARY = [(R, sign) for R in (2, 3, 9) for sign in (1, -1)]
+
+
+class TestLimbPlanes:
+    @settings(max_examples=150, deadline=None)
+    @given(limb_systems(), st.integers(0, 300))
+    def test_terms_equal_plain_matrix_powers(self, system, n_max):
+        M, v, w, table = system
+        assert sequence(CountingSystem(table, v, w), n_max) == _power_terms(M, v, w, n_max)
+
+    @pytest.mark.parametrize("entries", [1, 7, 64])
+    def test_column_blocks_split_steps_and_carries(self, monkeypatch, entries):
+        # every plane here fits one block of the default size
+        rng = random.Random(entries)
+        M = [[rng.choice((0, 1, 1, 2, 3)) for _ in range(6)] for _ in range(6)]
+        v = [rng.randrange(-5, 6) for _ in range(6)]
+        w = [rng.choice((-1, 1)) * rng.randrange(2 ** 140) for _ in range(6)]
+        dfa = transfer_matrix(build(MaxDistinct(2, 9)))
+        whole = sequence(dfa, 300)
+        monkeypatch.setattr(palfac.recur, "_CACHE_ENTRIES", entries)
+        assert sequence(_dense_system(M, v, w), 300) == _power_terms(M, v, w, 300)
+        assert sequence(dfa, 300) == whole
+
+    @pytest.mark.parametrize("R,sign", BOUNDARY)
+    def test_one_state_crosses_every_limb_edge(self, R, sign):
+        cs = CountingSystem([[0] * R], [1], [sign])
+        assert sequence(cs, 400) == _powers(R, sign, 400)
+
+    @pytest.mark.parametrize("func,old,new", [
+        # the top limb is never split into a new row: it wraps past 2^63
+        ("_carry", "if top.max() >= 1 << B or top.min() <= -(1 << B):", "if False:"),
+        # the carry waits for the bound a step has already reached: past
+        # 2^63 at width 9, while at width 2 the late step still fits
+        ("iter_sequence", "while R * bound >= 1 << 62:", "while bound >= 1 << 62:"),
+    ], ids=["no top split", "carry a step late"])
+    def test_mutants_are_caught(self, monkeypatch, func, old, new):
+        mutant = _source_mutant(getattr(palfac.recur, func), old, new)
+        monkeypatch.setattr(palfac.recur, func, mutant)
+        assert any(sequence(CountingSystem([[0] * R], [1], [sign]), 400) != _powers(R, sign, 400)
+                   for R, sign in BOUNDARY)
+
+    def test_limbs_hold_under_optimized_python(self):
+        code = (
+            "from palfac.recur import CountingSystem, sequence\n"
+            "assert not __debug__\n"
+            "for R in (2, 3, 9):\n"
+            "    for sign in (1, -1):\n"
+            "        a = sequence(CountingSystem([[0] * R], [1], [sign]), 400)\n"
+            "        print(a == [sign * R ** t for t in range(401)])\n"
+            "big = -(2 ** 130) + 7\n"
+            "a = sequence(CountingSystem([[1, 1, 0], [0, 1, 1]], [2, -3], [big, 5]), 300)\n"
+            "y, b = [big, 5], []\n"
+            "for _ in range(301):\n"
+            "    b.append(2 * y[0] - 3 * y[1])\n"
+            "    y = [2 * y[1] + y[0], 2 * y[1] + y[0]]\n"
+            "print(a == b)\n"
+        )
+        src = str(Path(palfac.recur.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["True"] * 7
+
+
+class TestTermBudget:
+    def test_plane_is_held_to_the_budget_before_the_first_term(self, monkeypatch):
+        # one state and the zero sentinel, width 2, 48-bit limbs: 47 steps take
+        # 48 bits, 2 x (1 + 1) limbs; 48 steps take 49 bits, 2 x (2 + 1) limbs,
+        # past twice a budget of 2
+        cs = CountingSystem([[0, 0]], [1], [1])
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "2")
+        assert list(palfac.recur.iter_sequence(cs, 47)) == _powers(2, 1, 47)
+        terms = palfac.recur.iter_sequence(cs, 48)
+        with pytest.raises(CapacityError, match=r"2 x 3 limb plane of terms 0\.\.48 "):
+            next(terms)
+
+    def test_list_is_held_to_the_budget(self, monkeypatch):
+        # the plane takes 2 x (1 + 1) limbs, within twice a budget of 2, and
+        # the list of three terms 3 x (1 + 1), past it
+        cs = CountingSystem([[0, 0]], [1], [1])
+        monkeypatch.setenv("PALFAC_STATE_BUDGET", "2")
+        assert list(palfac.recur.iter_sequence(cs, 2)) == [1, 2, 4]
+        with pytest.raises(CapacityError, match=r"3 x 2 limb list of terms 0\.\.2 "):
+            sequence(cs, 2)
+        assert sequence(cs, 1) == [1, 2]
 
 
 class TestWindowApply:
