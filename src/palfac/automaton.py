@@ -16,9 +16,9 @@ import numpy as np
 
 # D(2,14) (705,836 raw states) peaks at 72 MB, about 108 bytes per raw
 # state, through build_direct and minimize (0.4-0.5 s + 1.0-1.2 s), and at
-# 412 MB, about 612 bytes, through `palfac build --format json` on the raw
-# automaton (2.8-3.3 s; 2-vCPU VM, Python 3.11), so 4e6 states stay near
-# 2.5 GB: under half of a 7 GB machine
+# 409 MB, about 608 bytes, through `palfac build --format json` on the raw
+# automaton (3.0-3.6 s, ru_maxrss of a fresh process; 2-vCPU VM, Python
+# 3.11), so 4e6 states stay near 2.4 GB: under half of a 7 GB machine
 DEFAULT_STATE_BUDGET = 4_000_000
 BUDGET_ENV = "PALFAC_STATE_BUDGET"
 

@@ -3,13 +3,15 @@
 A complete DFA yields a counting system (M, v, w) with a(n) = v M^n w.
 M is held as a gather table, one row of successors per state, so that
 M y is a sum of gathers of y; for a DFA the table is the transition
-table itself.  The terms come from the counting quotient, the coarsest
-lumping of the states on which every M^t w is constant per block, so
-the recurrence runs on fewer rows.  Each M^t w is held exactly as an
-int64 plane of B-bit limbs, one row per limb, that a step gathers and
-adds limb by limb; a carry pass runs only when a tracked bound on the
-limbs would otherwise reach 2^62 (multi-precision addition with
-deferred carries; Knuth, TAOCP vol. 2, 4.3.1).  From there this module
+table itself.  One kernel, _step, takes every such product: the
+Wiedemann projections, the p(M) = 0 certificate and the exact terms.
+The terms come from the counting quotient, the coarsest lumping of the
+states on which every M^t w is constant per block, so the recurrence
+runs on fewer rows.  Each M^t w is held exactly as an int64 plane of
+B-bit limbs, one row per state and one column per limb, that a step
+gathers and adds limb by limb; a carry pass runs only when a tracked
+bound on the limbs would otherwise reach 2^62 (multi-precision addition
+with deferred carries; Knuth, TAOCP vol. 2, 4.3.1).  From there this module
 derives annihilating polynomials two independent ways: from the matrix
 minimal polynomial p, by reducing the generating function N/P~ that p and the
 first deg p terms determine to lowest terms with one gcd, and by
@@ -68,7 +70,7 @@ __all__ = [
 
 _MAX_MINPOLY_STATES = 4000
 _BLOCK_ENTRIES = 1 << 22  # capacity of a gather table, in entries
-_CACHE_ENTRIES = 1 << 16  # entries per column block of the Horner matrix and of a limb plane: 512 KB, held in L2
+_CACHE_ENTRIES = 1 << 16  # entries per certificate column block and _step scratch block: 512 KB, in L2
 _RING = 1 << 64  # the certificate's first modulus: uint64 arithmetic wraps modulo it
 _PRECISION = Fraction(1, 10 ** 12)  # relative width of a constant; finest radius step
 
@@ -134,17 +136,41 @@ def transfer_matrix(d: Dfa) -> CountingSystem:
     return CountingSystem(d.delta, v, d.accepting.astype(np.int64))
 
 
-def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M y, for y (a vector or a matrix of columns) whose last row, like M y's, is zero.
+def _gathers(table: np.ndarray, y: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """(gathers, out, buf) for _step on y through the M of table; taken once per shape of y.
 
-    table is a gather table with its sentinel row, as CountingSystem and
-    _gather_table hold it.
+    buf, the scratch block, holds as many rows shaped as y's as fit
+    _CACHE_ENTRIES entries (at least one), and out is shaped as y.  Block
+    b of gathers holds, for rows b len(buf) onward, each column of table,
+    a gather table with its sentinel row; a table of width 0 (M = 0)
+    counts as one column of the sentinel, which gathers the zero entry.
     """
-    if not table.shape[1]:
-        return np.zeros_like(y)
-    out = y[table[:, 0]]
-    for col in table.T[1:]:
-        out += y[col]
+    n = len(table) - 1
+    buf = np.empty_like(y[:max(1, _CACHE_ENTRIES // y[0].size)])
+    gathers = np.full((max(table.shape[1], 1), n + 1), n, dtype=np.intp)
+    gathers[:table.shape[1]] = table.T
+    return ([list(gathers[:, lo:lo + len(buf)]) for lo in range(0, n + 1, len(buf))],
+            np.empty_like(y), buf)
+
+
+def _step(gathers: list, y: np.ndarray, out: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """out = M y, for y whose last row, like M y's, is zero; returns out.
+
+    Axis 0 of y runs over the rows of M (a vector, a matrix of columns or
+    a limb plane); out has y's shape and dtype.  Per block of gathers
+    (_gathers), the first gather is taken into out and the others into
+    the scratch block buf and added, so a step allocates nothing.  Sums
+    wrap in y's dtype (the caller keeps them exact, or wants them modulo
+    2^64), and no gather is bounds-checked: each lies in [0, len(y)).
+    """
+    lo = 0
+    for first, *rest in gathers:
+        part, scratch = out[lo:lo + len(first)], buf[:len(first)]
+        y.take(first, axis=0, out=part, mode="clip")
+        for g in rest:
+            y.take(g, axis=0, out=scratch, mode="clip")
+            part += scratch
+        lo += len(first)
     return out
 
 
@@ -195,75 +221,50 @@ def _term_limbs(cs: CountingSystem, n_max: int, extra_bits: int = 0) -> int:
 
 
 def _limb_plane(values: SeqABC, B: int) -> np.ndarray:
-    """The (L, len(values)) int64 limb plane of Python ints: sum_l plane[l] 2^(B l) = values.
+    """The (len(values), L) int64 limb plane of Python ints: sum_l plane[:, l] 2^(B l) = values.
 
     Every limb but the top one lies in [0, 2^B); the top one is signed,
     and L is the fewest limbs that put it in [-2^B, 2^B].
     """
     L = max(1, -(-max(map(abs, values), default=0).bit_length() // B))
-    rows = []
+    limbs = []
     for _ in range(L - 1):
-        rows.append([x & ((1 << B) - 1) for x in values])
+        limbs.append([x & ((1 << B) - 1) for x in values])
         values = [x >> B for x in values]
-    rows.append(values)
-    return np.array(rows, dtype=np.int64)
+    limbs.append(values)
+    return np.array(limbs, dtype=np.int64).T.copy()
 
 
-def _column_blocks(y: np.ndarray) -> list[slice]:
-    """Slices of the columns of a limb plane, about _CACHE_ENTRIES entries each."""
-    block = max(1, _CACHE_ENTRIES // len(y))
-    return [slice(lo, lo + block) for lo in range(0, y.shape[1], block)]
+def _carry(y: np.ndarray, B: int, buf: np.ndarray) -> None:
+    """One carry pass over a limb plane, in place; the plane holds the same numbers after it.
 
-
-def _limb_step(gathers: np.ndarray, y: np.ndarray, blocks: list[slice]) -> np.ndarray:
-    """M y on a limb plane y: the sum of y's gathered columns, limb by limb.
-
-    gathers holds one gather column of the table per row (see
-    iter_sequence), and blocks are y's column blocks (_column_blocks),
-    which the caller takes once per plane shape.  The first gather is the
-    new plane, and the others are added to it one column block at a time,
-    so a step holds one plane beyond y and one block.  No carry is made:
-    the caller keeps every sum below 2^63.
+    Every limb but the top one keeps its low B bits, and its carry,
+    z >> B, goes one column up; the shift floors, so the split is exact
+    for a signed top limb that the caller has just widened with a zero
+    column.  The carries run len(buf) rows at a time through the scratch
+    block buf (_gathers), on whole rows: strided column slices cost
+    several times as much.
     """
-    out = y.take(gathers[0], axis=1, mode="clip")
-    for cols in blocks:
-        part = out[:, cols]
-        for col in gathers[1:, cols]:
-            part += y.take(col, axis=1, mode="clip")
-    return out
-
-
-def _carry(y: np.ndarray, B: int) -> np.ndarray:
-    """One carry pass over a limb plane; the plane holds the same numbers after it.
-
-    A row of zero limbs is appended first when the top limb's magnitude
-    has reached 2^B.  Then every limb but the top one is split at bit B:
-    it keeps its low B bits and its carry, z >> B, goes one row up.  The
-    shift floors, so the split is exact for the signed old top limb too.
-    The carries are taken one column block at a time.
-    """
-    top = y[-1]
-    if top.max() >= 1 << B or top.min() <= -(1 << B):
-        y = np.vstack([y, np.zeros_like(top)])
-    for cols in _column_blocks(y):
-        part = y[:, cols]
-        carry = part[:-1] >> B
-        part[:-1] &= (1 << B) - 1
-        part[1:] += carry
-    return y
+    for lo in range(0, len(y), len(buf)):
+        part = y[lo:lo + len(buf)]
+        carry = np.right_shift(part, B, out=buf[:len(part)])
+        part &= (1 << B) - 1
+        part[:, -1] += carry[:, -1] << B  # the top limb is not split
+        carry[:, -1] = 0
+        part.reshape(-1)[1:] += carry.reshape(-1)[:-1]  # row i's top sends nothing to row i + 1
 
 
 def iter_sequence(cs: CountingSystem, n_max: int) -> Iterator[int]:
     """Exact a(0..n_max), one term at a time: a(t) = v . y_t with y_0 = w and y_(t+1) = M y_t.
 
     The recurrence runs on the counting quotient of cs (see _lumped) and
-    holds y_t as an (L, rows + 1) int64 limb plane (_limb_plane): entry i
-    is sum_l y[l, i] 2^(B l) for the limb width B = 50 - bitlen(R) of a
+    holds y_t as a (rows + 1, L) int64 limb plane (_limb_plane): entry i
+    is sum_l y[i, l] 2^(B l) for the limb width B = 50 - bitlen(R) of a
     table of width R, every limb but the top one nonnegative, the top one
-    signed, so negative v and w stay exact.  A step gathers the plane's
-    columns through the table and adds them limb by limb, with no carry
-    (_limb_step), and each term is read off the start rows in Python
-    before the next step, so the terms stream.
+    signed, so negative v and w stay exact.  A step (_step) gathers the
+    plane's rows and adds them limb by limb, with no carry, into a second
+    plane that trades places with y; each term is read off the start rows
+    in Python before the next step, so the terms stream.
 
     Overflow: a tracked bound b holds |limb| <= b for every limb.  A step
     sums R limbs, so it takes b to R b, and it runs only while R b < 2^62
@@ -271,7 +272,7 @@ def iter_sequence(cs: CountingSystem, n_max: int) -> Iterator[int]:
     carry pass (_carry) leaves every limb below 2^B + (b >> B) in
     magnitude: a low limb keeps B bits and gains a carry of at most
     b >> B from below (the low limbs stay nonnegative, so their carries
-    do too), and the top limb is split into a new row once it reaches
+    do too), and the top limb is split into a new column once it reaches
     2^B.  Passes repeat while R b >= 2^62, each taking b to at most
     2^B + (b >> B); since R 2^(B + 1) < 2^51 they end, after one pass
     while R < 2^24.  So b < 2^62 holds after every step.
@@ -285,27 +286,27 @@ def iter_sequence(cs: CountingSystem, n_max: int) -> Iterator[int]:
     n, R = cs.size, cs.table.shape[1]
     B = _limb_width(R)
     _hold_to_budget(n + 1, _term_limbs(cs, n_max), f"limb plane of terms 0..{n_max}")
-    # one gather column per row; a table of width 0 gathers only the zero sentinel entry
-    gathers = np.full((max(R, 1), n + 1), n, dtype=np.intp)
-    gathers[:R] = cs.table.T
     start = [(i, vi) for i, vi in enumerate(cs.v) if vi]
     y = _limb_plane(cs.w + (0,), B)
-    blocks = _column_blocks(y)
+    gathers, out, buf = _gathers(cs.table, y)
     bound = 1 << B
     for t in range(n_max + 1):
         a = 0
         for i, vi in start:
             x = 0
-            for limb in y[::-1, i].tolist():
+            for limb in reversed(y[i].tolist()):
                 x = (x << B) + limb
             a += vi * x
         yield a
         if t < n_max:
             while R * bound >= 1 << 62:
-                y = _carry(y, B)
+                if np.abs(y[:, -1]).max() >= 1 << B:
+                    gathers = out = buf = None  # freed before the wider plane is made
+                    y = np.hstack([y, np.zeros((n + 1, 1), dtype=np.int64)])
+                    gathers, out, buf = _gathers(cs.table, y)
+                _carry(y, B, buf)
                 bound = (1 << B) + (bound >> B)
-                blocks = _column_blocks(y)
-            y = _limb_step(gathers, y, blocks)
+            y, out = _step(gathers, y, out, buf), y
             bound *= R
 
 
@@ -395,10 +396,12 @@ def _projection_terms(table, u, x, count, p):
     """u . M^t . x for t = 0..count-1, all modulo p."""
     u = np.array(u, dtype=np.int64)
     y = np.array(list(x) + [0], dtype=np.int64)
+    gathers, out, buf = _gathers(table, y)
     terms = []
     for _ in range(count):
         terms.append(int((u * y[:-1] % p).sum() % p))
-        y = _apply(table, y) % p
+        y, out = _step(gathers, y, out, buf), y
+        y %= p
     return terms
 
 
@@ -551,28 +554,24 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
     [-B, B] for B = sum|p_i| * R^deg.  The moduli are 2^64, then the
     fixed primes just below 2^31: they are pairwise coprime, so vanishing
     modulo moduli whose product exceeds 2B + 1 proves exact vanishing.
-    Each Horner step H <- M H + c I is a sum of R row gathers of H, so
-    the check costs O(deg nnz |G|) per modulus, nnz = n R the table's
-    entries, with no dense product and no BLAS.  Modulo 2^64 a step is
-    plain uint64 arithmetic, whose wraparound is the reduction; modulo a
-    prime, residues are reduced only when a tracked bound on the entries
-    would reach 2^64.  The columns of H are independent and run in blocks
-    of about _CACHE_ENTRIES entries, so H and its two step buffers stay
-    in a core's L2 cache for all deg steps.
+    Each Horner step H <- M H + c I is one _step, a sum of R row gathers
+    of H, and an add of c on the diagonal, so the check costs
+    O(deg nnz |G|) per modulus, nnz = n R the table's entries, with no
+    dense product and no BLAS.  Modulo 2^64 a step is plain uint64
+    arithmetic, whose wraparound is the reduction; modulo a prime,
+    residues are reduced only when a tracked bound on the entries would
+    reach 2^64.  The columns of H are independent and run in blocks of
+    about _CACHE_ENTRIES entries, so H, the step's second matrix and its
+    scratch block stay in a core's L2 cache for all deg steps.
     The gathers skip the bounds check: table must hold only indices in
     [0, n], with its sentinel row, as the read-only tables of
     CountingSystem and _gather_table do.
     """
     if p.is_zero():
         return False
-    n, width = len(table) - 1, table.shape[1]
-    R = max(width, 1)
+    n = len(table) - 1
+    R = max(table.shape[1], 1)
     bound = sum(abs(c) for c in p.coeffs) * R ** p.degree
-    # row n of H stays zero: the sentinel row and the padding of short
-    # table rows gather it, and so does the all-padding column that stands
-    # for M = 0
-    gathers = np.full((R, n + 1), n, dtype=np.intp)
-    gathers[:width] = table.T
     spanning = _spanning_columns(table)
     block = max(1, _CACHE_ENTRIES // (n + 1))
     have = 1
@@ -582,7 +581,9 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
             cols = spanning[lo:lo + block]
             diag = (cols, np.arange(len(cols)))
             H = np.zeros((n + 1, len(cols)), dtype=np.uint64)
-            out, buf = np.empty_like(H), np.empty_like(H)
+            # row n of H stays zero: the sentinel row and the padding of
+            # short table rows gather it, as does the sentinel column of M = 0
+            gathers, out, buf = _gathers(table, H)
             H[diag] = coeffs[0]
             hb = q  # every entry of H lies in [0, hb); tracked for the primes only
             for c in coeffs[1:]:
@@ -591,12 +592,8 @@ def _verify_annihilates_matrix(p: Polynomial, table: np.ndarray) -> bool:
                         H %= np.uint64(q)
                         hb = q
                     hb = R * hb + q
-                np.take(H, gathers[0], axis=0, out=out, mode="clip")
-                for col in gathers[1:]:
-                    np.take(H, col, axis=0, out=buf, mode="clip")
-                    out += buf
-                out[diag] += c
-                H, out = out, H
+                H, out = _step(gathers, H, out, buf), H
+                H[diag] += c
             if q != _RING:
                 H %= np.uint64(q)
             if H.any():
@@ -617,10 +614,11 @@ def matrix_min_poly(M, seed: int = 0) -> Polynomial:
     symmetric CRT (_lift) from the first prime on, so a minimal
     polynomial with coefficients below 2^30 usually takes one projection,
     and a lift is accepted only after an exact certificate that p(M) = 0:
-    a gather Horner modulo 2^64 and then the primes below 2^31, over
-    column blocks of about 2^16 entries, on only the columns G of
-    _spanning_columns, whose Krylov spaces span all the others, at a
-    cost of O(deg nnz |G|) per modulus (see _verify_annihilates_matrix).
+    a gather Horner (_step, as for the projections and the terms) modulo
+    2^64 and then the primes below 2^31, over column blocks of about
+    2^16 entries, on only the columns G of _spanning_columns, whose
+    Krylov spaces span all the others, at a cost of O(deg nnz |G|) per
+    modulus (see _verify_annihilates_matrix).
     Every eigenvalue of M has modulus at most R, the largest row sum, so
     coefficient i of the minimal polynomial of degree d is at most
     C(d, i) R^i <= (1 + R)^d; once the primes outgrow that bound without

@@ -225,13 +225,13 @@ class TestCount:
         import palfac.recur
 
         printed = []
-        step = palfac.recur._limb_step
+        step = palfac.recur._step
 
         def spy(*args):
             printed.append(capsys.readouterr().out.count("\n"))
             return step(*args)
 
-        monkeypatch.setattr(palfac.recur, "_limb_step", spy)
+        monkeypatch.setattr(palfac.recur, "_step", spy)
         assert run(capsys, "count", "--family", "D", "--cap", "8", "--terms", "4")[0] == 0
         assert printed == [1, 1, 1, 1]
 

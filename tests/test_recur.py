@@ -7,7 +7,9 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,14 +31,17 @@ from palfac.construct import (
     build_direct,
 )
 from palfac.oracle import brute_count
-from palfac.polys import Polynomial, exact_div, largest_real_root
+from palfac.polys import Polynomial, _primes_below, exact_div, largest_real_root
 from palfac.recur import (
     _CACHE_ENTRIES,
     _MAX_MINPOLY_STATES,
     _berlekamp_massey,
     _gather_table,
+    _gathers,
     _lift,
+    _projection_terms,
     _spanning_columns,
+    _step,
     _verify_annihilates_matrix,
     CountingSystem,
     InconclusiveError,
@@ -255,16 +260,27 @@ class TestLimbPlanes:
 
     @pytest.mark.parametrize("entries", [1, 7, 64])
     def test_column_blocks_split_steps_and_carries(self, monkeypatch, entries):
-        # every plane here fits one block of the default size
+        # every plane, projection vector and Horner matrix here fits one
+        # block of the default size
         rng = random.Random(entries)
         M = [[rng.choice((0, 1, 1, 2, 3)) for _ in range(6)] for _ in range(6)]
         v = [rng.randrange(-5, 6) for _ in range(6)]
         w = [rng.choice((-1, 1)) * rng.randrange(2 ** 140) for _ in range(6)]
         dfa = transfer_matrix(build(MaxDistinct(2, 9)))
-        whole = sequence(dfa, 300)
+        whole, mp = sequence(dfa, 300), matrix_min_poly(dfa)
+        steps = _counted(monkeypatch, "_step")
         monkeypatch.setattr(palfac.recur, "_CACHE_ENTRIES", entries)
         assert sequence(_dense_system(M, v, w), 300) == _power_terms(M, v, w, 300)
         assert sequence(dfa, 300) == whole
+        assert matrix_min_poly(dfa) == mp
+        # limb planes, projection vectors and Horner matrices each ran in
+        # several scratch blocks, and the Horner matrices in column blocks
+        # of at most max(1, entries // 100) columns
+        split = {(y.dtype.name, y.ndim) for gathers, y, out, buf in steps
+                 if len(gathers) > 1 and len(buf) == max(1, entries // buf[0].size)}
+        assert split == {("int64", 2), ("int64", 1), ("uint64", 2)}
+        widths = {y.shape[1] for _, y, _, _ in steps if y.dtype == np.uint64}
+        assert max(widths) == max(1, entries // 100)
 
     @pytest.mark.parametrize("R,sign", BOUNDARY)
     def test_one_state_crosses_every_limb_edge(self, R, sign):
@@ -272,12 +288,14 @@ class TestLimbPlanes:
         assert sequence(cs, 400) == _powers(R, sign, 400)
 
     @pytest.mark.parametrize("func,old,new", [
-        # the top limb is never split into a new row: it wraps past 2^63
-        ("_carry", "if top.max() >= 1 << B or top.min() <= -(1 << B):", "if False:"),
+        # the top limb is never split into a new column: it wraps past 2^63
+        ("iter_sequence", "if np.abs(y[:, -1]).max() >= 1 << B:", "if False:"),
         # the carry waits for the bound a step has already reached: past
         # 2^63 at width 9, while at width 2 the late step still fits
         ("iter_sequence", "while R * bound >= 1 << 62:", "while bound >= 1 << 62:"),
-    ], ids=["no top split", "carry a step late"])
+        # the kernel drops each row's last gather: a(t) = +-1 at width 2
+        ("_step", "for g in rest:", "for g in rest[:-1]:"),
+    ], ids=["no top split", "carry a step late", "skip the last gather"])
     def test_mutants_are_caught(self, monkeypatch, func, old, new):
         mutant = _source_mutant(getattr(palfac.recur, func), old, new)
         monkeypatch.setattr(palfac.recur, func, mutant)
@@ -304,6 +322,61 @@ class TestLimbPlanes:
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.split() == ["True"] * 7
+
+
+@st.composite
+def gather_tables(draw):
+    """A gather table with its sentinel row, of width 0..3 or above 8, padding included."""
+    n = draw(st.integers(1, 6))
+    R = draw(st.sampled_from([0, 1, 2, 3, 9, 12]))
+    rows = draw(st.lists(st.lists(st.integers(0, n), min_size=R, max_size=R),
+                         min_size=n, max_size=n))
+    return CountingSystem(np.array(rows, dtype=np.int64).reshape(n, R), [0] * n, [0] * n).table
+
+
+class TestStep:
+    @settings(max_examples=150, deadline=None)
+    @given(gather_tables(), st.sampled_from([1, 2, 5, 64, 1 << 16]), st.integers(1, 4),
+           st.data())
+    def test_gathers_give_the_python_int_product(self, table, entries, width, data):
+        n = len(table) - 1
+
+        def draw(lo, hi, columns):
+            rows = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=columns,
+                                               max_size=columns), min_size=n, max_size=n))
+            return rows + [[0] * columns]
+
+        # an int64 vector, a uint64 matrix of columns (wrapping modulo
+        # 2^64) and an int64 limb plane, each with its zero sentinel row
+        for rows, dtype, modulus, vector in (
+                (draw(-2 ** 40, 2 ** 40, 1), np.int64, None, True),
+                (draw(0, 2 ** 64 - 1, width), np.uint64, 2 ** 64, False),
+                (draw(-2 ** 50, 2 ** 50, width), np.int64, None, False)):
+            y = np.array(rows, dtype=dtype)
+            y = y[:, 0].copy() if vector else y
+            with patch.object(palfac.recur, "_CACHE_ENTRIES", entries):
+                gathers, out, buf = _gathers(table, y)
+            out.fill(7)
+            buf.fill(7)
+            assert _step(gathers, y, out, buf) is out
+            want = [[sum(rows[j][c] for j in table[i].tolist()) for c in range(len(rows[0]))]
+                    for i in range(n)]
+            if modulus:
+                want = [[x % modulus for x in row] for row in want]
+            got = out.reshape(n + 1, -1)
+            assert got[:n].tolist() == want
+            assert not got[n].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gather_tables(), st.data())
+    def test_projection_terms_are_python_int_projections(self, table, data):
+        p = next(_primes_below(1 << 31))
+        n = len(table) - 1
+        M = [[row.count(j) for j in range(n)] for row in table[:n].tolist()]
+        u, x = (data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+                for _ in range(2))
+        want = [sum(map(mul, u, y)) % p for y in itertools.islice(krylov(M, x), 12)]
+        assert _projection_terms(table, u, x, 12, p) == want
 
 
 class TestTermBudget:
