@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -203,13 +202,11 @@ def _canonical_renumber(delta: list, start: int, accepting) -> tuple[list, list]
     """BFS renumbering from the start with ascending symbols; accepting is a mask."""
     order = {start: 0}
     seq = [start]
-    queue = deque((start,))
-    while queue:
-        for t in delta[queue.popleft()]:
+    for q in seq:
+        for t in delta[q]:
             if t not in order:
                 order[t] = len(order)
                 seq.append(t)
-                queue.append(t)
     new_delta = [[order[t] for t in delta[q]] for q in seq]
     return new_delta, [order[q] for q in seq if accepting[q]]
 

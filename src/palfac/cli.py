@@ -282,7 +282,7 @@ def cmd_reproduce(args, parser) -> int:
 
     failures = 0
     known = 0
-    for row in run_checks(section=args.section, group=args.group, seed=args.seed):
+    for row in run_checks(section=args.section, group=args.group):
         print(json.dumps({
             "name": row.name, "group": row.group, "section": row.section,
             "passed": row.passed, "status": row.status,
@@ -373,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to one results group")
     p.add_argument("--group", metavar="NAME",
                    help="restrict to one check group by name")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

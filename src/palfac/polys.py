@@ -407,23 +407,13 @@ def cauchy_bound(p: Polynomial) -> Fraction:
 def largest_real_root(p: Polynomial) -> RootInterval:
     """The largest real root, certified to an interval of width <= _ROOT_WIDTH.
 
-    Raises NoRealRootError when the polynomial has no real root.
+    Raises NoRealRootError when the polynomial has no real root.  A root
+    at 0 needs no case of its own: the bisection starts on [-b, b], so
+    its first midpoint is 0, where it returns [0, 0] exactly when no root
+    is positive and otherwise keeps bisecting to the right.
     """
     if p.degree < 1:
         raise NoRealRootError("constant polynomial")
-    xm = p.x_multiplicity()
-    if xm:
-        # 0 is a root; the largest root is max(0, largest root of the rest)
-        rest = p.shift_down(xm)
-        if rest.degree >= 1:
-            try:
-                sub = largest_real_root(rest)
-                if sub.hi >= 0:
-                    return sub
-            except NoRealRootError:
-                pass
-        zero = Fraction(0)
-        return RootInterval(zero, zero)
     if p.degree == 1:
         root = Fraction(-p.coeffs[0], p.coeffs[1])
         return RootInterval(root, root)

@@ -57,7 +57,7 @@ from .recur import (
     window_apply,
 )
 from .verify import check_stabilization, perturbed_symmetry, thue_morse, transform
-from .words import Word, enumerate_palindromes, palindromic_factors
+from .words import Word, enumerate_palindromes, naive_palindromic_factors, palindromic_factors
 
 W = Word.from_digits
 P = Polynomial
@@ -109,14 +109,14 @@ def _counts(spec: ConstraintSpec) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _min_poly(spec: ConstraintSpec, seed: int = 0) -> Polynomial:
-    return matrix_min_poly(transfer_matrix(spec_dfa(spec)), seed=seed)
+def _min_poly(spec: ConstraintSpec) -> Polynomial:
+    return matrix_min_poly(transfer_matrix(spec_dfa(spec)))
 
 
 # the two annihilator routes, under their `palfac annihilate --method` names
 ROUTES = {
-    "lda": lambda spec, seed: lda(_min_poly(spec, seed), _counts(spec)),
-    "hankel": lambda spec, seed: minimal_recurrence(_counts(spec)),
+    "lda": lambda spec: lda(_min_poly(spec), _counts(spec)),
+    "hankel": lambda spec: minimal_recurrence(_counts(spec)),
 }
 
 
@@ -307,7 +307,7 @@ def _narayana(terms: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # row implementations
 
-RowFn = Callable[[int], tuple[bool, object, object]]
+RowFn = Callable[[], tuple[bool, object, object]]
 _ROWS: list[tuple[str, str, int | None, RowFn, bool]] = []
 
 
@@ -321,13 +321,13 @@ def _row(name: str, group: str, section: int | None,
 
 def _add_state_count_rows() -> None:
     for label, spec, expected, section in STATE_COUNTS:
-        def fn(seed, spec=spec, expected=expected):
+        def fn(spec=spec, expected=expected):
             return spec_dfa(spec).live_state_count() == expected, expected, \
                 spec_dfa(spec).live_state_count()
         _row(f"c1 {label} minimized states", "state-counts", section)(fn)
 
     @_row("c1 D(2,13) minimized states", "state-counts", 5)
-    def d13_states(seed):
+    def d13_states():
         # 6521 vs 6522 depends on whether the convention counts the
         # always-rejecting-but-drawn state; both are recorded as valid
         live = spec_dfa(MaxDistinct(2, 13)).live_state_count()
@@ -336,7 +336,7 @@ def _add_state_count_rows() -> None:
 
 def _add_classification_rows() -> None:
     @_row("c2 D(2,8) finite language", "classification", 5)
-    def d8(seed):
+    def d8():
         finite = analyze(spec_dfa(MaxDistinct(2, 8))).classification == NoInfiniteWords()
         # the language is factorial, so no word of length 9 means none longer
         profile = brute_count_profile(MaxDistinct(2, 8), 9)
@@ -345,19 +345,19 @@ def _add_classification_rows() -> None:
             f"{'finite' if finite else 'infinite'}, longest {longest}"
 
     @_row("c2 D(2,9) periodic words", "classification", 5)
-    def d9(seed):
+    def d9():
         got = set(analyze(spec_dfa(MaxDistinct(2, 9))).periodic_words)
         want = {(Word((), 2), x)
                 for x in W("001011").conjugates() + W("001101").conjugates()}
         return got == want, "12 conjugate words", f"{len(got)} words"
 
     @_row("c2 D(2,10) no birecurrence", "classification", 5)
-    def d10_wit(seed):
+    def d10_wit():
         wit = analyze(spec_dfa(MaxDistinct(2, 10))).birecurrent
         return wit is None, "no witness", "no witness" if wit is None else str(wit)
 
     @_row("c2 D(2,10) word census", "classification", 5)
-    def d10_words(seed):
+    def d10_words():
         words = analyze(spec_dfa(MaxDistinct(2, 10))).periodic_words
         by_count: dict[int, int] = {}
         for y, x in words:
@@ -379,7 +379,7 @@ def _add_classification_rows() -> None:
                 f"{v} with {k}" for k, v in sorted(by_count.items(), reverse=True))
 
     @_row("c2 E(2,4) periodic words", "classification", 6)
-    def e4(seed):
+    def e4():
         got = set(analyze(spec_dfa(MaxLen(2, 4))).periodic_words)
         want = _word_set(
             [("", base[i:] + base[:i])
@@ -389,7 +389,7 @@ def _add_classification_rows() -> None:
         return got == want, "the 20 listed words", f"{len(got)} words"
 
     for label, spec in [("E(3,1)", MaxLen(3, 1)), ("D(3,4)", MaxDistinct(3, 4))]:
-        def abc(seed, spec=spec):
+        def abc(spec=spec):
             got = set(analyze(spec_dfa(spec)).periodic_words)
             want = {(Word((), 3), Word(p, 3)) for p in product(range(3), repeat=3)
                     if len(set(p)) == 3}
@@ -397,7 +397,7 @@ def _add_classification_rows() -> None:
         _row(f"c2 {label} periodic words", "classification", 6 if label[0] == "E" else 5)(abc)
 
     for label, spec, x0, x1, section in BIRECURRENT:
-        def wit(seed, spec=spec, x0=x0, x1=x1):
+        def wit(spec=spec, x0=x0, x1=x1):
             d = spec_dfa(spec)
             u = W(x0, d.alphabet_size)
             v = W(x1, d.alphabet_size)
@@ -412,7 +412,7 @@ def _add_classification_rows() -> None:
 
     for e, o, y, x in T_PERIODIC:
         if (e, o) not in T_REFUTED:
-            def t_row(seed, e=e, o=o, y=y, x=x):
+            def t_row(e=e, o=o, y=y, x=x):
                 report = analyze(spec_dfa(_t(e, o)))
                 if not isinstance(report.classification, FinitelyManyPeriodic):
                     return False, "periodic with example listed", \
@@ -425,7 +425,7 @@ def _add_classification_rows() -> None:
             _row(f"c2 T(2,{e},{o}) example word", "classification", 8)(t_row)
             continue
 
-        def t_ref(seed, e=e, o=o):
+        def t_ref(e=e, o=o):
             cls = analyze(spec_dfa(_t(e, o))).classification
             got = type(cls).__name__
             return isinstance(cls, FinitelyManyPeriodic), \
@@ -434,7 +434,7 @@ def _add_classification_rows() -> None:
         _row(f"c2 T(2,{e},{o}) reference classification", "classification", 8,
              known_discrepancy=True)(t_ref)
 
-        def t_cert(seed, e=e, o=o, y=y, x=x):
+        def t_cert(e=e, o=o, y=y, x=x):
             spec = _t(e, o)
             d = spec_dfa(spec)
             wit = analyze(d).birecurrent
@@ -478,25 +478,25 @@ def _fib(n: int) -> int:
 
 def _add_sequence_rows() -> None:
     @_row("c3 D(2,11) counts 0..41", "sequences", 5)
-    def d211(seed):
+    def d211():
         got = _counts(MaxDistinct(2, 11))[:42]
         return got == D211_VALUES, "listed 42 values", \
             "match" if got == D211_VALUES else f"first diff at n={next(i for i in range(42) if got[i] != D211_VALUES[i])}"
 
     @_row("c3 D(3,5) counts 0..8", "sequences", 5)
-    def d35(seed):
+    def d35():
         want = (1, 3, 9, 27, 81, 42, 54, 66, 78)
         got = _counts(MaxDistinct(3, 5))[:9]
         return got == want, want, got
 
     @_row("c3 E(3,2) = 6*Fibonacci(n+1) for 3 <= n <= 60", "sequences", 6)
-    def e32(seed):
+    def e32():
         a = _counts(MaxLen(3, 2))
         bad = [n for n in range(3, 61) if a[n] != 6 * _fib(n + 1)]
         return not bad, "all match", "all match" if not bad else f"mismatch at {bad[:3]}"
 
     @_row("c3 S(4) = 3*2^n for 2 <= n <= 60", "sequences", 6)
-    def s4(seed):
+    def s4():
         a = _counts(SIGMA4)
         bad = [n for n in range(2, 61) if a[n] != 3 * 2 ** n]
         return not bad, "all match", "all match" if not bad else f"mismatch at {bad[:3]}"
@@ -508,7 +508,7 @@ def _add_sequence_rows() -> None:
     # which only the n+1 indexing produces (n-1 would give 6*K/alpha)
     @_row("c3 R(3,0,3) = 6*step-3 Fibonacci(n-1) for 5 <= n <= 60", "sequences", 7,
           known_discrepancy=True)
-    def r303_reference(seed):
+    def r303_reference():
         a = _counts(MaxLenByParity(3, 0, 3))
         nara = _narayana(64)
         bad = [n for n in range(5, 61) if a[n] != 6 * nara[n - 1]]
@@ -518,7 +518,7 @@ def _add_sequence_rows() -> None:
 
     @_row("c3 R(3,0,3) = 6*step-3 Fibonacci(n+1) for 5 <= n <= 60 (corrected index)",
           "sequences", 7)
-    def r303_corrected(seed):
+    def r303_corrected():
         a = _counts(MaxLenByParity(3, 0, 3))
         nara = _narayana(64)
         shifts = [s for s in (-2, -1, 0, 1, 2)
@@ -529,9 +529,9 @@ def _add_sequence_rows() -> None:
 
 def _add_annihilator_rows() -> None:
     for label, spec, q, (n_lo, n_hi), section in ANNIHILATORS:
-        def fn(seed, spec=spec, q=q, n_lo=n_lo, n_hi=n_hi):
+        def fn(spec=spec, q=q, n_lo=n_lo, n_hi=n_hi):
             a = _counts(spec)
-            via_lda, n0_lda = lda(_min_poly(spec, seed), a)
+            via_lda, n0_lda = lda(_min_poly(spec), a)
             via_hankel, n0_hankel = minimal_recurrence(a)
             if via_lda != q or via_hankel != q:
                 return False, list(q.coeffs), \
@@ -546,8 +546,8 @@ def _add_annihilator_rows() -> None:
     # D(2,8) is finite: both routes must reach the degree-0 annihilator 1,
     # valid from n0 = 9 (no word of length 9 or more survives)
     for route, solve in ROUTES.items():
-        def fn(seed, solve=solve):
-            q, n0 = solve(MaxDistinct(2, 8), seed)
+        def fn(solve=solve):
+            q, n0 = solve(MaxDistinct(2, 8))
             return (q, n0) == (P([1]), 9), "annihilator [1] from n0 = 9", \
                 f"annihilator {list(q.coeffs)} from n0 = {n0}"
         _row(f"c4 D(2,8) annihilator via {route}", "annihilators", 5)(fn)
@@ -555,18 +555,17 @@ def _add_annihilator_rows() -> None:
 
 def _add_min_poly_rows() -> None:
     for label, spec, factors, section in MIN_POLYS:
-        def fn(seed, spec=spec, factors=factors):
+        def fn(spec=spec, factors=factors):
             want = math.prod(factors, start=P([1]))
-            got = _min_poly(spec, seed)
+            got = _min_poly(spec)
             return got == want, list(want.coeffs), list(got.coeffs)
         _row(f"c5 {label} matrix minimal polynomial", "matrix-polynomials", section)(fn)
 
 
 def _add_asymptotic_rows() -> None:
     for label, spec, route, alpha, m, c_lead, c_split, section in ASYMPTOTICS:
-        def fn(seed, spec=spec, route=route, alpha=alpha, m=m, c_lead=c_lead,
-               c_split=c_split):
-            q, _ = ROUTES[route](spec, seed)
+        def fn(spec=spec, route=route, alpha=alpha, m=m, c_lead=c_lead, c_split=c_split):
+            q, _ = ROUTES[route](spec)
             root = largest_real_root(q)
             fit = asymptotic_fit(_counts(spec)[:401], root, annihilator=q,
                                  split_parity=c_split is not None)
@@ -584,7 +583,7 @@ def _add_asymptotic_rows() -> None:
 
 def _add_oracle_rows() -> None:
     for label, spec, section in ORACLE_SPECS:
-        def fn(seed, spec=spec):
+        def fn(spec=spec):
             depth = ORACLE_DEPTH[spec.alphabet_size]
             brute = tuple(brute_count_profile(spec, depth))
             auto = _counts(spec)[: depth + 1]
@@ -597,7 +596,7 @@ def _add_avoidance_rows() -> None:
     cases = [("E(2,4)", MaxLen(2, 4), 6), ("E(2,5)", MaxLen(2, 5), 6),
              ("E(3,1)", MaxLen(3, 1), 6), ("E(3,2)", MaxLen(3, 2), 6)]
     for label, spec, section in cases:
-        def fn(seed, spec=spec):
+        def fn(spec=spec):
             allowed = enumerate_palindromes(spec.alphabet_size, spec.cap)
             via_set = spec_dfa(AllowedSet(spec.alphabet_size, allowed))
             via_avoid = minimize(build_avoidance(
@@ -608,13 +607,13 @@ def _add_avoidance_rows() -> None:
         _row(f"c8 {label} avoidance cross-check", "avoidance-crosscheck", section)(fn)
 
     @_row("c8 S(4) avoidance cross-check", "avoidance-crosscheck", 6)
-    def sigma4_iso(seed):
+    def sigma4_iso():
         via_avoid = minimize(build_avoidance(forbidden_set(SIGMA4.allowed, 4), 4))
         ok = isomorphic(spec_dfa(SIGMA4), via_avoid)
         return ok, "isomorphic", "isomorphic" if ok else "mismatch"
 
     @_row("c8 S(4) forbidden factors", "avoidance-crosscheck", 6)
-    def sigma4_forbidden(seed):
+    def sigma4_forbidden():
         got = forbidden_set(SIGMA4.allowed, 4)
         return got == SIGMA4_FORBIDDEN, "the 16 listed factors", \
             f"{len(got)} factors" + ("" if got == SIGMA4_FORBIDDEN else " (differ)")
@@ -622,7 +621,7 @@ def _add_avoidance_rows() -> None:
 
 def _add_stabilization_rows() -> None:
     @_row("c9 D(2,13) transformation stabilization", "stabilization", 5)
-    def d13(seed):
+    def d13():
         report = check_stabilization(spec_dfa(MaxDistinct(2, 13)), G0, W("01"), 4)
         ok = (report.stabilized_at == 2
               and report.reversal_equal == (True,) * 4
@@ -632,24 +631,24 @@ def _add_stabilization_rows() -> None:
             f"reversal {report.reversal_equal}, accepted {report.accepted}"
 
     @_row("c9 D(2,13) palindromic factors of the 4th iterate", "stabilization", 5)
-    def g4(seed):
+    def g4():
         npal = len(palindromic_factors(perturbed_symmetry(G0, W("01"), 4)))
         return npal == 13, 13, npal
 
     @_row("c9 S(4) transformation stabilization", "stabilization", 6)
-    def b_n(seed):
+    def b_n():
         report = check_stabilization(spec_dfa(SIGMA4), B0, Word((2, 3), 4), 6)
         ok = report.stabilized_at == 1 and report.accepted == (True,) * 7
         return ok, "stable from n=1, all accepted", \
             f"stable from n={report.stabilized_at}, accepted {report.accepted}"
 
     @_row("c9 S(4) palindromic factors of the 5th iterate", "stabilization", 6)
-    def b5(seed):
+    def b5():
         npal = len(palindromic_factors(perturbed_symmetry(B0, Word((2, 3), 4), 5)))
         return npal == 5, 5, npal
 
     @_row("c9 S(4) image of the parity word", "stabilization", 6)
-    def h_image(seed):
+    def h_image():
         h = Morphism({0: Word((2, 3, 0, 1), 4), 1: Word((3, 0, 1), 4)})
         image = h.apply(thue_morse(1000))
         got = set(palindromic_factors(image))
@@ -660,21 +659,19 @@ def _add_stabilization_rows() -> None:
 
 def _add_property_rows() -> None:
     @_row("c10 palindromic factor sets vs naive scan", "properties", None)
-    def tree_vs_naive(seed):
-        rng = random.Random(seed)
+    def tree_vs_naive():
+        rng = random.Random(0)
         for i in range(10_000):
             k = rng.choice((2, 2, 3, 4))
             n = rng.randrange(25)
             syms = tuple(rng.randrange(k) for _ in range(n))
-            naive = {syms[i:j] for i in range(n) for j in range(i + 1, n + 1)}
-            naive = {f for f in naive if f == f[::-1]} | {()}
-            got = {tuple(p) for p in palindromic_factors(Word(syms, k))}
-            if got != naive:
+            w = Word(syms, k)
+            if palindromic_factors(w) != naive_palindromic_factors(w):
                 return False, "all sets equal", f"word {syms} differs"
         return True, "all sets equal", "10000 words agree"
 
     @_row("c10 minimization idempotent and language-preserving", "properties", None)
-    def min_props(seed):
+    def min_props():
         specs = [MaxDistinct(2, 9), MaxLen(2, 4), MaxLenByParity(2, 2, 5),
                  _t(5, 4), MaxDistinct(3, 4), SIGMA4]
         for spec in specs:
@@ -695,8 +692,8 @@ def _add_property_rows() -> None:
         return True, "idempotent + same language", "6 instances verified"
 
     @_row("c10 factor closure of accepted words", "properties", None)
-    def factorial(seed):
-        rng = random.Random(seed)
+    def factorial():
+        rng = random.Random(0)
         specs = [MaxDistinct(2, 9), MaxLen(2, 5), MaxLenByParity(3, 0, 3), _t(5, 4)]
         checked = 0
         for spec in specs:
@@ -723,7 +720,7 @@ def _add_property_rows() -> None:
         return True, "every factor accepted", f"{checked} words, all factors accepted"
 
     @_row("c10 serialization round-trips", "properties", None)
-    def round_trip(seed):
+    def round_trip():
         dfas = [spec_dfa(MaxDistinct(2, 9)), spec_dfa(SIGMA4),
                 build_direct(MaxLen(2, 4)), spec_dfa(MaxLenByParity(3, 0, 3))]
         for d in dfas:
@@ -749,8 +746,8 @@ def row_descriptors() -> list[tuple[str, str, int | None, RowFn, bool]]:
     return list(_ROWS)
 
 
-def run_checks(section: int | None = None, group: str | None = None,
-               seed: int = 0) -> Iterator[CheckResult]:
+def run_checks(section: int | None = None,
+               group: str | None = None) -> Iterator[CheckResult]:
     """Execute the registry, yielding one CheckResult per row.
 
     A state budget that is not a positive integer, or a selection that
@@ -763,7 +760,7 @@ def run_checks(section: int | None = None, group: str | None = None,
         raise ValueError(f"no check matches this selection; the groups are {groups}")
     for name, grp, sec, fn, known in rows:
         try:
-            passed, expected, actual = fn(seed)
+            passed, expected, actual = fn()
         except Exception as exc:  # a failing row must not kill the run
             # an error is never an anticipated outcome, so the row loses
             # its known-discrepancy marker and surfaces as a plain failure

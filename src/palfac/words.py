@@ -7,8 +7,7 @@ the empty word counts as an *even* palindrome throughout the package.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
-from operator import attrgetter, le
+from operator import le
 from typing import Iterable, Iterator
 
 
@@ -121,8 +120,8 @@ def _valid_word(symbols: tuple[int, ...], alphabet_size: int) -> Word:
 class _View(Word):
     """The factor source[start:stop] of a valid word, kept in place.
 
-    The symbols are sliced only when read; length and integer indexing
-    read the span.  Equality, hashing, order, str and everything built
+    The symbols are sliced only when read, and the length reads the
+    span.  Equality, hashing, order, str, indexing and everything built
     from it (slices, reversal, sums) are those of the plain Word of the
     same symbols.
     """
@@ -135,11 +134,6 @@ class _View(Word):
 
     def __len__(self) -> int:
         return self._stop - self._start
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _valid_word(self.symbols[i], self.alphabet_size)
-        return self._source[range(self._start, self._stop)[i]]
 
 
 def _view(source: tuple[int, ...], start: int, stop: int, alphabet_size: int) -> _View:
@@ -160,7 +154,8 @@ class PalFacSet:
     then nondecreasing lengths) and raises ValueError otherwise.  Lex
     order within a length is the builder's promise: `palindromic_factors`
     keeps it by the proof in `_tree_order`, `naive_palindromic_factors`
-    by sorting.  Two sets are equal when they hold the same palindromes.
+    by sorting.  Two sets are equal when they hold the same palindromes;
+    `in` compares a word with each member in turn.
     """
 
     __slots__ = ("_pals", "_lengths")
@@ -190,17 +185,6 @@ class PalFacSet:
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self._pals)
-
-    def __contains__(self, w) -> bool:
-        # the members of w's length, then the one of w's symbols among them
-        if not isinstance(w, Word):
-            return False
-        n = len(w)
-        lo = bisect_left(self._lengths, n)
-        hi = bisect_right(self._lengths, n, lo)
-        s = w.symbols
-        i = bisect_left(self._pals, s, lo, hi, key=attrgetter("symbols"))
-        return i < hi and self._pals[i].symbols == s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PalFacSet):

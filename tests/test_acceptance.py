@@ -35,7 +35,7 @@ def _param(name, fn, known):
 @pytest.mark.parametrize(
     "fn", [_param(name, fn, known) for name, _, _, fn, known in ROWS])
 def test_row(fn):
-    passed, expected, actual = fn(0)
+    passed, expected, actual = fn()
     assert passed, f"expected {expected}, got {actual}"
 
 

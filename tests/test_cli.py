@@ -118,6 +118,18 @@ class TestAnalyze:
         wit = payload["birecurrent_witness"]
         assert wit is not None and set(wit) == {"state", "x0", "x1"}
 
+    def test_exclude_empty_gives_the_registry_t_cell(self, capsys):
+        # the CLI's T counts the empty word toward the even cap; the
+        # registry's T(2,3,9) counts nonempty palindromes, as --exclude-empty
+        live = {}
+        for flags in ((), ("--exclude-empty",)):
+            code, stdout, _ = run(capsys, "analyze", "--family", "T", "--cap", "3",
+                                  "--odd-cap", "9", *flags)
+            assert code == 0
+            live[flags] = json.loads(stdout)["live_states"]
+        assert live == {(): 265, ("--exclude-empty",): 1468}
+        assert ("T(2,3,9)", 1468) in {(label, want) for label, _, want, _ in STATE_COUNTS}
+
     def test_finite_language(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--family", "D", "--cap", "8")
         assert code == 0
@@ -411,6 +423,11 @@ class TestReproduce:
         assert any(s == "XFAIL" for s in statuses.values())
         assert any(s == "PASS" for s in statuses.values())
         assert "known reference discrepancies" in stderr
+
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--seed", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("selection", [["--group", "nosuchgroup"],
                                            ["--section", "5", "--group", "properties"]])

@@ -30,8 +30,8 @@ X = P([0, 1])
 
 @st.composite
 def products(draw):
-    """A product of random integer factors, some repeated, with a constant."""
-    f = P([draw(st.sampled_from([1, -1, 2, -3, 6]))])
+    """A product of random integer factors, some repeated, with a constant and X^j."""
+    f = P.x_power(draw(st.integers(0, 3)), draw(st.sampled_from([1, -1, 2, -3, 6])))
     for _ in range(draw(st.integers(1, 4))):
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
         coeffs.append(draw(st.sampled_from([-2, -1, 1, 2])))
