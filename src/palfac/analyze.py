@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automaton import CapacityError, Dfa, minimize
+from .automaton import CapacityError, CertificateError, Dfa, minimize
 from .construct import ConstraintSpec, build_direct
 from .words import Word, palindromic_factors
 
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 100_000
-
-
-class CertificateError(RuntimeError):
-    """An exact check that a reported result rests on did not hold."""
 
 
 @dataclass(frozen=True)

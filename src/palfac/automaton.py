@@ -13,8 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-# D(2,14) (705,836 raw states) peaks at 72 MB, about 108 bytes per raw
-# state, through build_direct and minimize (0.4-0.5 s + 1.0-1.2 s), and at
+# D(2,14) (705,836 raw states) peaks at 69 MB, about 102 bytes per raw
+# state, through build_direct and minimize (0.3-0.5 s + 0.35-0.5 s), and at
 # 409 MB, about 608 bytes, through `palfac build --format json` on the raw
 # automaton (3.0-3.6 s, ru_maxrss of a fresh process; 2-vCPU VM, Python
 # 3.11), so 4e6 states stay near 2.4 GB: under half of a 7 GB machine
@@ -24,6 +24,10 @@ BUDGET_ENV = "PALFAC_STATE_BUDGET"
 
 class CapacityError(RuntimeError):
     """Raised when a construction would exceed the state budget."""
+
+
+class CertificateError(RuntimeError):
+    """An exact check that a reported result rests on did not hold."""
 
 
 def state_budget() -> int:
@@ -138,18 +142,20 @@ def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
 
     The ranks are np.unique's inverse, from one argsort: the sorted keys
     are marked where they change, the marks summed, and the sums
-    scattered back to the keys' places.
+    scattered back to the keys' places.  The keys are dropped once
+    sorted, so a caller that passes them as a temporary (refine) gets
+    their memory back before the marks are made.
     """
     order = key.argsort()
-    ordered = key[order]
+    key = key.take(order)
     change = np.empty(len(key), dtype=np.int32)
     change[:1] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-    del ordered
-    np.cumsum(change, out=change)
+    np.not_equal(key[1:], key[:-1], out=change[1:])
+    del key
+    change.cumsum(out=change)
     rank = np.empty_like(change)
     rank[order] = change
-    return rank, int(change[-1]) + 1
+    return rank, int(change[-1]) + 1 if len(change) else 0
 
 
 def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
@@ -162,6 +168,11 @@ def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
     over k columns ranks once while count**(k+1) fits.  columns may be an
     iterator, so each column can be gathered only when it is packed.
     """
+    return _rank(_pack(block, count, columns))
+
+
+def _pack(block: np.ndarray, count: int, columns) -> np.ndarray:
+    """refine's int64 keys, ranked where the next column would pass 2**62."""
     key, size = block.astype(np.int64), count
     for col in columns:
         if size * count > _PACK_LIMIT:
@@ -170,7 +181,7 @@ def refine(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
         key *= count
         key += col
         size *= count
-    return _rank(key)
+    return key
 
 
 def stable_partition(block: np.ndarray, count: int, columns) -> tuple[np.ndarray, int]:
@@ -198,42 +209,194 @@ def _moore(delta: np.ndarray, accepting: np.ndarray) -> tuple[np.ndarray, int]:
                             lambda block: (block[col] for col in delta.T))
 
 
-def _canonical_renumber(delta: list, start: int, accepting) -> tuple[list, list]:
-    """BFS renumbering from the start with ascending symbols; accepting is a mask."""
-    order = {start: 0}
-    seq = [start]
-    for q in seq:
-        for t in delta[q]:
-            if t not in order:
-                order[t] = len(order)
-                seq.append(t)
-    new_delta = [[order[t] for t in delta[q]] for q in seq]
-    return new_delta, [order[q] for q in seq if accepting[q]]
+def _peel(delta: np.ndarray) -> tuple[list, np.ndarray]:
+    """Kahn's layers of the states no cycle reaches, and the rest; returns (layers, core).
+
+    Layer 0 holds the states of in-degree 0, and layer i + 1 the states
+    whose last predecessor lies in layer i, so every successor of a layer
+    lies in a later layer or in the core.  The in-degrees come from one
+    bincount, counted in units above any position in a layer's successor
+    list, and each layer lowers its successors'.  A freed state's count
+    is then 0 and every other's at least one unit, so tagging the
+    successor positions 1, 2, ... by a maximum leaves each freed state
+    the tag of exactly one of its positions, and no other state a tag.
+    """
+    unit = delta.size + 1
+    indeg = np.bincount(delta.ravel(), minlength=len(delta))
+    indeg *= unit
+    layer, layers = np.flatnonzero(indeg == 0), []
+    while layer.size:
+        layers.append(layer)
+        succ = delta.take(layer, axis=0).ravel()
+        np.subtract.at(indeg, succ, unit)
+        tag = np.arange(1, succ.size + 1)
+        np.maximum.at(indeg, succ, tag)
+        layer = succ[indeg.take(succ) == tag]
+    return layers, np.flatnonzero(indeg >= unit).astype(np.int32)
+
+
+class _Signatures:
+    """Class ids for (acceptance, successor classes) signatures, kept across batches.
+
+    A class's id is the index of one of its states, so every id lies below
+    `radix`, the state count.  A signature is packed into int64 keys as
+    `refine` packs a row, in that radix, acceptance first.  Where the next
+    column would push a key past 2**62, a new stage starts from the key's
+    id among the keys that stage has seen, so each stage keeps its own
+    table, and the last stage's ids are the class ids.  A table holds its
+    keys ascending, ending in a sentinel above every key, and beside them
+    the id of each; of equal keys the first one's id is the key's.
+    """
+
+    def __init__(self, radix: int, k: int):
+        groups, size = [[]], 2
+        for a in range(k):
+            if size * radix > _PACK_LIMIT:
+                groups.append([])
+                size = radix
+            groups[-1].append(a)
+            size *= radix
+        # a stage's key is the key it starts from times shift, plus succ @ weights
+        self.stages = []
+        for group in groups:
+            weights = np.zeros(k, dtype=np.int64)
+            weights[group] = radix ** np.arange(len(group) - 1, -1, -1, dtype=np.int64)
+            self.stages.append((radix ** len(group), weights, [np.array([_PACK_LIMIT]), np.array([-1])]))
+
+    def classify(self, states: np.ndarray, accepting: np.ndarray, succ: np.ndarray) -> np.ndarray:
+        """The class id of each state from its acceptance and its successors' class ids.
+
+        A signature not seen before opens a class whose id is the first of
+        these states that has it.
+        """
+        key = accepting
+        for shift, weights, table in self.stages:
+            key = _ids(table, key * shift + succ @ weights, states)
+        return key
+
+
+def _ids(table: list, key: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The id of each key in a _Signatures table; a key not in it is added under its first state."""
+    keys, ids = table
+    at = keys.searchsorted(key)
+    new = keys.take(at) != key
+    fresh = key[new]
+    if not fresh.size:
+        return ids.take(at)
+    # two ascending runs: a stable sort merges them in linear time and
+    # keeps the first of equal fresh keys first
+    merged = np.concatenate((keys, fresh))
+    order = merged.argsort(kind="stable")
+    table[0] = keys = merged.take(order)
+    table[1] = ids = np.concatenate((ids, states[new])).take(order)
+    return ids.take(keys.searchsorted(key))
+
+
+def _classes(delta: np.ndarray, accepting: np.ndarray) -> np.ndarray:
+    """The class of every state, named by one of its states (an int32 index).
+
+    Moore refines the core (_peel) first, and each core class is named by
+    one member.  The core classes' signatures are distinct, so classifying
+    those members opens the signature table (_Signatures) with one class
+    each, under the same names.  The peeled layers follow in reverse order.
+    """
+    n, k = delta.shape
+    layers, core = _peel(delta)
+    # Moore on the core sets the memory peak: hold only its sub-table and
+    # a mask of the core then
+    local = np.empty(n, dtype=np.int32)
+    local[core] = np.arange(len(core))
+    sub = local[delta[core]]
+    del local
+    incore = np.zeros(n, dtype=bool)
+    incore[core] = True
+    del core
+    block, count = _moore(sub, accepting[incore])
+    del sub
+    core = np.flatnonzero(incore)
+    rep = np.empty(count, dtype=np.intp)
+    rep[block] = core
+    cls = np.empty(n, dtype=np.int32)
+    cls[core] = rep[block]
+    signatures = _Signatures(n, k)
+    for states in [rep, *reversed(layers)]:
+        cls[states] = signatures.classify(states, accepting.take(states), cls.take(delta.take(states, axis=0)))
+    return cls
+
+
+def _canonical(delta: np.ndarray, start: int, accepting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states reachable from start renumbered breadth-first, symbols ascending.
+
+    Returns (the int32 table, the bool accepting mask) over the new
+    numbers.  One level at a time: the next level's candidates are the
+    level's successors in (parent position, letter) order, and the
+    unnumbered ones take the next numbers in order of first occurrence,
+    which is exactly the numbering of a FIFO queue.  An unnumbered state
+    holds the least int32, below the negative tags -1, -2, ... that a
+    maximum gives the candidates' positions, so it keeps the tag of its
+    first position, and a numbered state keeps its number.
+    """
+    number = np.full(len(delta), -1 << 31, dtype=np.int32)
+    number[start] = 0
+    level, levels, count = np.array([start]), [], 1
+    while level.size:
+        levels.append(level)
+        cand = delta.take(level, axis=0).ravel()
+        tag = np.arange(-1, -1 - cand.size, -1, dtype=np.int32)
+        np.maximum.at(number, cand, tag)
+        level = cand[number.take(cand) == tag]
+        number[level] = np.arange(count, count + level.size, dtype=np.int32)
+        count += level.size
+    seq = np.concatenate(levels)
+    return number.take(delta.take(seq, axis=0)), accepting.take(seq)
 
 
 def minimize(d: Dfa) -> Dfa:
     """The unique minimal complete DFA for L(d), canonically numbered.
 
-    Equivalence does not depend on reachability, so the whole automaton is
-    refined and the canonical renumbering from the start block drops the
-    blocks no word reaches.
+    Equivalence does not depend on reachability, so every state is
+    classified, and the canonical renumbering from the start's class drops
+    the classes no word reaches.  The classification follows Revuz
+    (Minimisation of acyclic deterministic automata in linear time, TCS
+    92, 1992) on the acyclic prefix:
+
+    - _peel removes, in Kahn's layers, the states that no cycle reaches.
+      What is left, the core, is closed under successors (a successor of a
+      core state keeps an in-edge from the core), so the futures of core
+      states stay in the core, and Moore on the core's sub-table gives the
+      Nerode classes of its states.
+    - Two states are equivalent exactly when they agree on acceptance and
+      their successors under each letter are equivalent.  In the coarsest
+      stable partition no two classes share such a signature, so the core
+      classes' signatures are distinct.
+    - The layers are classified in reverse Kahn order, in which every
+      successor of a layer is already classified.  A state whose signature
+      is known joins that class, and each signature not seen before opens
+      one new class, so every Nerode class gets exactly one id.
+
+    Moore's rounds thus touch only the core, and each peeled state is keyed
+    once.  Every call certifies the result: on every state q, acceptance
+    and each letter's successor class agree with those of q's class's
+    named member, so the class map is a homomorphism onto the quotient and
+    L(result) = L(d) exactly.  Where they do not agree, CertificateError
+    is raised.
     """
-    block, count = _moore(d.delta, d.accepting)
-    # any member stands for its block: the partition is stable, so the
-    # members agree on acceptance and on their successors' blocks
-    rep = np.empty(count, dtype=np.intp)
-    rep[block] = np.arange(len(block))
-    delta, accepting = _canonical_renumber(block[d.delta[rep]].tolist(), int(block[d.start]),
-                                           d.accepting[rep])
-    return Dfa(delta, 0, accepting)
+    cls = _classes(d.delta, d.accepting)
+    table = cls.take(d.delta)
+    if not ((d.accepting.take(cls) == d.accepting).all()
+            and (table.take(cls, axis=0) == table).all()):
+        raise CertificateError("a class of the minimized automaton is not a congruence class")
+    delta, accepting = _canonical(table, int(cls[d.start]), d.accepting)
+    return Dfa._adopt(delta, 0, accepting)
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
     """Whether two minimized DFAs are the same up to renumbering."""
     if a.alphabet_size != b.alphabet_size or a.state_count != b.state_count:
         return False
-    return (_canonical_renumber(a.delta.tolist(), a.start, a.accepting)
-            == _canonical_renumber(b.delta.tolist(), b.start, b.accepting))
+    ta, fa = _canonical(a.delta, a.start, a.accepting)
+    tb, fb = _canonical(b.delta, b.start, b.accepting)
+    return np.array_equal(ta, tb) and np.array_equal(fa, fb)
 
 
 def export_dfa(d: Dfa, fmt: str = "grail") -> str:

@@ -1,16 +1,23 @@
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import palfac.automaton
+from palfac.analyze import CertificateError as AnalyzeCertificateError
 from palfac.automaton import (
     BUDGET_ENV,
     DEFAULT_STATE_BUDGET,
     CapacityError,
+    CertificateError,
     Dfa,
     FormatError,
     export_dfa,
@@ -19,6 +26,7 @@ from palfac.automaton import (
     minimize,
     state_budget,
 )
+from palfac.automaton import _PACK_LIMIT, _Signatures, _classes, _peel
 from palfac.construct import MaxDistinct, build_avoidance, build_direct
 from palfac.words import Word
 
@@ -256,6 +264,144 @@ def test_minimize_matches_table_filling_over_twelve_letters():
         assert _parts(m) == _table_filling_minimum(delta, d.start, accepting)
         wide += m.state_count >= 28
     assert wide >= 9
+
+
+def _prefixed(rng_draw, k, core_size, prefix_size):
+    """A complete core behind an acyclic prefix; returns (delta, start, accepting).
+
+    Prefix states 0..p-1 step only to later prefix states or into the core
+    (states p..n-1), so none lies on a cycle.  About a third of them copy
+    the row and acceptance of a core state and a third those of a later
+    state, so they are equivalent to it, and the prefix states before the
+    start are unreachable.
+    """
+    p, n = prefix_size, prefix_size + core_size
+    rows = [None] * p + [[rng_draw(p, n - 1) for _ in range(k)] for _ in range(core_size)]
+    accepts = [None] * p + [rng_draw(0, 1) for _ in range(core_size)]
+    for q in reversed(range(p)):
+        copy = rng_draw(0, 2)
+        if copy < 2:
+            j = rng_draw(p if copy == 0 else q + 1, n - 1)
+            rows[q], accepts[q] = list(rows[j]), accepts[j]
+        else:
+            rows[q], accepts[q] = [rng_draw(q + 1, n - 1) for _ in range(k)], rng_draw(0, 1)
+    return rows, rng_draw(0, p - 1), [q for q in range(n) if accepts[q]]
+
+
+@st.composite
+def prefixed_dfas(draw):
+    k, core_size, prefix_size = draw(st.integers(1, 3)), draw(st.integers(1, 15)), draw(st.integers(1, 25))
+    return _prefixed(lambda lo, hi: draw(st.integers(lo, hi)), k, core_size, prefix_size)
+
+
+def _check_peel(delta):
+    """The peel's layers and core as `minimize` relies on them."""
+    table = np.array(delta)
+    layers, core = _peel(table)
+    where = np.full(len(table), len(layers))  # the core sits after every layer
+    for i, layer in enumerate(layers):
+        where[layer] = i
+    assert sorted(np.concatenate(layers + [core]).tolist()) == list(range(len(table)))
+    # every successor lies in a later layer or in the core, which is closed
+    assert (where[table] > where[:, None]).all(axis=1)[where < len(layers)].all()
+    assert (where[table[core]] == len(layers)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefixed_dfas())
+def test_minimize_matches_table_filling_behind_an_acyclic_prefix(dfa):
+    delta, start, accepting = dfa
+    _check_peel(delta)
+    m = minimize(Dfa(delta, start, accepting))
+    assert _parts(m) == _table_filling_minimum(delta, start, accepting)
+
+
+def test_signature_shared_in_a_layer_and_by_an_earlier_one():
+    # 3 and 4 open one class in the same layer; 1, two layers before them,
+    # must find it: 0 -> 1, 2; 1, 3, 4 -> 5, 6; 2 -> 3, 4; 5 accepts, 6 is dead
+    delta = [[1, 2], [5, 6], [3, 4], [5, 6], [5, 6], [5, 5], [6, 6]]
+    assert [layer.tolist() for layer in _peel(np.array(delta))[0]] == [[0], [1, 2], [3, 4]]
+    m = minimize(Dfa(delta, 0, [5]))
+    assert m.state_count == 5
+    assert _parts(m) == _table_filling_minimum(delta, 0, [5])
+
+
+def test_prefixed_signatures_past_two_to_the_62():
+    # 40 states over 12 letters: 2 * 40**12 > 2**62, so a peeled state's
+    # signature is packed in two stages, the first one's keys ranked in
+    # its own table
+    rng = random.Random(34)
+    delta, start, accepting = _prefixed(rng.randint, 12, 15, 25)
+    assert 2 * 40 ** 12 > _PACK_LIMIT and len(_Signatures(40, 12).stages) == 2
+    _check_peel(delta)
+    d = Dfa(delta, start, accepting)
+    assert _parts(minimize(d)) == _table_filling_minimum(delta, start, accepting)
+    # peeled states open classes of their own, through both stages
+    cls = _classes(d.delta, d.accepting)
+    assert len(set(cls.tolist())) > len(set(cls[_peel(d.delta)[1]].tolist()))
+
+
+def _chain(n):
+    """The automaton of the binary words of length exactly n - 2: states 0..n-1 in a row."""
+    return np.minimum(np.arange(1, n + 1), n - 1).repeat(2).reshape(n, 2), [n - 2]
+
+
+def test_long_chain_minimizes_to_itself():
+    # Moore needs n - 1 rounds on a chain; the peel leaves only the dead state
+    delta, accepting = _chain(8000)
+    m = minimize(Dfa(delta, 0, accepting))
+    assert m.delta.tolist() == delta.tolist()
+    assert np.flatnonzero(m.accepting).tolist() == accepting and m.dead == 7999
+
+
+def test_automaton_over_no_letters():
+    # no transitions: every state is peeled, and the core is empty
+    table = np.zeros((3, 0), dtype=np.int32)
+    for start, accepts in ((1, True), (2, False)):
+        m = minimize(Dfa(table, start, [0, 1]))
+        assert m.delta.shape == (1, 0) and m.accepting.tolist() == [accepts]
+
+
+_MERGE_ONE_PEELED_STATE = """
+def mutant(delta, accepting):
+    # the last peeled state joins the first class that is not its own
+    cls = classes(delta, accepting).copy()
+    q = _peel(delta)[0][-1][-1]
+    cls[q] = cls[np.flatnonzero(cls != cls[q])[0]]
+    return cls
+"""
+
+
+def test_certificate_catches_a_wrong_class(monkeypatch):
+    assert AnalyzeCertificateError is CertificateError
+    raw = build_direct(MaxDistinct(2, 6))
+    minimize(raw)
+    scope = {"classes": _classes, "_peel": _peel, "np": np}
+    exec(_MERGE_ONE_PEELED_STATE, scope)
+    monkeypatch.setattr(palfac.automaton, "_classes", scope["mutant"])
+    with pytest.raises(CertificateError):
+        minimize(raw)
+
+
+def test_certificate_runs_under_optimized_python():
+    code = (
+        "import numpy as np\n"
+        "import palfac.automaton as A\n"
+        "from palfac.automaton import _peel\n"
+        "from palfac.construct import MaxDistinct, build_direct\n"
+        "assert not __debug__\n"
+        "classes = A._classes\n"
+        + _MERGE_ONE_PEELED_STATE +
+        "A._classes = mutant\n"
+        "try:\n"
+        "    A.minimize(build_direct(MaxDistinct(2, 6)))\n"
+        "except A.CertificateError:\n"
+        "    print('caught')\n"
+    )
+    src = str(Path(palfac.automaton.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["caught"]
 
 
 def test_isomorphic_on_renumbered_copy():
